@@ -169,18 +169,7 @@ def _cmd_fit(args) -> int:
 
 def _cmd_assign(args) -> int:
     snapshot = load_snapshot(args.snapshot)
-    import json
-    import tempfile
-
-    # reuse the dataset loader with the snapshot's indicator declarations
-    with tempfile.NamedTemporaryFile(
-        "w", suffix=".json", delete=False, encoding="utf-8"
-    ) as tmp:
-        from .config import config_to_dict
-
-        json.dump(config_to_dict(snapshot.config), tmp)
-        spec_path = tmp.name
-    dataset = load_dataset(args.data, spec_path)
+    dataset = load_dataset(args.data, snapshot.config.indicators)
     result = score_with_snapshot(snapshot, dataset)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -77,16 +77,43 @@ class ClusteringResult:
         return self.centers.shape[0]
 
 
-def _sq_dists(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
-    diff = points[:, None, :] - centers[None, :, :]
-    return np.einsum("ijk,ijk->ij", diff, diff)
+def _sq_dists(coords: np.ndarray, centers: np.ndarray) -> np.ndarray:
+    """Squared distances, k x M, from ``centers`` (k x d) to the points of
+    ``coords`` (d x M, coordinate-major).  The d squares are summed in
+    coordinate order, one contiguous pass per coordinate."""
+    d2 = np.subtract(coords[0], centers[:, 0, None])
+    d2 *= d2
+    t = np.empty_like(d2)
+    for j in range(1, coords.shape[0]):
+        np.subtract(coords[j], centers[:, j, None], out=t)
+        t *= t
+        d2 += t
+    return d2
+
+
+def nearest_center(
+    coords: np.ndarray, centers: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Index of each point's nearest center (ties to the lowest index) and
+    the squared distance to it; ``coords`` is d x M, ``centers`` k x d."""
+    d2 = _sq_dists(coords, centers)
+    best = d2.min(axis=0)
+    idx = np.full(best.shape, centers.shape[0] - 1, dtype=np.intp)
+    for q in range(centers.shape[0] - 2, -1, -1):
+        idx = np.where(d2[q] == best, q, idx)
+    return idx, best
+
+
+def _coords(points: np.ndarray) -> np.ndarray:
+    return np.ascontiguousarray(points.T, dtype=np.float64)
 
 
 def _kmeanspp_init(points: np.ndarray, k: int, rng: Xorshift64Star) -> np.ndarray:
-    n = points.shape[0]
-    centers = np.empty((k, points.shape[1]))
+    coords = _coords(points)
+    n = coords.shape[1]
+    centers = np.empty((k, coords.shape[0]))
     centers[0] = points[rng.randint(n)]
-    d2 = _sq_dists(points, centers[:1]).min(axis=1)
+    d2 = _sq_dists(coords, centers[:1])[0]
     for i in range(1, k):
         total = d2.sum()
         if total <= 0.0:
@@ -96,7 +123,7 @@ def _kmeanspp_init(points: np.ndarray, k: int, rng: Xorshift64Star) -> np.ndarra
             r = rng.random() * total
             idx = min(int(np.searchsorted(np.cumsum(d2), r, side="right")), n - 1)
         centers[i] = points[idx]
-        d2 = np.minimum(d2, _sq_dists(points, centers[i : i + 1]).min(axis=1))
+        np.minimum(d2, _sq_dists(coords, centers[i : i + 1])[0], out=d2)
     return centers
 
 
@@ -107,34 +134,34 @@ def _lloyd(
 
     Returns (assignments 0-based, centers, sse, per-iteration sse).
     Empty clusters are repaired by promoting the point farthest from its
-    current center to a singleton center.
+    current center to a singleton center.  A center moves to the mean of
+    its points, summed in index order.
     """
+    coords = _coords(points)
     k = centers.shape[0]
     prev = None
     history: list[float] = []
     for _ in range(max_iterations):
-        d2 = _sq_dists(points, centers)
-        assign = d2.argmin(axis=1)
-        point_d2 = d2[np.arange(points.shape[0]), assign]
+        assign, point_d2 = nearest_center(coords, centers)
+        counts = np.bincount(assign, minlength=k)
 
-        empties = [q for q in range(k) if not np.any(assign == q)]
-        if empties:
-            taken: set[int] = set()
-            for q in empties:
-                order = np.argsort(-point_d2, kind="stable")
-                idx = next(int(i) for i in order if int(i) not in taken)
-                taken.add(idx)
+        empties = np.flatnonzero(counts == 0)
+        if empties.size:
+            order = np.argsort(-point_d2, kind="stable")
+            for q, idx in zip(empties, order):
                 centers[q] = points[idx]
+                counts[assign[idx]] -= 1
+                counts[q] += 1
                 assign[idx] = q
                 point_d2[idx] = 0.0
 
         sse = float(point_d2.sum())
         history.append(sse)
-        if prev is not None and np.array_equal(assign, prev) and not empties:
+        if prev is not None and np.array_equal(assign, prev) and not empties.size:
             break
         prev = assign
-        for q in range(k):
-            centers[q] = points[assign == q].mean(axis=0)
+        for j in range(coords.shape[0]):
+            centers[:, j] = np.bincount(assign, weights=coords[j], minlength=k) / counts
     return assign, centers, history[-1], history
 
 

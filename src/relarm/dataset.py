@@ -5,6 +5,8 @@ from __future__ import annotations
 import csv
 import enum
 import json
+import os
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -42,6 +44,10 @@ def _freeze(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _duplicates(items) -> list[str]:
+    return sorted(x for x, c in Counter(items).items() if c > 1)
+
+
 @dataclass(frozen=True)
 class RawDataset:
     """An M x N table of raw indicator values, one row per rating object."""
@@ -60,12 +66,10 @@ class RawDataset:
         if n < 1:
             raise ValidationError("need at least 1 indicator")
         if len(set(self.objects)) != m:
-            dupes = sorted({o for o in self.objects if self.objects.count(o) > 1})
-            raise ValidationError(f"duplicate object ids: {dupes}")
+            raise ValidationError(f"duplicate object ids: {_duplicates(self.objects)}")
         names = [s.name for s in self.indicators]
         if len(set(names)) != n:
-            dupes = sorted({x for x in names if names.count(x) > 1})
-            raise ValidationError(f"duplicate indicator names: {dupes}")
+            raise ValidationError(f"duplicate indicator names: {_duplicates(names)}")
         if not np.isfinite(self.values).all():
             i, j = map(int, np.argwhere(~np.isfinite(self.values))[0])
             raise ValidationError(
@@ -127,13 +131,18 @@ def load_indicator_specs(spec_path) -> tuple[IndicatorSpec, ...]:
         return parse_indicator_specs(json.load(fh))
 
 
-def load_dataset(path, spec_path) -> RawDataset:
-    """Read a CSV data table plus its indicator declarations.
+def load_dataset(path, spec) -> RawDataset:
+    """Read a CSV data table against its indicator declarations.
 
-    The CSV has a header row of indicator names and one object id in the
-    first column of each row.  Columns are reordered to the spec's order.
+    ``spec`` is either the declarations themselves or a JSON file holding
+    them (see :func:`parse_indicator_specs`).  The CSV has a header row of
+    indicator names and one object id in the first column of each row.
+    Columns are reordered to the spec's order.
     """
-    specs = load_indicator_specs(spec_path)
+    if isinstance(spec, (str, os.PathLike)):
+        specs = load_indicator_specs(spec)
+    else:
+        specs = tuple(spec)
     with open(path, newline="", encoding="utf-8") as fh:
         rows = list(csv.reader(fh))
     return dataset_from_rows(rows, specs, source=str(path))

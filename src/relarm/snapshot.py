@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .attributes import map_to_feature_space
-from .clustering import _sq_dists
+from .clustering import nearest_center
 from .config import PipelineConfig, config_from_dict, config_to_dict
 from .dataset import Direction, RawDataset
 from .errors import ValidationError
@@ -138,8 +138,9 @@ def score_with_snapshot(snapshot: Snapshot, raw: RawDataset) -> RatingResult:
     cluster center's category."""
     normalized = normalize_with_snapshot(snapshot, raw)
     features = map_to_feature_space(normalized, snapshot.model)
-    d2 = _sq_dists(features.values, snapshot.centers)
-    nearest = d2.argmin(axis=1)
+    nearest, _ = nearest_center(
+        np.ascontiguousarray(features.values.T), snapshot.centers
+    )
     per_object = tuple(
         ObjectRating(
             object_id=obj,

@@ -1,5 +1,6 @@
 import json
 import shutil
+import tempfile
 
 import pytest
 
@@ -125,6 +126,22 @@ def test_fit_then_assign_matches_run(workdir):
             for line in text.strip().splitlines()[1:]
         }
     assert cats(full) == cats(assigned)
+
+
+def test_assign_leaves_tmpdir_empty(workdir, tmp_path_factory, monkeypatch):
+    tmpdir = tmp_path_factory.mktemp("tmpdir")
+    monkeypatch.setenv("TMPDIR", str(tmpdir))
+    monkeypatch.setattr(tempfile, "tempdir", str(tmpdir))
+    run_cli(
+        "fit", "--config", workdir / "config.json", "--data", workdir / "data.csv",
+        "--out-dir", workdir / "fit",
+    )
+    code = run_cli(
+        "assign", "--snapshot", workdir / "fit" / "snapshot.json",
+        "--data", workdir / "data.csv", "--out-dir", workdir / "assigned",
+    )
+    assert code == 0
+    assert list(tmpdir.iterdir()) == []
 
 
 def test_score_subcommand(workdir, data_dir, capsys):

@@ -1,4 +1,5 @@
 import json
+import time
 
 import numpy as np
 import pytest
@@ -56,6 +57,26 @@ def test_duplicate_object_id(tmp_path):
     (tmp_path / "d.csv").write_text("object,x\na,1\na,2\n")
     with pytest.raises(ValidationError, match="duplicate object ids"):
         load_dataset(tmp_path / "d.csv", tmp_path / "spec.json")
+
+
+def test_duplicate_object_id_among_many_is_fast():
+    m = 50_000
+    objects = [f"obj{i}" for i in range(m)]
+    objects[-1] = "obj123"
+    start = time.perf_counter()
+    with pytest.raises(ValidationError, match=r"duplicate object ids: \['obj123'\]$"):
+        RawDataset(
+            objects=tuple(objects),
+            indicators=(IndicatorSpec("x", Direction.POSITIVE),),
+            values=np.zeros((m, 1)),
+        )
+    assert time.perf_counter() - start < 0.5
+
+
+def test_duplicate_indicator_names():
+    spec = IndicatorSpec("x", Direction.POSITIVE)
+    with pytest.raises(ValidationError, match=r"duplicate indicator names: \['x'\]$"):
+        RawDataset(objects=("a", "b"), indicators=(spec, spec), values=np.zeros((2, 2)))
 
 
 def test_undeclared_and_missing_columns(tmp_path):
