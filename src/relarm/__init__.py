@@ -2,13 +2,7 @@
 l1-scaled principal components, ranking-function features, k-means
 clustering, and projection-ordered category assignment."""
 
-from .attributes import (
-    RankedFeatureMatrix,
-    RelativeAttribute,
-    attribute_vector,
-    map_to_feature_space,
-    rank_value,
-)
+from .attributes import RankedFeatureMatrix, map_to_feature_space
 from .clustering import ClusteringResult, Xorshift64Star, kmeans
 from .config import PipelineConfig, config_from_dict, load_config
 from .dataset import (
@@ -25,7 +19,7 @@ from .normalize import (
     normalize_column,
     normalize_dataset,
 )
-from .pca import FixtureReport, PcaModel, fit_pca, jacobi_eigh, verify_fixture_w
+from .pca import PcaModel, fit_pca, jacobi_eigh
 from .pipeline import PipelineOutputs, build_snapshot, run_pipeline
 from .rating import (
     AgreementReport,
@@ -45,7 +39,6 @@ __all__ = [
     "ClusteringResult",
     "ConstantColumnWarning",
     "Direction",
-    "FixtureReport",
     "IndicatorSpec",
     "NormalizedMatrix",
     "NumericalError",
@@ -57,12 +50,10 @@ __all__ = [
     "RatingScale",
     "RawDataset",
     "RelarmError",
-    "RelativeAttribute",
     "Snapshot",
     "ValidationError",
     "Xorshift64Star",
     "assign_ratings",
-    "attribute_vector",
     "build_snapshot",
     "collapse_category",
     "config_from_dict",
@@ -76,11 +67,9 @@ __all__ = [
     "normalize_column",
     "normalize_dataset",
     "project_center",
-    "rank_value",
     "run_pipeline",
     "save_dataset",
     "save_snapshot",
     "score_agreement",
     "score_with_snapshot",
-    "verify_fixture_w",
 ]

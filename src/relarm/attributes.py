@@ -1,5 +1,4 @@
-"""Relative attribute vectors, ranking functions, and the map from the
-normalized matrix into ranking-function space."""
+"""The map from the normalized matrix into ranking-function space."""
 
 from __future__ import annotations
 
@@ -7,27 +6,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .dataset import _freeze
 from .errors import ValidationError
 from .normalize import NormalizedMatrix
-from .pca import PcaModel, _freeze
-
-
-@dataclass(frozen=True)
-class RelativeAttribute:
-    """Per-coordinate contribution of one object to one component:
-    the entrywise product of a normalized row with that component."""
-
-    component_index: int  # 1-based
-    values: np.ndarray = field(repr=False)
-    object_index: int | None = None
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "values", _freeze(self.values))
-
-    @property
-    def strength(self) -> float:
-        """l1 norm; the object's ranking-function value for nonnegative rows."""
-        return float(np.abs(self.values).sum())
+from .pca import PcaModel
 
 
 @dataclass(frozen=True)
@@ -43,44 +25,12 @@ class RankedFeatureMatrix:
             raise ValidationError("objects/values length mismatch")
 
 
-def _check_component(model: PcaModel, p: int) -> None:
-    if not 1 <= p <= model.d:
-        raise ValidationError(f"component index {p} out of range [1, {model.d}]")
-
-
-def attribute_vector(
-    b: np.ndarray, model: PcaModel, p: int, object_index: int | None = None
-) -> RelativeAttribute:
-    """Entrywise product of a normalized row with the (signed) p-th
-    component; p is 1-based."""
-    _check_component(model, p)
-    b = np.asarray(b, dtype=np.float64)
-    if b.shape != (model.n_indicators,):
-        raise ValidationError(
-            f"row has length {b.size}, model expects {model.n_indicators}"
-        )
-    return RelativeAttribute(
-        component_index=p,
-        values=b * model.components[:, p - 1],
-        object_index=object_index,
-    )
-
-
-def rank_value(b: np.ndarray, model: PcaModel, p: int) -> float:
-    """Ranking-function value: sum_k |w_kp| * b_k, with p 1-based."""
-    _check_component(model, p)
-    b = np.asarray(b, dtype=np.float64)
-    if b.shape != (model.n_indicators,):
-        raise ValidationError(
-            f"row has length {b.size}, model expects {model.n_indicators}"
-        )
-    return float(model.W[:, p - 1] @ b)
-
-
 def map_to_feature_space(
     B: NormalizedMatrix | np.ndarray, model: PcaModel
 ) -> RankedFeatureMatrix:
-    """Map every normalized row into ranking-function space: B @ W."""
+    """Map every normalized row into ranking-function space: B @ W, so
+    entry (i, p) is the p-th ranking function sum_k |w_kp| * b_ik of
+    object i."""
     if isinstance(B, NormalizedMatrix):
         objects, x = B.objects, B.values
     else:

@@ -76,15 +76,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_config_with_overrides(args):
-    cfg = load_config(args.config)
-    return cfg.with_overrides(
-        seed=getattr(args, "seed", None),
-        k=getattr(args, "k", None),
-        variance_threshold=getattr(args, "threshold", None),
-    )
-
-
 def _write_normalized(out_dir: Path, normalized) -> Path:
     path = out_dir / "normalized.csv"
     io.write_matrix_csv(
@@ -96,16 +87,24 @@ def _write_normalized(out_dir: Path, normalized) -> Path:
     return path
 
 
-def _cmd_run(args) -> int:
-    cfg = _load_config_with_overrides(args)
-    dataset = load_dataset(args.data, args.config)
-    reference = io.read_reference_csv(args.reference) if args.reference else None
+def _fit(args, reference=None):
+    """Fit on ``--data`` with the config and its overrides, and write the
+    snapshot; returns (config, outputs, output directory)."""
+    cfg = load_config(args.config).with_overrides(
+        seed=args.seed, k=args.k, variance_threshold=args.threshold
+    )
+    dataset = load_dataset(args.data, cfg.indicators)
     outputs = run_pipeline(cfg, dataset, reference=reference)
-
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    io.write_ratings_csv(out_dir / "ratings.csv", outputs.ratings)
     save_snapshot(build_snapshot(cfg, dataset, outputs), out_dir / "snapshot.json")
+    return cfg, outputs, out_dir
+
+
+def _cmd_run(args) -> int:
+    reference = io.read_reference_csv(args.reference) if args.reference else None
+    cfg, outputs, out_dir = _fit(args, reference)
+    io.write_ratings_csv(out_dir / "ratings.csv", outputs.ratings)
     if outputs.agreement is not None:
         io.write_agreement_json(out_dir / "agreement.json", outputs.agreement)
         frac = outputs.agreement.fraction
@@ -142,12 +141,8 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_normalize(args) -> int:
-    cfg = _load_config_with_overrides(args)
-    dataset = load_dataset(args.data, args.config)
-    if tuple(s.name for s in dataset.indicators) != tuple(
-        s.name for s in cfg.indicators
-    ):
-        raise ValidationError("dataset indicators do not match the configuration")
+    cfg = load_config(args.config)
+    dataset = load_dataset(args.data, cfg.indicators)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     path = _write_normalized(out_dir, normalize_dataset(dataset))
@@ -156,14 +151,8 @@ def _cmd_normalize(args) -> int:
 
 
 def _cmd_fit(args) -> int:
-    cfg = _load_config_with_overrides(args)
-    dataset = load_dataset(args.data, args.config)
-    outputs = run_pipeline(cfg, dataset)
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    path = out_dir / "snapshot.json"
-    save_snapshot(build_snapshot(cfg, dataset, outputs), path)
-    print(f"wrote {path} (d={outputs.model.d}, k={cfg.k})")
+    cfg, outputs, out_dir = _fit(args)
+    print(f"wrote {out_dir / 'snapshot.json'} (d={outputs.model.d}, k={cfg.k})")
     return EXIT_OK
 
 

@@ -7,8 +7,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .attributes import RankedFeatureMatrix
+from .dataset import _freeze
 from .errors import ValidationError
-from .pca import _freeze
 
 _MASK64 = (1 << 64) - 1
 
@@ -132,23 +132,27 @@ def _lloyd(
 ) -> tuple[np.ndarray, np.ndarray, float, list[float]]:
     """Lloyd iterations to an assignment fixed point (or the cap).
 
-    Returns (assignments 0-based, centers, sse, per-iteration sse).
-    Empty clusters are repaired by promoting the point farthest from its
-    current center to a singleton center.  A center moves to the mean of
-    its points, summed in index order.
+    Returns (assignments 0-based, centers, sse, per-iteration sse).  The
+    returned assignment is the last one made and the centers are the ones
+    it was made against, also when the cap stops the iterations.  Empty
+    clusters are repaired by promoting the points farthest from their
+    current centers to singleton centers, skipping any point that is the
+    only one of its cluster.  A center moves to the mean of its points,
+    summed in index order.
     """
     coords = _coords(points)
     k = centers.shape[0]
     prev = None
     history: list[float] = []
-    for _ in range(max_iterations):
+    for it in range(max_iterations):
         assign, point_d2 = nearest_center(coords, centers)
         counts = np.bincount(assign, minlength=k)
 
         empties = np.flatnonzero(counts == 0)
         if empties.size:
-            order = np.argsort(-point_d2, kind="stable")
-            for q, idx in zip(empties, order):
+            donors = iter(np.argsort(-point_d2, kind="stable"))
+            for q in empties:
+                idx = next(i for i in donors if counts[assign[i]] > 1)
                 centers[q] = points[idx]
                 counts[assign[idx]] -= 1
                 counts[q] += 1
@@ -159,6 +163,8 @@ def _lloyd(
         history.append(sse)
         if prev is not None and np.array_equal(assign, prev) and not empties.size:
             break
+        if it == max_iterations - 1:
+            break  # the cap: keep the centers this assignment was made against
         prev = assign
         for j in range(coords.shape[0]):
             centers[:, j] = np.bincount(assign, weights=coords[j], minlength=k) / counts

@@ -126,11 +126,6 @@ def parse_indicator_specs(obj) -> tuple[IndicatorSpec, ...]:
     return tuple(specs)
 
 
-def load_indicator_specs(spec_path) -> tuple[IndicatorSpec, ...]:
-    with open(spec_path, encoding="utf-8") as fh:
-        return parse_indicator_specs(json.load(fh))
-
-
 def load_dataset(path, spec) -> RawDataset:
     """Read a CSV data table against its indicator declarations.
 
@@ -140,7 +135,8 @@ def load_dataset(path, spec) -> RawDataset:
     Columns are reordered to the spec's order.
     """
     if isinstance(spec, (str, os.PathLike)):
-        specs = load_indicator_specs(spec)
+        with open(spec, encoding="utf-8") as fh:
+            specs = parse_indicator_specs(json.load(fh))
     else:
         specs = tuple(spec)
     with open(path, newline="", encoding="utf-8") as fh:

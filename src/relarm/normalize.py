@@ -19,8 +19,8 @@ class ConstantColumnWarning(UserWarning):
 class NormalizedMatrix:
     """M x N matrix of values scaled to [0, 1], column order as declared.
 
-    ``constant_columns`` lists indices of columns that were constant in
-    the raw data and therefore mapped to 0.5 everywhere.
+    ``constant_columns`` lists indices of columns whose fitted range had
+    no spread and were therefore mapped to 0.5 everywhere.
     """
 
     objects: tuple[str, ...]
@@ -42,12 +42,56 @@ class NormalizedMatrix:
         return len(self.indicators)
 
 
-def normalize_column(raw, direction: Direction) -> np.ndarray:
-    """Min-max scale one column.
+def scale_column(col: np.ndarray, lo, hi, spec: IndicatorSpec) -> np.ndarray:
+    """Min-max scale one column onto [0, 1] over the range [lo, hi].
 
-    Positive direction maps (p - min) / (max - min); negative maps
-    (max - p) / (max - min).  A constant column has no spread and is
-    mapped to 0.5 with a :class:`ConstantColumnWarning`.
+    Positive direction maps (p - lo) / (hi - lo); negative maps
+    (hi - p) / (hi - lo); values outside the range clip to the endpoints.
+    A range with no spread maps to 0.5.  A pre-normalized column is
+    returned as it is after a check that it lies in [0, 1].
+    """
+    if spec.pre_normalized:
+        bad = (col < 0.0) | (col > 1.0)
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise ValidationError(
+                f"pre-normalized column {spec.name!r} has value "
+                f"{col[i]} outside [0, 1] at row {i + 1}"
+            )
+        return col
+    if lo == hi:
+        return np.full(col.shape, 0.5)
+    if spec.direction is Direction.POSITIVE:
+        out = (col - lo) / (hi - lo)
+    else:
+        out = (hi - col) / (hi - lo)
+    # guard against rounding just past the endpoints
+    return np.clip(out, 0.0, 1.0)
+
+
+def scale_dataset(raw: RawDataset, lo, hi) -> NormalizedMatrix:
+    """Scale every column of ``raw`` with :func:`scale_column` over the
+    per-column ranges ``lo``/``hi``; columns whose range has no spread are
+    listed as constant."""
+    values = np.empty_like(raw.values)
+    for j, spec in enumerate(raw.indicators):
+        values[:, j] = scale_column(raw.values[:, j], lo[j], hi[j], spec)
+    return NormalizedMatrix(
+        objects=raw.objects,
+        indicators=raw.indicators,
+        values=values,
+        constant_columns=tuple(
+            j
+            for j, spec in enumerate(raw.indicators)
+            if not spec.pre_normalized and lo[j] == hi[j]
+        ),
+    )
+
+
+def normalize_column(raw, direction: Direction) -> np.ndarray:
+    """Min-max scale one column over its own range (see
+    :func:`scale_column`).  A constant column is mapped to 0.5 with a
+    :class:`ConstantColumnWarning`.
     """
     raw = np.asarray(raw, dtype=np.float64)
     if raw.ndim != 1 or raw.size < 2:
@@ -59,48 +103,20 @@ def normalize_column(raw, direction: Direction) -> np.ndarray:
         warnings.warn(
             "constant column mapped to 0.5", ConstantColumnWarning, stacklevel=2
         )
-        return np.full(raw.shape, 0.5)
-    if direction is Direction.POSITIVE:
-        out = (raw - lo) / (hi - lo)
-    else:
-        out = (hi - raw) / (hi - lo)
-    # guard against rounding just past the endpoints
-    return np.clip(out, 0.0, 1.0)
+    return scale_column(raw, lo, hi, IndicatorSpec("column", direction))
 
 
 def normalize_dataset(raw: RawDataset) -> NormalizedMatrix:
-    """Apply per-column normalization with each indicator's direction.
-
-    Columns flagged pre-normalized are copied verbatim after a range check.
+    """Scale every column over its range in ``raw``, with each indicator's
+    direction; one :class:`ConstantColumnWarning` names each constant
+    column.  Columns flagged pre-normalized are copied verbatim after a
+    range check.
     """
-    values = np.empty_like(raw.values)
-    constant = []
-    for j, spec in enumerate(raw.indicators):
-        col = raw.values[:, j]
-        if spec.pre_normalized:
-            if col.min() < 0.0 or col.max() > 1.0:
-                bad = int(np.argmax((col < 0.0) | (col > 1.0)))
-                raise ValidationError(
-                    f"pre-normalized column {spec.name!r} has value "
-                    f"{col[bad]} outside [0, 1] at row {bad + 1}"
-                )
-            values[:, j] = col
-        else:
-            if col.min() == col.max():
-                constant.append(j)
-                with warnings.catch_warnings():
-                    warnings.simplefilter("ignore", ConstantColumnWarning)
-                    values[:, j] = normalize_column(col, spec.direction)
-                warnings.warn(
-                    f"column {spec.name!r} is constant; mapped to 0.5",
-                    ConstantColumnWarning,
-                    stacklevel=2,
-                )
-            else:
-                values[:, j] = normalize_column(col, spec.direction)
-    return NormalizedMatrix(
-        objects=raw.objects,
-        indicators=raw.indicators,
-        values=values,
-        constant_columns=tuple(constant),
-    )
+    out = scale_dataset(raw, raw.values.min(axis=0), raw.values.max(axis=0))
+    for j in out.constant_columns:
+        warnings.warn(
+            f"column {raw.indicators[j].name!r} is constant; mapped to 0.5",
+            ConstantColumnWarning,
+            stacklevel=2,
+        )
+    return out

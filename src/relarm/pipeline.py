@@ -69,14 +69,13 @@ def run_pipeline(
 def build_snapshot(
     config: PipelineConfig, dataset: RawDataset, outputs: PipelineOutputs
 ) -> Snapshot:
-    by_cluster = {c.cluster: c for c in outputs.ratings.per_cluster}
-    k = outputs.clusters.k
+    """Pack a fit into a snapshot: the data's column ranges, the weights,
+    the centers and their per-cluster table."""
     return Snapshot(
         config=config,
         column_min=np.min(dataset.values, axis=0),
         column_max=np.max(dataset.values, axis=0),
         model=outputs.model,
         centers=outputs.clusters.centers,
-        cluster_categories=tuple(by_cluster[q + 1].category for q in range(k)),
-        cluster_projections=tuple(by_cluster[q + 1].projection for q in range(k)),
+        per_cluster=outputs.ratings.per_cluster,
     )

@@ -67,6 +67,38 @@ def project_center(center, rating_vector) -> float:
     return abs(float(c @ lam))
 
 
+def bind_categories(centers, projections, labels) -> tuple[ClusterRating, ...]:
+    """The per-cluster table, best first: ``labels`` (best first) bound to
+    clusters in order of descending projection, equal projections lower
+    cluster id first."""
+    k = len(centers)
+    if len(labels) != k or len(projections) != k:
+        raise ValidationError(
+            f"{k} clusters, {len(projections)} projections and {len(labels)} labels"
+        )
+    order = sorted(range(k), key=lambda q: (-projections[q], q))
+    return tuple(
+        ClusterRating(
+            cluster=q + 1,
+            center=tuple(float(v) for v in centers[q]),
+            projection=projections[q],
+            rank=rank + 1,
+            category=labels[rank],
+        )
+        for rank, q in enumerate(order)
+    )
+
+
+def rate_objects(objects, clusters, per_cluster) -> tuple[ObjectRating, ...]:
+    """One row per object: its 1-based cluster id and that cluster's
+    category in ``per_cluster``."""
+    category_of = {c.cluster: c.category for c in per_cluster}
+    return tuple(
+        ObjectRating(object_id=obj, cluster=c, category=category_of[c])
+        for obj, c in zip(objects, clusters)
+    )
+
+
 def assign_ratings(
     clusters: ClusteringResult, rating_vector, scale: RatingScale
 ) -> RatingResult:
@@ -75,41 +107,18 @@ def assign_ratings(
     Exact projection ties are flagged and broken by ascending cluster id,
     so the mapping cluster -> category stays a bijection.
     """
-    k = clusters.k
-    if len(scale.labels) != k:
-        raise ValidationError(
-            f"scale has {len(scale.labels)} labels but there are {k} clusters"
-        )
-    projections = [
-        project_center(clusters.centers[q], rating_vector) for q in range(k)
-    ]
-    order = sorted(range(k), key=lambda q: (-projections[q], q))
+    projections = [project_center(c, rating_vector) for c in clusters.centers]
+    per_cluster = bind_categories(clusters.centers, projections, scale.labels)
     ties = tuple(
-        (q + 1, r + 1)
-        for i, q in enumerate(order)
-        for r in order[i + 1 :]
-        if projections[q] == projections[r]
-    )
-    category_of = {}
-    per_cluster = []
-    for rank, q in enumerate(order):
-        label = scale.labels[rank]
-        category_of[q + 1] = label
-        per_cluster.append(
-            ClusterRating(
-                cluster=q + 1,
-                center=tuple(float(v) for v in clusters.centers[q]),
-                projection=projections[q],
-                rank=rank + 1,
-                category=label,
-            )
-        )
-    per_object = tuple(
-        ObjectRating(object_id=obj, cluster=c, category=category_of[c])
-        for obj, c in zip(clusters.objects, clusters.assignments)
+        (a.cluster, b.cluster)
+        for i, a in enumerate(per_cluster)
+        for b in per_cluster[i + 1 :]
+        if a.projection == b.projection
     )
     return RatingResult(
-        per_object=per_object, per_cluster=tuple(per_cluster), tie_flags=ties
+        per_object=rate_objects(clusters.objects, clusters.assignments, per_cluster),
+        per_cluster=per_cluster,
+        tie_flags=ties,
     )
 
 

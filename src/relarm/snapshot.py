@@ -10,10 +10,11 @@ import numpy as np
 from .attributes import map_to_feature_space
 from .clustering import nearest_center
 from .config import PipelineConfig, config_from_dict, config_to_dict
-from .dataset import Direction, RawDataset
+from .dataset import RawDataset, _freeze
 from .errors import ValidationError
-from .pca import PcaModel, _freeze
-from .rating import ClusterRating, ObjectRating, RatingResult
+from .normalize import NormalizedMatrix, scale_dataset
+from .pca import PcaModel
+from .rating import ClusterRating, RatingResult, bind_categories, rate_objects
 
 FORMAT_VERSION = 1
 
@@ -28,8 +29,7 @@ class Snapshot:
     column_max: np.ndarray = field(repr=False)
     model: PcaModel
     centers: np.ndarray = field(repr=False)
-    cluster_categories: tuple[str, ...]  # index q-1 -> category of cluster q
-    cluster_projections: tuple[float, ...]
+    per_cluster: tuple[ClusterRating, ...]  # best first
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "column_min", _freeze(self.column_min))
@@ -43,6 +43,7 @@ def _matrix(a: np.ndarray) -> list[list[float]]:
 
 def save_snapshot(snapshot: Snapshot, path) -> None:
     model = snapshot.model
+    by_id = sorted(snapshot.per_cluster, key=lambda c: c.cluster)
     doc = {
         "format_version": FORMAT_VERSION,
         "config": config_to_dict(snapshot.config),
@@ -62,8 +63,8 @@ def save_snapshot(snapshot: Snapshot, path) -> None:
         },
         "clusters": {
             "centers": _matrix(snapshot.centers),
-            "categories": list(snapshot.cluster_categories),
-            "projections": [float(v) for v in snapshot.cluster_projections],
+            "categories": [c.category for c in by_id],
+            "projections": [c.projection for c in by_id],
         },
     }
     with open(path, "w", encoding="utf-8") as fh:
@@ -92,44 +93,34 @@ def load_snapshot(path) -> Snapshot:
         centered=bool(m["centered"]),
         column_means=np.array(m["column_means"], dtype=np.float64),
     )
+    config = config_from_dict(doc["config"])
+    centers = np.array(doc["clusters"]["centers"], dtype=np.float64)
+    projections = [float(v) for v in doc["clusters"]["projections"]]
+    per_cluster = bind_categories(centers, projections, config.labels)
+    stored = doc["clusters"]["categories"]
+    bound = [c.category for c in sorted(per_cluster, key=lambda c: c.cluster)]
+    if bound != stored:
+        raise ValidationError(
+            f"{path}: stored cluster categories {stored} disagree with "
+            f"{bound}, the labels bound by descending projection"
+        )
     return Snapshot(
-        config=config_from_dict(doc["config"]),
+        config=config,
         column_min=np.array(doc["normalization"]["column_min"], dtype=np.float64),
         column_max=np.array(doc["normalization"]["column_max"], dtype=np.float64),
         model=model,
-        centers=np.array(doc["clusters"]["centers"], dtype=np.float64),
-        cluster_categories=tuple(doc["clusters"]["categories"]),
-        cluster_projections=tuple(
-            float(v) for v in doc["clusters"]["projections"]
-        ),
+        centers=centers,
+        per_cluster=per_cluster,
     )
 
 
-def normalize_with_snapshot(snapshot: Snapshot, raw: RawDataset) -> np.ndarray:
+def normalize_with_snapshot(
+    snapshot: Snapshot, raw: RawDataset
+) -> NormalizedMatrix:
     """Scale raw values using the ranges frozen at fit time."""
-    specs = snapshot.config.indicators
-    if tuple(s.name for s in raw.indicators) != tuple(s.name for s in specs):
+    if tuple(raw.indicators) != snapshot.config.indicators:
         raise ValidationError("dataset indicators do not match the snapshot")
-    out = np.empty_like(raw.values)
-    for j, spec in enumerate(specs):
-        col = raw.values[:, j]
-        if spec.pre_normalized:
-            if col.min() < 0.0 or col.max() > 1.0:
-                raise ValidationError(
-                    f"pre-normalized column {spec.name!r} outside [0, 1]"
-                )
-            out[:, j] = col
-            continue
-        lo, hi = snapshot.column_min[j], snapshot.column_max[j]
-        if lo == hi:
-            out[:, j] = 0.5
-            continue
-        if spec.direction is Direction.POSITIVE:
-            out[:, j] = (col - lo) / (hi - lo)
-        else:
-            out[:, j] = (hi - col) / (hi - lo)
-        out[:, j] = np.clip(out[:, j], 0.0, 1.0)
-    return out
+    return scale_dataset(raw, snapshot.column_min, snapshot.column_max)
 
 
 def score_with_snapshot(snapshot: Snapshot, raw: RawDataset) -> RatingResult:
@@ -141,27 +132,7 @@ def score_with_snapshot(snapshot: Snapshot, raw: RawDataset) -> RatingResult:
     nearest, _ = nearest_center(
         np.ascontiguousarray(features.values.T), snapshot.centers
     )
-    per_object = tuple(
-        ObjectRating(
-            object_id=obj,
-            cluster=int(q) + 1,
-            category=snapshot.cluster_categories[int(q)],
-        )
-        for obj, q in zip(raw.objects, nearest)
+    return RatingResult(
+        per_object=rate_objects(raw.objects, (nearest + 1).tolist(), snapshot.per_cluster),
+        per_cluster=snapshot.per_cluster,
     )
-    per_cluster = tuple(
-        ClusterRating(
-            cluster=q + 1,
-            center=tuple(float(v) for v in snapshot.centers[q]),
-            projection=snapshot.cluster_projections[q],
-            rank=rank + 1,
-            category=snapshot.cluster_categories[q],
-        )
-        for rank, q in enumerate(
-            sorted(
-                range(snapshot.centers.shape[0]),
-                key=lambda q: (-snapshot.cluster_projections[q], q),
-            )
-        )
-    )
-    return RatingResult(per_object=per_object, per_cluster=per_cluster)

@@ -12,9 +12,11 @@ from relarm.clustering import Xorshift64Star, _kmeanspp_init, _lloyd, kmeans
 from relarm.dataset import Direction
 from relarm.io import read_ratings_csv, read_reference_csv
 from relarm.normalize import normalize_column
-from relarm.pca import derive_weights, fit_pca, verify_fixture_w
+from relarm.pca import derive_weights, fit_pca
 from relarm.pipeline import run_pipeline
 from relarm.rating import RatingScale, assign_ratings, score_agreement
+
+from fixture_check import verify_fixture_w
 
 
 def report(name):
@@ -147,7 +149,7 @@ def test_criterion_5_kmeans_properties(tmp_path, data_dir):
 
 
 def test_criterion_6_ranking_function_properties():
-    from relarm.attributes import rank_value
+    from relarm.attributes import map_to_feature_space
 
     rng = np.random.default_rng(7)
     checked = 0
@@ -158,12 +160,11 @@ def test_criterion_6_ranking_function_properties():
         for _ in range(10):
             lo = rng.uniform(size=n)
             hi = np.minimum(lo + rng.uniform(size=n) * (1.0 - lo), 1.0)
-            for p in range(1, model.d + 1):
-                r_lo = rank_value(lo, model, p)
-                r_hi = rank_value(hi, model, p)
-                assert r_hi >= r_lo - 1e-12
-                assert -1e-12 <= r_lo <= 1.0 + 1e-12
-                assert -1e-12 <= r_hi <= 1.0 + 1e-12
+            r_lo, r_hi = map_to_feature_space(np.vstack([lo, hi]), model).values
+            for p in range(model.d):
+                assert r_hi[p] >= r_lo[p] - 1e-12
+                assert -1e-12 <= r_lo[p] <= 1.0 + 1e-12
+                assert -1e-12 <= r_hi[p] <= 1.0 + 1e-12
             checked += 1
             if checked >= 1000:
                 break

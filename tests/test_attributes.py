@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from relarm.attributes import attribute_vector, map_to_feature_space, rank_value
+from relarm.attributes import map_to_feature_space
 from relarm.errors import ValidationError
 from relarm.pca import fit_pca
 
@@ -14,50 +14,44 @@ def model():
     return fit_pca(rng.uniform(size=(12, 5)), variance_threshold=0.99)
 
 
-def test_attribute_vector_is_entrywise_product(model):
-    b = np.full(5, 0.5)
-    attr = attribute_vector(b, model, 1)
-    np.testing.assert_allclose(attr.values, 0.5 * model.components[:, 0], atol=0)
+def rank_values(b, model):
+    """Ranking-function values of one normalized row, one per component."""
+    return map_to_feature_space(np.atleast_2d(b), model).values[0]
 
 
-def test_attribute_vector_all_ones_recovers_component(model):
-    attr = attribute_vector(np.ones(5), model, 2)
-    np.testing.assert_array_equal(attr.values, model.components[:, 1])
-
-
-def test_attribute_vector_zeros(model):
-    assert attribute_vector(np.zeros(5), model, 1).values.tolist() == [0.0] * 5
-
-
-def test_component_index_range(model):
-    with pytest.raises(ValidationError):
-        attribute_vector(np.ones(5), model, 0)
-    with pytest.raises(ValidationError):
-        rank_value(np.ones(5), model, model.d + 1)
+def test_component_index_range():
+    # one ranking function per retained component 1..d, none beyond d
+    model = fit_pca(np.random.default_rng(42).uniform(size=(12, 5)), 0.5)
+    assert 1 <= model.d < 5
+    out = map_to_feature_space(np.ones((3, 5)), model)
+    assert out.values.shape == (3, model.d)
 
 
 def test_rank_value_endpoints(model):
-    for p in range(1, model.d + 1):
-        assert rank_value(np.ones(5), model, p) == pytest.approx(1.0, abs=1e-12)
-        assert rank_value(np.zeros(5), model, p) == 0.0
+    np.testing.assert_allclose(rank_values(np.ones(5), model), 1.0, rtol=0, atol=1e-12)
+    assert rank_values(np.zeros(5), model).tolist() == [0.0] * model.d
 
 
 def test_rank_value_matches_naive_loop(model):
     rng = np.random.default_rng(0)
     for _ in range(100):
         b = rng.uniform(size=5)
+        r = rank_values(b, model)
         for p in range(1, model.d + 1):
             naive = sum(abs(model.components[k, p - 1]) * b[k] for k in range(5))
-            assert rank_value(b, model, p) == pytest.approx(naive, abs=1e-12)
+            assert r[p - 1] == pytest.approx(naive, abs=1e-12)
 
 
 def test_rank_value_equals_attribute_l1_norm(model):
+    # for a nonnegative row, the ranking function is the l1 norm of the
+    # entrywise product of the row with the (signed) component
     rng = np.random.default_rng(1)
     for _ in range(50):
         b = rng.uniform(size=5)
+        r = rank_values(b, model)
         for p in range(1, model.d + 1):
-            attr = attribute_vector(b, model, p)
-            assert rank_value(b, model, p) == pytest.approx(attr.strength, abs=1e-12)
+            strength = float(np.abs(b * model.components[:, p - 1]).sum())
+            assert r[p - 1] == pytest.approx(strength, abs=1e-12)
 
 
 @given(st.integers(min_value=0, max_value=2**32 - 1))
@@ -69,10 +63,9 @@ def test_monotonicity_and_range(seed):
     model = fit_pca(rng.uniform(size=(m, n)), 0.95)
     lo = rng.uniform(size=n)
     hi = np.minimum(lo + rng.uniform(size=n) * (1 - lo), 1.0)
-    for p in range(1, model.d + 1):
-        r_lo, r_hi = rank_value(lo, model, p), rank_value(hi, model, p)
-        assert r_hi >= r_lo - 1e-12
-        assert -1e-12 <= r_lo <= 1 + 1e-12
+    r_lo, r_hi = rank_values(lo, model), rank_values(hi, model)
+    assert (r_hi >= r_lo - 1e-12).all()
+    assert (-1e-12 <= r_lo).all() and (r_lo <= 1 + 1e-12).all()
 
 
 def test_map_identity_rows_select_w(model):
@@ -103,17 +96,16 @@ def test_map_with_synthetic_expert_column(country_run):
     # cross-check every entry against the scalar ranking function
     for i in range(30):
         for p in range(1, model.d + 1):
-            assert out.values[i, p - 1] == pytest.approx(
-                rank_value(b10[i], model, p), abs=1e-12
-            )
+            naive = sum(abs(model.components[k, p - 1]) * b10[i, k] for k in range(10))
+            assert out.values[i, p - 1] == pytest.approx(naive, abs=1e-12)
 
 
 def test_comparison_consistency(country_run):
     model = country_run.model
     b = country_run.normalized.values
+    r = map_to_feature_space(b, model).values
     for p in range(1, model.d + 1):
-        r = [rank_value(b[i], model, p) for i in range(len(b))]
         sums = [float(np.abs(model.W[:, p - 1]) @ b[i]) for i in range(len(b))]
         for i in range(len(b)):
             for j in range(len(b)):
-                assert (r[i] >= r[j]) == (sums[i] >= sums[j])
+                assert (r[i, p - 1] >= r[j, p - 1]) == (sums[i] >= sums[j])

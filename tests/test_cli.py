@@ -2,6 +2,7 @@ import json
 import shutil
 import tempfile
 
+import numpy as np
 import pytest
 
 from relarm.cli import main
@@ -194,3 +195,33 @@ def test_missing_required_flag_exits_1(capsys):
     with pytest.raises(SystemExit) as exc:
         run_cli("run")
     assert exc.value.code == 1
+
+
+@pytest.mark.parametrize("cap", [1, 2, 3])
+def test_assign_matches_run_at_iteration_cap(tmp_path, cap):
+    """Lloyd stopped by max_iterations: the snapshot's centers are the ones
+    the last assignment was made against, so assign reproduces run."""
+    rng = np.random.default_rng(11)
+    values = rng.normal(size=(300, 3)) @ rng.normal(size=(3, 3))
+    names = ["a", "b", "c"]
+    with open(tmp_path / "data.csv", "w", newline="") as fh:
+        fh.write("object," + ",".join(names) + "\n")
+        for i, row in enumerate(values):
+            fh.write(f"o{i}," + ",".join(repr(float(v)) for v in row) + "\n")
+    cfg = {
+        "indicators": [{"name": n, "direction": "positive"} for n in names],
+        "k": 6, "labels": ["A", "B", "C", "D", "E", "F"], "seed": 3,
+        "restarts": 4, "max_iterations": cap,
+    }
+    (tmp_path / "config.json").write_text(json.dumps(cfg))
+    assert run_cli(
+        "run", "--config", tmp_path / "config.json", "--data", tmp_path / "data.csv",
+        "--out-dir", tmp_path / "run",
+    ) == 0
+    assert run_cli(
+        "assign", "--snapshot", tmp_path / "run" / "snapshot.json",
+        "--data", tmp_path / "data.csv", "--out-dir", tmp_path / "assigned",
+    ) == 0
+    run = (tmp_path / "run" / "ratings.csv").read_text()
+    assigned = (tmp_path / "assigned" / "ratings.csv").read_text()
+    assert assigned == run

@@ -146,3 +146,14 @@ def test_ties_broken_by_earliest_restart():
     res = kmeans(pts, k=2, seed=0, restarts=5)
     assert res.sse == 0.0
     assert res.restarts_used == 5
+
+
+@pytest.mark.filterwarnings("error")
+def test_empty_cluster_repair_keeps_singletons():
+    # the farthest point (100) is the only point of its cluster; taking it
+    # would empty that cluster and make its center 0/0
+    pts = np.array([[0.0], [1.0], [2.0], [100.0]])
+    assign, centers, sse, history = _lloyd(pts, np.array([[0.0], [50.0], [50.0]]), 300)
+    assert history == [2501.0, 0.5]
+    assert assign.tolist() == [0, 0, 2, 1]
+    assert centers.ravel().tolist() == [0.5, 100.0, 2.0]

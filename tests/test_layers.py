@@ -1,0 +1,47 @@
+"""The benchmark's traced layers still exist.
+
+``perfbench/spans.py`` traces each ``(module, function)`` of its
+``LAYERS`` and silently reports a function it cannot resolve as absent,
+which drops that layer's metric.  This test loads the module read-only
+and fails instead, so a refactor that renames or removes a traced
+function, or changes what a probe reads, is caught before a benchmark
+run.
+"""
+
+from __future__ import annotations
+
+import types
+from pathlib import Path
+
+from relarm.clustering import kmeans
+from relarm.dataset import load_dataset
+
+SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+
+
+def _spans():
+    # executed from its source text, so no bytecode is written beside it
+    module = types.ModuleType("perfbench_spans")
+    exec(compile(SPANS.read_text(encoding="utf-8"), str(SPANS), "exec"), module.__dict__)
+    return module
+
+
+def test_every_traced_layer_resolves():
+    spans = _spans()
+    tracer = spans.Tracer()
+    assert tracer.absent == []
+    assert len(tracer.functions) == len(spans.LAYERS)
+
+
+def test_probes_read_real_results(data_dir):
+    spans = _spans()
+    path = data_dir / "country_raw.csv"
+    args = (path, data_dir / "country_config.json")
+    counts = spans.PROBES["dataset.load_dataset"](args, load_dataset(*args))
+    assert counts == {"rows": 30, "bytes_in": path.stat().st_size}
+
+    points = ((0.0, 0.0), (0.1, 0.0), (5.0, 5.0), (5.1, 5.0))
+    result = kmeans(points, k=2, seed=0, restarts=3)
+    counts = spans.PROBES["clustering.kmeans"]((points,), result)
+    assert counts == {"lloyd_iters": len(result.sse_history), "restarts": 3}
+    assert counts["lloyd_iters"] >= 1

@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 from relarm.errors import ValidationError
-from relarm.pca import fit_pca, jacobi_eigh, verify_fixture_w
+from relarm.pca import fit_pca, jacobi_eigh
+
+from fixture_check import verify_fixture_w
 
 
 def random_cov(rng, n, m=None):

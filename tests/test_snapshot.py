@@ -1,5 +1,9 @@
-import numpy as np
+import json
 
+import numpy as np
+import pytest
+
+from relarm.errors import ValidationError
 from relarm.pipeline import build_snapshot
 from relarm.snapshot import load_snapshot, save_snapshot, score_with_snapshot
 
@@ -13,7 +17,7 @@ def test_snapshot_roundtrip_is_lossless(tmp_path, country_config, country_datase
     np.testing.assert_array_equal(loaded.model.W, snap.model.W)
     np.testing.assert_array_equal(loaded.centers, snap.centers)
     np.testing.assert_array_equal(loaded.column_min, snap.column_min)
-    assert loaded.cluster_categories == snap.cluster_categories
+    assert loaded.per_cluster == snap.per_cluster
     assert loaded.config == country_config
 
 
@@ -50,3 +54,17 @@ def test_scoring_new_objects(tmp_path, country_config, country_dataset, country_
     cats = result.categories()
     order = list(country_config.labels)
     assert order.index(cats["Utopia"]) < order.index(cats["Dystopia"])
+
+
+def test_load_rejects_categories_that_disagree_with_projections(
+    tmp_path, country_config, country_dataset, country_run
+):
+    path = tmp_path / "snapshot.json"
+    save_snapshot(build_snapshot(country_config, country_dataset, country_run), path)
+    doc = json.loads(path.read_text())
+    cats = doc["clusters"]["categories"]
+    best, worst = cats.index("AAA"), cats.index("CCC")
+    cats[best], cats[worst] = "CCC", "AAA"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValidationError, match=str(path)):
+        load_snapshot(path)
