@@ -1,5 +1,9 @@
 """Principal components of the normalized matrix, l1-scaled, with the
-weight matrix W and the rating vector of retained variance fractions."""
+weight matrix W and the rating vector of retained variance fractions.
+
+``fit_pca`` solves the eigenproblem with ``np.linalg.eigh``;
+``jacobi_eigh`` is the pure-Python reference solver it replaced, kept for
+comparison and no longer called by the pipeline."""
 
 from __future__ import annotations
 
@@ -153,7 +157,8 @@ def fit_pca(
     """Fit principal components to the normalized matrix.
 
     Components are eigenvectors of the sample covariance matrix
-    (divisor M - 1) of the mean-centered data, each rescaled to unit l1
+    (divisor M - 1) of the mean-centered data, computed by LAPACK's
+    symmetric eigensolver (``np.linalg.eigh``), each rescaled to unit l1
     norm.  ``center=False`` skips the mean subtraction for comparison
     runs.
     """
@@ -169,7 +174,10 @@ def fit_pca(
     centered_x = x - means if center else np.array(x)
     cov = centered_x.T @ centered_x / (m - 1)
 
-    eigvals, eigvecs = jacobi_eigh(cov)
+    try:
+        eigvals, eigvecs = np.linalg.eigh(cov)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"eigensolver failed: {exc}") from None
     trace = float(np.trace(cov))
     if trace <= 0.0:
         raise ValidationError("data has zero total variance; cannot fit")
