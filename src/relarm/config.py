@@ -2,10 +2,9 @@
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field, replace
 
-from .dataset import IndicatorSpec, parse_indicator_specs
+from .dataset import IndicatorSpec, parse_indicator_specs, read_json
 from .errors import ValidationError
 from .rating import RatingScale
 
@@ -55,6 +54,17 @@ class PipelineConfig:
         return replace(self, **kwargs) if kwargs else self
 
 
+def _number(raw: dict, key: str, kind, default=None):
+    value = raw.get(key, default)
+    try:
+        return kind(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ValidationError(
+            f"'{key}' must be {'an integer' if kind is int else 'a number'}, "
+            f"got {value!r}"
+        ) from None
+
+
 def config_from_dict(raw: dict) -> PipelineConfig:
     if "indicators" not in raw:
         raise ValidationError("config is missing the 'indicators' key")
@@ -62,16 +72,22 @@ def config_from_dict(raw: dict) -> PipelineConfig:
         raise ValidationError("config is missing the 'k' key")
     if "labels" not in raw:
         raise ValidationError("config is missing the 'labels' key")
+    if not isinstance(raw["labels"], (list, tuple)):
+        raise ValidationError(f"'labels' must be a list, got {raw['labels']!r}")
+    if not isinstance(raw.get("collapse_table", {}), dict):
+        raise ValidationError(
+            f"'collapse_table' must be an object, got {raw['collapse_table']!r}"
+        )
     return PipelineConfig(
         indicators=parse_indicator_specs(raw["indicators"]),
-        k=int(raw["k"]),
+        k=_number(raw, "k", int),
         labels=tuple(str(x) for x in raw["labels"]),
-        seed=int(raw.get("seed", 0)),
-        variance_threshold=float(
-            raw.get("variance_threshold", DEFAULT_VARIANCE_THRESHOLD)
+        seed=_number(raw, "seed", int, 0),
+        variance_threshold=_number(
+            raw, "variance_threshold", float, DEFAULT_VARIANCE_THRESHOLD
         ),
-        restarts=int(raw.get("restarts", DEFAULT_RESTARTS)),
-        max_iterations=int(raw.get("max_iterations", DEFAULT_MAX_ITERATIONS)),
+        restarts=_number(raw, "restarts", int, DEFAULT_RESTARTS),
+        max_iterations=_number(raw, "max_iterations", int, DEFAULT_MAX_ITERATIONS),
         distance=str(raw.get("distance", "euclidean")),
         center=bool(raw.get("center", True)),
         collapse_table=dict(raw.get("collapse_table", {})),
@@ -79,14 +95,13 @@ def config_from_dict(raw: dict) -> PipelineConfig:
 
 
 def load_config(path) -> PipelineConfig:
-    with open(path, encoding="utf-8") as fh:
-        try:
-            raw = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValidationError(f"{path}: invalid JSON: {exc}") from None
+    raw = read_json(path)
     if not isinstance(raw, dict):
         raise ValidationError(f"{path}: config must be a JSON object")
-    return config_from_dict(raw)
+    try:
+        return config_from_dict(raw)
+    except ValidationError as exc:
+        raise ValidationError(f"{path}: {exc}") from None
 
 
 def config_to_dict(cfg: PipelineConfig) -> dict:

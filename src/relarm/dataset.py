@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import enum
+import io
 import json
 import os
 from collections import Counter
@@ -108,12 +109,16 @@ def parse_indicator_specs(obj) -> tuple[IndicatorSpec, ...]:
     if not isinstance(obj, list) or not obj:
         raise ValidationError("indicator spec must be a non-empty list")
     specs = []
-    for entry in obj:
+    for i, entry in enumerate(obj):
+        if not isinstance(entry, dict) or "name" not in entry:
+            raise ValidationError(
+                f"indicators[{i}] must be an object with a 'name', got {entry!r}"
+            )
         try:
             direction = Direction(str(entry["direction"]).lower())
         except (KeyError, ValueError):
             raise ValidationError(
-                f"indicator {entry.get('name', '?')!r}: direction must be "
+                f"indicator {entry['name']!r}: direction must be "
                 f"'positive' or 'negative'"
             ) from None
         specs.append(
@@ -133,22 +138,98 @@ def load_dataset(path, spec) -> RawDataset:
     them (see :func:`parse_indicator_specs`).  The CSV has a header row of
     indicator names and one object id in the first column of each row.
     Columns are reordered to the spec's order.
+
+    A plain table (no quotes, no blank lines, every row as wide as the
+    header, header names exactly the spec's) is parsed by numpy's C
+    parser; anything else, and any value that parser rejects, goes
+    through ``csv`` and per-cell ``float()``, which gives the same values
+    and names the offending cell in its errors.
     """
     if isinstance(spec, (str, os.PathLike)):
-        with open(spec, encoding="utf-8") as fh:
-            specs = parse_indicator_specs(json.load(fh))
+        declared = read_json(spec)
+        try:
+            specs = parse_indicator_specs(declared)
+        except ValidationError as exc:
+            raise ValidationError(f"{spec}: {exc}") from None
     else:
         specs = tuple(spec)
-    with open(path, newline="", encoding="utf-8") as fh:
-        rows = list(csv.reader(fh))
-    return dataset_from_rows(rows, specs, source=str(path))
+    source = str(path)
+    text = _read_text(path)
+    table = _parse_plain(text, specs)
+    if table is None:
+        table = _parse_rows(list(csv.reader(io.StringIO(text, newline=""))), specs, source)
+    objects, values = table
+    return RawDataset(objects=tuple(objects), indicators=specs, values=values)
 
 
-def dataset_from_rows(
+def read_json(path):
+    """Decode a JSON file; a file that is not UTF-8 JSON is a
+    ``ValidationError`` naming it."""
+    try:
+        return json.loads(_read_text(path))
+    except json.JSONDecodeError as exc:
+        raise ValidationError(f"{path}: invalid JSON: {exc}") from None
+
+
+def _read_text(path) -> str:
+    """The file decoded as UTF-8; an undecodable byte is a
+    ``ValidationError`` naming the file, line and offset."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise ValidationError(
+            f"{path}: line {line}: byte {data[exc.start]:#04x} at offset "
+            f"{exc.start} is not UTF-8 text"
+        ) from None
+
+
+def _parse_plain(
+    text: str, specs: tuple[IndicatorSpec, ...]
+) -> tuple[list[str], np.ndarray] | None:
+    """Ids and values of a plain table by numpy's C parser, or None when
+    the text needs the per-cell path (see :func:`load_dataset`).
+
+    Lines end as ``csv`` ends them: at ``\\r\\n``, ``\\r`` or ``\\n``.
+    """
+    if '"' in text:
+        return None
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    if lines[-1] == "":
+        lines.pop()
+    if len(lines) < 2:
+        return None
+    data_names = [c.strip() for c in lines[0].split(",")][1:]
+    spec_names = [s.name for s in specs]
+    if sorted(data_names) != sorted(spec_names):
+        return None
+    commas = len(data_names)
+    data = lines[1:]
+    # also rejects blank lines, which loadtxt would skip
+    if any(line.count(",") != commas for line in data):
+        return None
+    try:
+        values = np.loadtxt(
+            data,
+            delimiter=",",
+            comments=None,
+            usecols=[data_names.index(n) + 1 for n in spec_names],
+            dtype=np.float64,
+            ndmin=2,
+        )
+    except ValueError:
+        return None
+    return [line.partition(",")[0].strip() for line in data], values
+
+
+def _parse_rows(
     rows: list[list[str]],
     specs: tuple[IndicatorSpec, ...],
-    source: str = "<memory>",
-) -> RawDataset:
+    source: str,
+) -> tuple[list[str], np.ndarray]:
+    """Ids and values of CSV rows, cell by cell."""
     if not rows:
         raise ValidationError(f"{source}: empty file")
     header = [c.strip() for c in rows[0]]
@@ -182,7 +263,7 @@ def dataset_from_rows(
                 raise ValidationError(
                     f"{source}: row {r}, column {name!r}: non-numeric value {cell!r}"
                 ) from None
-    return RawDataset(objects=tuple(objects), indicators=specs, values=values)
+    return objects, values
 
 
 def save_dataset(dataset: RawDataset, path, id_header: str = "object") -> None:

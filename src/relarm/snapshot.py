@@ -10,7 +10,7 @@ import numpy as np
 from .attributes import map_to_feature_space
 from .clustering import nearest_center
 from .config import PipelineConfig, config_from_dict, config_to_dict
-from .dataset import RawDataset, _freeze
+from .dataset import RawDataset, _freeze, read_json
 from .errors import ValidationError
 from .normalize import NormalizedMatrix, scale_dataset
 from .pca import PcaModel
@@ -72,42 +72,86 @@ def save_snapshot(snapshot: Snapshot, path) -> None:
         fh.write("\n")
 
 
+_SECTIONS = {
+    "config": (),
+    "normalization": ("column_min", "column_max"),
+    "model": (
+        "components", "variance_fractions", "d", "W", "Lambda",
+        "variance_threshold", "centered", "column_means",
+    ),
+    "clusters": ("centers", "categories", "projections"),
+}
+
+
 def load_snapshot(path) -> Snapshot:
-    with open(path, encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValidationError(f"{path}: invalid JSON: {exc}") from None
+    """Read a snapshot written by :func:`save_snapshot`; a missing key or
+    an array of the wrong shape is a ``ValidationError`` naming the file
+    and the key."""
+    doc = read_json(path)
+    try:
+        return _snapshot_from_doc(doc)
+    except ValidationError as exc:
+        raise ValidationError(f"{path}: {exc}") from None
+
+
+def _array(doc: dict, section: str, key: str, shape: tuple[int, ...]) -> np.ndarray:
+    try:
+        a = np.array(doc[section][key], dtype=np.float64)
+    except (TypeError, ValueError):
+        a = None
+    if a is None or a.shape != shape:
+        got = "a ragged or non-numeric value" if a is None else f"shape {a.shape}"
+        raise ValidationError(
+            f"'{section}.{key}' must be numbers of shape {shape}, got {got}"
+        )
+    return a
+
+
+def _snapshot_from_doc(doc) -> Snapshot:
+    if not isinstance(doc, dict):
+        raise ValidationError("snapshot must be a JSON object")
     if doc.get("format_version") != FORMAT_VERSION:
         raise ValidationError(
-            f"{path}: unsupported snapshot format {doc.get('format_version')!r}"
+            f"unsupported snapshot format {doc.get('format_version')!r}"
         )
-    m = doc["model"]
+    for section, keys in _SECTIONS.items():
+        if not isinstance(doc.get(section), dict):
+            raise ValidationError(f"missing or malformed '{section}' section")
+        for key in keys:
+            if key not in doc[section]:
+                raise ValidationError(f"missing key '{section}.{key}'")
+    try:
+        config = config_from_dict(doc["config"])
+    except ValidationError as exc:
+        raise ValidationError(f"'config': {exc}") from None
+    n, k = len(config.indicators), config.k
+    d = doc["model"]["d"]
+    if type(d) is not int or not 1 <= d <= n:
+        raise ValidationError(f"'model.d' must be an integer in [1, {n}], got {d!r}")
     model = PcaModel(
-        components=np.array(m["components"], dtype=np.float64),
-        variance_fractions=np.array(m["variance_fractions"], dtype=np.float64),
-        d=int(m["d"]),
-        W=np.array(m["W"], dtype=np.float64),
-        Lambda=np.array(m["Lambda"], dtype=np.float64),
-        variance_threshold=float(m["variance_threshold"]),
-        centered=bool(m["centered"]),
-        column_means=np.array(m["column_means"], dtype=np.float64),
+        components=_array(doc, "model", "components", (n, n)),
+        variance_fractions=_array(doc, "model", "variance_fractions", (n,)),
+        d=d,
+        W=_array(doc, "model", "W", (n, d)),
+        Lambda=_array(doc, "model", "Lambda", (d,)),
+        variance_threshold=float(_array(doc, "model", "variance_threshold", ())),
+        centered=bool(doc["model"]["centered"]),
+        column_means=_array(doc, "model", "column_means", (n,)),
     )
-    config = config_from_dict(doc["config"])
-    centers = np.array(doc["clusters"]["centers"], dtype=np.float64)
-    projections = [float(v) for v in doc["clusters"]["projections"]]
+    centers = _array(doc, "clusters", "centers", (k, d))
+    projections = _array(doc, "clusters", "projections", (k,)).tolist()
     per_cluster = bind_categories(centers, projections, config.labels)
     stored = doc["clusters"]["categories"]
     bound = [c.category for c in sorted(per_cluster, key=lambda c: c.cluster)]
     if bound != stored:
         raise ValidationError(
-            f"{path}: stored cluster categories {stored} disagree with "
+            f"stored cluster categories {stored} disagree with "
             f"{bound}, the labels bound by descending projection"
         )
     return Snapshot(
         config=config,
-        column_min=np.array(doc["normalization"]["column_min"], dtype=np.float64),
-        column_max=np.array(doc["normalization"]["column_max"], dtype=np.float64),
+        column_min=_array(doc, "normalization", "column_min", (n,)),
+        column_max=_array(doc, "normalization", "column_max", (n,)),
         model=model,
         centers=centers,
         per_cluster=per_cluster,

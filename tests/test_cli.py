@@ -225,3 +225,41 @@ def test_assign_matches_run_at_iteration_cap(tmp_path, cap):
     run = (tmp_path / "run" / "ratings.csv").read_text()
     assigned = (tmp_path / "assigned" / "ratings.csv").read_text()
     assert assigned == run
+
+
+def _edit_config(workdir, edit):
+    cfg = json.loads((workdir / "config.json").read_text())
+    edit(cfg)
+    path = workdir / "bad.json"
+    path.write_text(json.dumps(cfg))
+    return path
+
+
+@pytest.mark.parametrize("edit, field", [
+    (lambda c: c["indicators"][2].pop("name"), "indicators[2]"),
+    (lambda c: c["indicators"].__setitem__(0, "gdp_growth"), "indicators[0]"),
+    (lambda c: c.__setitem__("k", "seven"), "'k'"),
+    (lambda c: c.__setitem__("labels", None), "'labels'"),
+], ids=["indicator-without-name", "indicator-is-string", "k-not-integer", "labels-null"])
+def test_bad_config_field_names_file_and_field(workdir, capsys, edit, field):
+    config = _edit_config(workdir, edit)
+    code = run_cli(
+        "run", "--config", config, "--data", workdir / "data.csv",
+        "--out-dir", workdir / "out",
+    )
+    assert code == 1
+    err = capsys.readouterr().err
+    assert str(config) in err and field in err, err
+
+
+def test_non_utf8_data_names_file_and_line(workdir, capsys):
+    data = workdir / "data.csv"
+    raw = data.read_bytes().replace(b"Switzerland", b"Schw\xe9iz")
+    data.write_bytes(raw)
+    code = run_cli(
+        "run", "--config", workdir / "config.json", "--data", data,
+        "--out-dir", workdir / "out",
+    )
+    assert code == 1
+    err = capsys.readouterr().err
+    assert f"{data}: line 2: byte 0xe9" in err, err

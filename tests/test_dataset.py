@@ -1,13 +1,19 @@
+import csv
+import io
 import json
 import time
 
 import numpy as np
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 from relarm.dataset import (
     Direction,
     IndicatorSpec,
     RawDataset,
+    _parse_plain,
+    _parse_rows,
     load_dataset,
     save_dataset,
 )
@@ -143,3 +149,121 @@ def test_non_finite_rejected():
 def test_empty_indicator_name_rejected():
     with pytest.raises(ValidationError):
         IndicatorSpec("", Direction.POSITIVE)
+
+
+# --- the plain-table parser against the per-cell parser ---------------------
+
+NUMBER = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.integers(-10**6, 10**6).map(str),
+    st.sampled_from(["nan", "-nan", "inf", "-Infinity", "1e500", "1e-320", ".5", "5.",
+                     "+1.5", "1E5"]),
+)
+# cells float() reads and numpy's parser does not, or that neither reads
+ODD_CELL = st.sampled_from(["1_000", "#5", "5#", "", "abc", "0x10", "1 2"])
+PAD = st.sampled_from(["", " ", "  ", "\t"])
+ID = st.text(alphabet="abcXYZ019 #_-.", min_size=0, max_size=6)
+QUOTED_ID = st.text(alphabet="ab, #", min_size=0, max_size=4).map(lambda s: f'"{s}"')
+
+
+@st.composite
+def tables(draw):
+    """CSV text with a spec that names its columns in another order, and at
+    most one defect that sends the text to the per-cell path."""
+    names = draw(st.lists(st.sampled_from(["a", "b", "c", "d#", "e f"]),
+                          min_size=1, max_size=4, unique=True))
+    spec_order = draw(st.permutations(names))
+    specs = tuple(IndicatorSpec(n, Direction.POSITIVE) for n in spec_order)
+    defect = draw(st.sampled_from([None, None, None, "blank", "quote", "cell", "header"]))
+    pad = lambda s: draw(PAD) + s + draw(PAD)  # noqa: E731
+    rows = [[pad("object")] + [pad(n) for n in names]]
+    for _ in range(0 if defect == "header" else draw(st.integers(1, 6))):
+        rows.append([pad(draw(ID))] + [pad(draw(NUMBER)) for _ in names])
+    if defect == "quote":
+        rows[draw(st.integers(1, len(rows) - 1))][0] = draw(QUOTED_ID)
+    if defect == "cell":
+        rows[draw(st.integers(1, len(rows) - 1))][draw(st.integers(1, len(names)))] = (
+            draw(ODD_CELL)
+        )
+    lines = [",".join(row) for row in rows]
+    if defect == "blank":
+        lines.insert(draw(st.integers(1, len(lines))), "")
+    end = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    text = end.join(lines) + (end if draw(st.booleans()) else "")
+    return text, specs
+
+
+def _per_cell(text, specs):
+    try:
+        return _parse_rows(list(csv.reader(io.StringIO(text, newline=""))), specs, "t")
+    except ValidationError:
+        return None
+
+
+def assert_same_table(fast, slow):
+    assert slow is not None
+    assert fast[0] == slow[0]
+    assert fast[1].shape == slow[1].shape
+    assert fast[1].tobytes() == slow[1].tobytes()  # bit for bit, NaNs included
+
+
+@settings(max_examples=400, deadline=None)
+@given(tables())
+def test_plain_parse_equals_per_cell_parse(table):
+    text, specs = table
+    fast = _parse_plain(text, specs)
+    event("plain parse" if fast is not None else "declined")
+    if fast is not None:
+        assert_same_table(fast, _per_cell(text, specs))
+
+
+SPECS_XY = (IndicatorSpec("y", Direction.POSITIVE), IndicatorSpec("x", Direction.NEGATIVE))
+
+
+@pytest.mark.parametrize("text", [
+    "object,x,y\na,1,2\nb,3,4\n",
+    "object,x,y\r\na,1,2\r\nb,3,4",
+    " object , x ,\ty\n a# ,  1 , 2\t\nb,nan,-inf\n",
+    "object,x,y\ra,1e-320,2\rb,3,4\r",
+])
+def test_plain_parse_taken(text):
+    fast = _parse_plain(text, SPECS_XY)
+    assert fast is not None
+    assert_same_table(fast, _per_cell(text, SPECS_XY))
+
+
+@pytest.mark.parametrize("text", [
+    "object,x,y\n",  # header only
+    "object,x,y\na,1,2\n\nb,3,4\n",  # blank line
+    'object,x,y\n"a,b",1,2\nb,3,4\n',  # quoted id
+    "object,x,y\na,1_000,2\nb,3,4\n",  # float()-only syntax
+    "object,x,y\na,1,2,3\nb,3,4\n",  # ragged row
+    "object,x,z\na,1,2\nb,3,4\n",  # names differ from the spec
+    "object,x,y\na,,2\nb,3,4\n",  # missing value
+])
+def test_plain_parse_declined(text):
+    assert _parse_plain(text, SPECS_XY) is None
+
+
+@pytest.mark.parametrize("text, outcome", [
+    ("object,x,y\na,1_000,2\nb,3,4\n", [[2.0, 1000.0], [4.0, 3.0]]),
+    ('object,x,y\n"a,b",1,2\nb,3,4\n', [[2.0, 1.0], [4.0, 3.0]]),
+    ("object,x,y\na,1,2\n\nb,3,4\n", r"row 3 has 0 cells, expected 3"),
+    ("object,x,y\na,#1,2\nb,3,4\n", r"row 2, column 'x': non-numeric value '#1'"),
+    ("object,x,y\n", "need at least 2 rating objects"),
+])
+def test_declined_tables_keep_per_cell_results(tmp_path, text, outcome):
+    path = tmp_path / "d.csv"
+    path.write_bytes(text.encode("utf-8"))
+    if isinstance(outcome, str):
+        with pytest.raises(ValidationError, match=outcome):
+            load_dataset(path, SPECS_XY)
+    else:
+        assert load_dataset(path, SPECS_XY).values.tolist() == outcome
+
+
+def test_non_utf8_data_names_file_and_line(tmp_path):
+    path = tmp_path / "d.csv"
+    path.write_bytes(b"object,x,y\na,1,2\nb\xe9,3,4\n")
+    with pytest.raises(ValidationError, match=rf"{path}: line 3: byte 0xe9"):
+        load_dataset(path, SPECS_XY)

@@ -5,18 +5,24 @@
 which drops that layer's metric.  This test loads the module read-only
 and fails instead, so a refactor that renames or removes a traced
 function, or changes what a probe reads, is caught before a benchmark
-run.
+run.  The layer names are also checked against ``BENCHMARK.json``, the
+declared metric list, so the contract holds even where ``LAYERS`` is
+edited.
 """
 
 from __future__ import annotations
 
+import importlib
+import json
 import types
 from pathlib import Path
 
 from relarm.clustering import kmeans
 from relarm.dataset import load_dataset
 
-SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+ROOT = Path(__file__).resolve().parents[1]
+SPANS = ROOT / "perfbench" / "spans.py"
+BENCHMARK = ROOT / "BENCHMARK.json"
 
 
 def _spans():
@@ -31,6 +37,20 @@ def test_every_traced_layer_resolves():
     tracer = spans.Tracer()
     assert tracer.absent == []
     assert len(tracer.functions) == len(spans.LAYERS)
+
+
+def test_every_declared_self_time_resolves():
+    names = [
+        m["name"][: -len(".self_s")]
+        for m in json.loads(BENCHMARK.read_text(encoding="utf-8"))["per_layer"]
+        if m["name"].endswith(".self_s")
+    ]
+    assert names
+    for name in names:
+        module, function = name.split(".")
+        assert callable(
+            getattr(importlib.import_module(f"relarm.{module}"), function, None)
+        ), f"relarm.{name} does not resolve"
 
 
 def test_probes_read_real_results(data_dir):

@@ -119,6 +119,31 @@ class TestFitPca:
             )
 
 
+    def test_matches_jacobi_reference(self):
+        # fit_pca calls LAPACK through np.linalg.eigh, the same routine the
+        # eigh oracle above uses; the Jacobi solver is an independent check
+        rng = np.random.default_rng(12)
+        for _ in range(50):
+            m = int(rng.integers(4, 30))
+            n = int(rng.integers(2, 12))
+            x = rng.uniform(size=(m, n))
+            model = fit_pca(x, 0.95)
+            c = (x - x.mean(axis=0)).T @ (x - x.mean(axis=0)) / (m - 1)
+            vals, vecs = jacobi_eigh(c)
+            order = np.argsort(-vals, kind="stable")
+            vals = np.maximum(vals[order], 0.0)
+            np.testing.assert_allclose(
+                model.variance_fractions, vals / vals.sum(), atol=1e-10
+            )
+            rank = int(np.sum(vals > 1e-12 * vals.sum()))
+            ref = vecs[:, order][:, :rank]
+            np.testing.assert_allclose(
+                np.abs(model.components[:, :rank]),
+                np.abs(ref / np.abs(ref).sum(axis=0)),
+                atol=1e-8,
+            )
+
+
 class TestFixtureCheck:
     def test_table_fixtures_self_consistent(self, table5_w, table6_lambda):
         report = verify_fixture_w(table5_w, table6_lambda)

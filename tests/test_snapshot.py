@@ -68,3 +68,30 @@ def test_load_rejects_categories_that_disagree_with_projections(
     path.write_text(json.dumps(doc))
     with pytest.raises(ValidationError, match=str(path)):
         load_snapshot(path)
+
+
+def _drop_last(rows):
+    rows.pop()
+
+
+@pytest.mark.parametrize("edit, key", [
+    (lambda doc: _drop_last(doc["clusters"]["centers"][2]), "'clusters.centers'"),
+    (lambda doc: _drop_last(doc["model"]["W"][4]), "'model.W'"),
+    (lambda doc: doc.pop("clusters"), "'clusters'"),
+    (lambda doc: doc["model"].pop("Lambda"), "'model.Lambda'"),
+    (lambda doc: _drop_last(doc["clusters"]["centers"]), "'clusters.centers'"),
+    (lambda doc: doc["model"].__setitem__("W", "none"), "'model.W'"),
+    (lambda doc: doc["config"].__setitem__("k", "seven"), "'k'"),
+], ids=["ragged-center", "ragged-W", "no-clusters", "no-Lambda", "center-missing",
+        "W-not-numbers", "config-k"])
+def test_load_rejects_malformed_snapshot(
+    tmp_path, country_config, country_dataset, country_run, edit, key
+):
+    path = tmp_path / "snapshot.json"
+    save_snapshot(build_snapshot(country_config, country_dataset, country_run), path)
+    doc = json.loads(path.read_text())
+    edit(doc)
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValidationError) as exc:
+        load_snapshot(path)
+    assert str(exc.value).startswith(f"{path}: ") and key in str(exc.value)
