@@ -40,7 +40,7 @@ print(np.round(model.W, 4))
 
 # 3. map every object into ranking-function space
 features = map_to_feature_space(normalized, model)
-print(f"\nfeature matrix: {features.values.shape}")
+print(f"\nfeature matrix: {features.shape}")
 
 # 4. k-means++ clustering, deterministic seeding, best of many restarts
 clusters = kmeans(
@@ -49,15 +49,15 @@ clusters = kmeans(
 print(f"clustered into {clusters.k} groups, total SSE {clusters.sse:.4f}")
 
 # 5. project centers onto the variance vector; higher projection = better
-ratings = assign_ratings(clusters, model.Lambda, config.scale)
+ratings = assign_ratings(dataset.objects, clusters, model.Lambda, config.scale)
 print("\ncluster projections and categories:")
 for c in sorted(ratings.per_cluster, key=lambda c: c.rank):
-    members = sum(1 for r in ratings.per_object if r.cluster == c.cluster)
+    members = ratings.clusters.count(c.cluster)
     print(f"  {c.category:<4} projection={c.projection:.4f}  members={members}")
 
 print("\nrating list:")
 order = {label: i for i, label in enumerate(config.labels)}
-for r in sorted(ratings.per_object, key=lambda r: order[r.category]):
-    print(f"  {r.object_id:<15} {r.category}")
+for obj, category in sorted(ratings.categories().items(), key=lambda r: order[r[1]]):
+    print(f"  {obj:<15} {category}")
 
 print("\n" + REPORT_FOOTER)

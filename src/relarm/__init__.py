@@ -2,7 +2,7 @@
 l1-scaled principal components, ranking-function features, k-means
 clustering, and projection-ordered category assignment."""
 
-from .attributes import RankedFeatureMatrix, map_to_feature_space
+from .attributes import map_to_feature_space
 from .clustering import ClusteringResult, Xorshift64Star, kmeans
 from .config import PipelineConfig, config_from_dict, load_config
 from .dataset import (
@@ -45,7 +45,6 @@ __all__ = [
     "PcaModel",
     "PipelineConfig",
     "PipelineOutputs",
-    "RankedFeatureMatrix",
     "RatingResult",
     "RatingScale",
     "RawDataset",

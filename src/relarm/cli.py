@@ -125,9 +125,9 @@ def _cmd_run(args) -> int:
         io.write_matrix_csv(out_dir / "lambda.csv", model.Lambda.reshape(1, -1), pc_names)
         io.write_matrix_csv(
             out_dir / "features.csv",
-            outputs.features.values,
+            outputs.features,
             ["object"] + pc_names,
-            row_ids=list(outputs.features.objects),
+            row_ids=list(outputs.normalized.objects),
         )
         io.write_matrix_csv(
             out_dir / "centers.csv",
@@ -135,7 +135,7 @@ def _cmd_run(args) -> int:
             ["cluster"] + pc_names,
             row_ids=[str(q + 1) for q in range(outputs.clusters.k)],
         )
-    print(f"rated {len(outputs.ratings.per_object)} objects into {cfg.k} categories")
+    print(f"rated {len(outputs.ratings.objects)} objects into {cfg.k} categories")
     print(REPORT_FOOTER)
     return EXIT_OK
 
@@ -177,7 +177,7 @@ def _cmd_score(args) -> int:
         cfg = load_config(args.config)
         scale = cfg.scale
         collapse = cfg.collapse_table
-    missing = sorted(set(reference) - {r.object_id for r in result.per_object})
+    missing = sorted(set(reference) - set(result.objects))
     for obj in missing:
         print(f"warning: reference object {obj!r} absent from results; skipped",
               file=sys.stderr)

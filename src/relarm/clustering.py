@@ -6,7 +6,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .attributes import RankedFeatureMatrix
 from .dataset import _freeze
 from .errors import ValidationError
 
@@ -61,7 +60,6 @@ def _splitmix64(x: int) -> int:
 class ClusteringResult:
     """Outcome of the best restart: assignments are 1-based cluster ids."""
 
-    objects: tuple[str, ...]
     assignments: tuple[int, ...]
     centers: np.ndarray = field(repr=False)
     sse: float
@@ -172,14 +170,15 @@ def _lloyd(
 
 
 def kmeans(
-    points: RankedFeatureMatrix | np.ndarray,
+    points: np.ndarray,
     k: int,
     seed: int,
     restarts: int = 50,
     max_iterations: int = 300,
     distance: str = "euclidean",
 ) -> ClusteringResult:
-    """Best of ``restarts`` independently seeded k-means++ runs.
+    """Best of ``restarts`` independently seeded k-means++ runs over the
+    rows of ``points``.
 
     Each restart draws from its own deterministic stream derived from
     (seed, restart index), so results are independent of execution order.
@@ -187,11 +186,7 @@ def kmeans(
     """
     if distance != "euclidean":
         raise ValidationError(f"unsupported distance {distance!r}; only 'euclidean'")
-    if isinstance(points, RankedFeatureMatrix):
-        objects, x = points.objects, np.array(points.values)
-    else:
-        x = np.array(points, dtype=np.float64)
-        objects = tuple(str(i) for i in range(x.shape[0]))
+    x = np.array(points, dtype=np.float64)
     if x.ndim != 2 or x.shape[0] < 1:
         raise ValidationError("points must be a non-empty 2-D matrix")
     distinct = np.unique(x, axis=0).shape[0]
@@ -214,7 +209,6 @@ def kmeans(
 
     sse, _, assign, centers, history = best
     return ClusteringResult(
-        objects=objects,
         assignments=tuple(int(a) + 1 for a in assign),
         centers=centers,
         sse=sse,

@@ -12,7 +12,7 @@ import json
 import numpy as np
 
 from .errors import ValidationError
-from .rating import AgreementReport, ObjectRating, RatingResult
+from .rating import AgreementReport, ClusterRating, RatingResult
 
 
 def _fmt(v: float) -> str:
@@ -32,18 +32,19 @@ def write_matrix_csv(path, values: np.ndarray, header: list[str], row_ids=None) 
 
 
 def write_ratings_csv(path, ratings: RatingResult) -> None:
-    proj = {c.cluster: c.projection for c in ratings.per_cluster}
+    row_of = {
+        c.cluster: (c.cluster, _fmt(c.projection), c.category) for c in ratings.per_cluster
+    }
     with open(path, "w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh)
         w.writerow(["object", "cluster", "projection", "category"])
-        for r in ratings.per_object:
-            w.writerow([r.object_id, r.cluster, _fmt(proj[r.cluster]), r.category])
+        w.writerows((obj, *row_of[c]) for obj, c in zip(ratings.objects, ratings.clusters))
 
 
 def read_ratings_csv(path) -> RatingResult:
-    """Rebuild a minimal rating result (per-object rows only) from CSV."""
-    from .rating import ClusterRating
-
+    """Rebuild a rating result from CSV; each cluster's projection and
+    category come from its first row, and centers are not stored, so the
+    per-cluster table has none."""
     with open(path, newline="", encoding="utf-8") as fh:
         rows = list(csv.DictReader(fh))
     if not rows:
@@ -51,37 +52,16 @@ def read_ratings_csv(path) -> RatingResult:
     needed = {"object", "cluster", "projection", "category"}
     if not needed.issubset(rows[0]):
         raise ValidationError(f"{path}: ratings file must have columns {sorted(needed)}")
-    per_object = []
-    seen: dict[int, ClusterRating] = {}
-    for row in rows:
-        cluster = int(row["cluster"])
-        per_object.append(
-            ObjectRating(
-                object_id=row["object"], cluster=cluster, category=row["category"]
-            )
-        )
-        seen.setdefault(
-            cluster,
-            ClusterRating(
-                cluster=cluster,
-                center=(),
-                projection=float(row["projection"]),
-                rank=0,
-                category=row["category"],
-            ),
-        )
-    ranked = sorted(seen.values(), key=lambda c: (-c.projection, c.cluster))
+    clusters = tuple(int(row["cluster"]) for row in rows)
+    first: dict[int, tuple[float, str]] = {}
+    for q, row in zip(clusters, rows):
+        first.setdefault(q, (float(row["projection"]), row["category"]))
+    ranked = sorted(first.items(), key=lambda item: (-item[1][0], item[0]))
     per_cluster = tuple(
-        ClusterRating(
-            cluster=c.cluster,
-            center=c.center,
-            projection=c.projection,
-            rank=i + 1,
-            category=c.category,
-        )
-        for i, c in enumerate(ranked)
+        ClusterRating(cluster=q, center=(), projection=p, rank=rank + 1, category=c)
+        for rank, (q, (p, c)) in enumerate(ranked)
     )
-    return RatingResult(per_object=tuple(per_object), per_cluster=per_cluster)
+    return RatingResult(tuple(row["object"] for row in rows), clusters, per_cluster)
 
 
 def read_reference_csv(path) -> dict[str, dict[str, str]]:

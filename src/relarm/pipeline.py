@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .attributes import RankedFeatureMatrix, map_to_feature_space
+from .attributes import map_to_feature_space
 from .clustering import ClusteringResult, kmeans
 from .config import PipelineConfig
 from .dataset import RawDataset
@@ -21,7 +21,7 @@ from .snapshot import Snapshot
 class PipelineOutputs:
     normalized: NormalizedMatrix
     model: PcaModel
-    features: RankedFeatureMatrix
+    features: np.ndarray  # M x d, one row per object
     clusters: ClusteringResult
     ratings: RatingResult
     agreement: AgreementReport | None = None
@@ -50,7 +50,7 @@ def run_pipeline(
         max_iterations=config.max_iterations,
         distance=config.distance,
     )
-    ratings = assign_ratings(clusters, model.Lambda, config.scale)
+    ratings = assign_ratings(dataset.objects, clusters, model.Lambda, config.scale)
     agreement = None
     if reference is not None:
         agreement = score_agreement(

@@ -40,20 +40,22 @@ class ClusterRating:
 
 
 @dataclass(frozen=True)
-class ObjectRating:
-    object_id: str
-    cluster: int
-    category: str
-
-
-@dataclass(frozen=True)
 class RatingResult:
-    per_object: tuple[ObjectRating, ...]
+    """Object ids and their 1-based cluster ids, column by column; an
+    object's category is its cluster's in ``per_cluster``."""
+
+    objects: tuple[str, ...]
+    clusters: tuple[int, ...]
     per_cluster: tuple[ClusterRating, ...]
     tie_flags: tuple[tuple[int, int], ...] = ()
 
+    def __post_init__(self) -> None:
+        if len(self.objects) != len(self.clusters):
+            raise ValidationError("objects/clusters length mismatch")
+
     def categories(self) -> dict[str, str]:
-        return {r.object_id: r.category for r in self.per_object}
+        category_of = {c.cluster: c.category for c in self.per_cluster}
+        return {o: category_of[c] for o, c in zip(self.objects, self.clusters)}
 
 
 def project_center(center, rating_vector) -> float:
@@ -89,20 +91,11 @@ def bind_categories(centers, projections, labels) -> tuple[ClusterRating, ...]:
     )
 
 
-def rate_objects(objects, clusters, per_cluster) -> tuple[ObjectRating, ...]:
-    """One row per object: its 1-based cluster id and that cluster's
-    category in ``per_cluster``."""
-    category_of = {c.cluster: c.category for c in per_cluster}
-    return tuple(
-        ObjectRating(object_id=obj, cluster=c, category=category_of[c])
-        for obj, c in zip(objects, clusters)
-    )
-
-
 def assign_ratings(
-    clusters: ClusteringResult, rating_vector, scale: RatingScale
+    objects, clusters: ClusteringResult, rating_vector, scale: RatingScale
 ) -> RatingResult:
-    """Bind scale labels to clusters in order of descending projection.
+    """Rate ``objects`` (one id per clustered point): bind scale labels to
+    clusters in order of descending projection.
 
     Exact projection ties are flagged and broken by ascending cluster id,
     so the mapping cluster -> category stays a bijection.
@@ -116,7 +109,8 @@ def assign_ratings(
         if a.projection == b.projection
     )
     return RatingResult(
-        per_object=rate_objects(clusters.objects, clusters.assignments, per_cluster),
+        objects=tuple(objects),
+        clusters=clusters.assignments,
         per_cluster=per_cluster,
         tie_flags=ties,
     )

@@ -14,7 +14,7 @@ from .dataset import RawDataset, _freeze, read_json
 from .errors import ValidationError
 from .normalize import NormalizedMatrix, scale_dataset
 from .pca import PcaModel
-from .rating import ClusterRating, RatingResult, bind_categories, rate_objects
+from .rating import ClusterRating, RatingResult, bind_categories
 
 FORMAT_VERSION = 1
 
@@ -173,10 +173,5 @@ def score_with_snapshot(snapshot: Snapshot, raw: RawDataset) -> RatingResult:
     cluster center's category."""
     normalized = normalize_with_snapshot(snapshot, raw)
     features = map_to_feature_space(normalized, snapshot.model)
-    nearest, _ = nearest_center(
-        np.ascontiguousarray(features.values.T), snapshot.centers
-    )
-    return RatingResult(
-        per_object=rate_objects(raw.objects, (nearest + 1).tolist(), snapshot.per_cluster),
-        per_cluster=snapshot.per_cluster,
-    )
+    nearest, _ = nearest_center(np.ascontiguousarray(features.T), snapshot.centers)
+    return RatingResult(raw.objects, tuple((nearest + 1).tolist()), snapshot.per_cluster)

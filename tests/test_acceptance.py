@@ -160,7 +160,7 @@ def test_criterion_6_ranking_function_properties():
         for _ in range(10):
             lo = rng.uniform(size=n)
             hi = np.minimum(lo + rng.uniform(size=n) * (1.0 - lo), 1.0)
-            r_lo, r_hi = map_to_feature_space(np.vstack([lo, hi]), model).values
+            r_lo, r_hi = map_to_feature_space(np.vstack([lo, hi]), model)
             for p in range(model.d):
                 assert r_hi[p] >= r_lo[p] - 1e-12
                 assert -1e-12 <= r_lo[p] <= 1.0 + 1e-12
@@ -174,11 +174,12 @@ def test_criterion_6_ranking_function_properties():
 def test_criterion_7_ordering_invariances(country_config, country_dataset):
     out = run_pipeline(country_config, country_dataset)
     scale = country_config.scale
-    base = assign_ratings(out.clusters, out.model.Lambda, scale)
+    objects = country_dataset.objects
+    base = assign_ratings(objects, out.clusters, out.model.Lambda, scale)
 
     # scaling the rating vector never changes categories
     for c in (0.1, 3.0, 100.0):
-        scaled = assign_ratings(out.clusters, c * out.model.Lambda, scale)
+        scaled = assign_ratings(objects, out.clusters, c * out.model.Lambda, scale)
         assert scaled.categories() == base.categories()
 
     # permuting cluster ids never changes per-object categories
@@ -189,14 +190,13 @@ def test_criterion_7_ordering_invariances(country_config, country_dataset):
     perm = rng.permutation(k) + 1  # old id q -> perm[q-1]
     inverse = {int(perm[q - 1]): q for q in range(1, k + 1)}
     permuted = ClusteringResult(
-        objects=out.clusters.objects,
         assignments=tuple(int(perm[a - 1]) for a in out.clusters.assignments),
         centers=np.array([out.clusters.centers[inverse[q + 1] - 1] for q in range(k)]),
         sse=out.clusters.sse,
         restarts_used=out.clusters.restarts_used,
         seed=out.clusters.seed,
     )
-    relabeled = assign_ratings(permuted, out.model.Lambda, scale)
+    relabeled = assign_ratings(objects, permuted, out.model.Lambda, scale)
     assert relabeled.categories() == base.categories()
 
     # flipping any eigenvector sign leaves the whole pipeline bit-identical
@@ -216,14 +216,14 @@ def test_criterion_7_ordering_invariances(country_config, country_dataset):
         assert np.array_equal(model2.W, out.model.W)
         assert np.array_equal(model2.Lambda, out.model.Lambda)
         features2 = map_to_feature_space(out.normalized, model2)
-        assert np.array_equal(features2.values, out.features.values)
+        assert np.array_equal(features2, out.features)
         clusters2 = kmeans(
             features2, k=country_config.k, seed=country_config.seed,
             restarts=country_config.restarts,
         )
         assert clusters2.assignments == out.clusters.assignments
         assert np.array_equal(clusters2.centers, out.clusters.centers)
-        ratings2 = assign_ratings(clusters2, model2.Lambda, scale)
+        ratings2 = assign_ratings(objects, clusters2, model2.Lambda, scale)
         assert ratings2 == out.ratings
     report("7 (scale/relabel/sign invariances)")
 

@@ -16,7 +16,7 @@ def model():
 
 def rank_values(b, model):
     """Ranking-function values of one normalized row, one per component."""
-    return map_to_feature_space(np.atleast_2d(b), model).values[0]
+    return map_to_feature_space(np.atleast_2d(b), model)[0]
 
 
 def test_component_index_range():
@@ -24,7 +24,7 @@ def test_component_index_range():
     model = fit_pca(np.random.default_rng(42).uniform(size=(12, 5)), 0.5)
     assert 1 <= model.d < 5
     out = map_to_feature_space(np.ones((3, 5)), model)
-    assert out.values.shape == (3, model.d)
+    assert out.shape == (3, model.d)
 
 
 def test_rank_value_endpoints(model):
@@ -70,13 +70,13 @@ def test_monotonicity_and_range(seed):
 
 def test_map_identity_rows_select_w(model):
     out = map_to_feature_space(np.eye(5), model)
-    np.testing.assert_array_equal(out.values, model.W)
+    np.testing.assert_array_equal(out, model.W)
 
 
 def test_map_row_of_ones_gives_ones(model):
     b = np.vstack([np.ones(5), np.zeros(5)])
     out = map_to_feature_space(b, model)
-    np.testing.assert_allclose(out.values[0], np.ones(model.d), atol=1e-12)
+    np.testing.assert_allclose(out[0], np.ones(model.d), atol=1e-12)
 
 
 def test_map_dimension_mismatch(model):
@@ -91,19 +91,19 @@ def test_map_with_synthetic_expert_column(country_run):
     )
     model = fit_pca(b10, 0.95)
     out = map_to_feature_space(b10, model)
-    assert out.values.shape == (30, model.d)
-    assert out.values.min() >= 0.0 and out.values.max() <= 1.0 + 1e-12
+    assert out.shape == (30, model.d)
+    assert out.min() >= 0.0 and out.max() <= 1.0 + 1e-12
     # cross-check every entry against the scalar ranking function
     for i in range(30):
         for p in range(1, model.d + 1):
             naive = sum(abs(model.components[k, p - 1]) * b10[i, k] for k in range(10))
-            assert out.values[i, p - 1] == pytest.approx(naive, abs=1e-12)
+            assert out[i, p - 1] == pytest.approx(naive, abs=1e-12)
 
 
 def test_comparison_consistency(country_run):
     model = country_run.model
     b = country_run.normalized.values
-    r = map_to_feature_space(b, model).values
+    r = map_to_feature_space(b, model)
     for p in range(1, model.d + 1):
         sums = [float(np.abs(model.W[:, p - 1]) @ b[i]) for i in range(len(b))]
         for i in range(len(b)):

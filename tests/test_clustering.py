@@ -119,7 +119,7 @@ def test_planted_partition_recovery():
 
 def test_country_run_beats_random_restart_oracle(country_run):
     """Independent oracle: plain Lloyd from uniform random starts."""
-    pts = country_run.features.values
+    pts = country_run.features
     k = 7
     rng = np.random.default_rng(0)
     best = np.inf

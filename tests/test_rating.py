@@ -15,16 +15,18 @@ from relarm.rating import (
 SCALE7 = RatingScale(("AAA", "AA", "A", "BBB", "BB", "B", "CCC"))
 
 
-def make_clusters(centers, assignments, objects=None):
-    objects = objects or tuple(f"o{i}" for i in range(len(assignments)))
+def make_clusters(centers, assignments):
     return ClusteringResult(
-        objects=tuple(objects),
         assignments=tuple(assignments),
         centers=np.asarray(centers, dtype=np.float64),
         sse=0.0,
         restarts_used=1,
         seed=0,
     )
+
+
+def ids(n):
+    return tuple(f"o{i}" for i in range(n))
 
 
 class TestProjection:
@@ -50,37 +52,40 @@ class TestProjection:
 class TestAssign:
     def test_two_clusters(self):
         clusters = make_clusters([[0.9], [0.1]], [1, 2, 2])
-        result = assign_ratings(clusters, [1.0], RatingScale(("A", "B")))
+        result = assign_ratings(ids(3), clusters, [1.0], RatingScale(("A", "B")))
         cats = result.categories()
         assert cats["o0"] == "A" and cats["o1"] == "B"
 
     def test_single_cluster(self):
         clusters = make_clusters([[0.4]], [1, 1, 1])
-        result = assign_ratings(clusters, [1.0], RatingScale(("only",)))
+        result = assign_ratings(ids(3), clusters, [1.0], RatingScale(("only",)))
         assert set(result.categories().values()) == {"only"}
 
     def test_scale_size_mismatch(self):
         clusters = make_clusters([[0.9], [0.1]], [1, 2])
         with pytest.raises(ValidationError):
-            assign_ratings(clusters, [1.0], SCALE7)
+            assign_ratings(ids(2), clusters, [1.0], SCALE7)
 
     def test_ties_flagged_and_broken_by_index(self):
         clusters = make_clusters([[0.5], [0.5]], [1, 2])
-        result = assign_ratings(clusters, [1.0], RatingScale(("A", "B")))
+        result = assign_ratings(ids(2), clusters, [1.0], RatingScale(("A", "B")))
         assert result.tie_flags == ((1, 2),)
         assert result.categories() == {"o0": "A", "o1": "B"}
 
     def test_objects_in_same_cluster_share_category(self, country_run):
-        by_cluster = {}
-        for r in country_run.ratings.per_object:
-            by_cluster.setdefault(r.cluster, set()).add(r.category)
-        assert all(len(cats) == 1 for cats in by_cluster.values())
+        ratings = country_run.ratings
+        category_of = {c.cluster: c.category for c in ratings.per_cluster}
+        cats = ratings.categories()
+        assert list(cats) == list(ratings.objects)
+        assert [cats[o] for o in ratings.objects] == [
+            category_of[q] for q in ratings.clusters
+        ]
 
     def test_scale_invariance_of_ordering(self, country_run):
         base = country_run.ratings.categories()
         for c in (0.1, 3.0, 100.0):
             scaled = assign_ratings(
-                country_run.clusters, c * country_run.model.Lambda, SCALE7
+                country_run.ratings.objects, country_run.clusters, c * country_run.model.Lambda, SCALE7
             )
             assert scaled.categories() == base
 
@@ -89,7 +94,6 @@ class TestAssign:
         k = clusters.k
         perm = np.roll(np.arange(1, k + 1), 3)  # old id q -> perm[q-1]
         permuted = ClusteringResult(
-            objects=clusters.objects,
             assignments=tuple(int(perm[a - 1]) for a in clusters.assignments),
             centers=np.array(
                 [clusters.centers[int(np.where(perm == q + 1)[0][0])] for q in range(k)]
@@ -98,13 +102,14 @@ class TestAssign:
             restarts_used=clusters.restarts_used,
             seed=clusters.seed,
         )
-        base = assign_ratings(clusters, country_run.model.Lambda, SCALE7)
-        other = assign_ratings(permuted, country_run.model.Lambda, SCALE7)
+        objects = country_run.ratings.objects
+        base = assign_ratings(objects, clusters, country_run.model.Lambda, SCALE7)
+        other = assign_ratings(objects, permuted, country_run.model.Lambda, SCALE7)
         assert base.categories() == other.categories()
 
     def test_monotone_consistency(self):
         clusters = make_clusters([[0.6, 0.5], [0.4, 0.5]], [1, 2])
-        result = assign_ratings(clusters, [0.7, 0.3], RatingScale(("hi", "lo")))
+        result = assign_ratings(ids(2), clusters, [0.7, 0.3], RatingScale(("hi", "lo")))
         ranks = {c.cluster: c.rank for c in result.per_cluster}
         assert ranks[1] < ranks[2]
 
@@ -125,16 +130,16 @@ class TestCollapse:
 
 class TestScoreAgreement:
     def test_subcategory_match(self):
-        clusters = make_clusters([[0.9], [0.1]], [1, 2], objects=("x", "y"))
-        result = assign_ratings(clusters, [1.0], RatingScale(("AA", "A")))
+        clusters = make_clusters([[0.9], [0.1]], [1, 2])
+        result = assign_ratings(("x", "y"), clusters, [1.0], RatingScale(("AA", "A")))
         report = score_agreement(
             result, {"x": {"Fitch": "AA+"}}, scale=SCALE7
         )
         assert report.matched == 1 and report.compared == 1
 
     def test_must_match_at_least_one_agency(self):
-        clusters = make_clusters([[0.9], [0.1]], [1, 2], objects=("x", "y"))
-        result = assign_ratings(clusters, [1.0], RatingScale(("BBB", "B")))
+        clusters = make_clusters([[0.9], [0.1]], [1, 2])
+        result = assign_ratings(("x", "y"), clusters, [1.0], RatingScale(("BBB", "B")))
         report = score_agreement(
             result,
             {"x": {"S&P": "A", "Moody's": "A", "Fitch": "A"}},
@@ -143,20 +148,20 @@ class TestScoreAgreement:
         assert report.matched == 0 and report.compared == 1
 
     def test_unrated_objects_excluded_from_denominator(self):
-        clusters = make_clusters([[0.9], [0.1]], [1, 2], objects=("x", "y"))
-        result = assign_ratings(clusters, [1.0], RatingScale(("AA", "A")))
+        clusters = make_clusters([[0.9], [0.1]], [1, 2])
+        result = assign_ratings(("x", "y"), clusters, [1.0], RatingScale(("AA", "A")))
         report = score_agreement(result, {"x": {"Fitch": "AA"}}, scale=SCALE7)
         assert report.compared == 1
 
     def test_empty_reference(self):
         clusters = make_clusters([[0.9], [0.1]], [1, 2])
-        result = assign_ratings(clusters, [1.0], RatingScale(("AA", "A")))
+        result = assign_ratings(ids(2), clusters, [1.0], RatingScale(("AA", "A")))
         report = score_agreement(result, {}, scale=SCALE7)
         assert report.compared == 0 and report.fraction is None
 
     def test_reference_object_missing_from_results_is_skipped(self):
-        clusters = make_clusters([[0.9], [0.1]], [1, 2], objects=("x", "y"))
-        result = assign_ratings(clusters, [1.0], RatingScale(("AA", "A")))
+        clusters = make_clusters([[0.9], [0.1]], [1, 2])
+        result = assign_ratings(("x", "y"), clusters, [1.0], RatingScale(("AA", "A")))
         report = score_agreement(result, {"ghost": {"Fitch": "AA"}}, scale=SCALE7)
         assert report.skipped == ("ghost",)
         assert report.compared == 0

@@ -27,9 +27,7 @@ def test_scoring_original_objects_matches_fit(tmp_path, country_config, country_
     save_snapshot(snap, path)
     rescored = score_with_snapshot(load_snapshot(path), country_dataset)
     assert rescored.categories() == country_run.ratings.categories()
-    assert [r.cluster for r in rescored.per_object] == [
-        r.cluster for r in country_run.ratings.per_object
-    ]
+    assert rescored.clusters == country_run.ratings.clusters
 
 
 def test_scoring_new_objects(tmp_path, country_config, country_dataset, country_run):
