@@ -177,11 +177,10 @@ def _cmd_score(args) -> int:
         cfg = load_config(args.config)
         scale = cfg.scale
         collapse = cfg.collapse_table
-    missing = sorted(set(reference) - set(result.objects))
-    for obj in missing:
+    report = score_agreement(result, reference, scale=scale, collapse_table=collapse)
+    for obj in report.skipped:
         print(f"warning: reference object {obj!r} absent from results; skipped",
               file=sys.stderr)
-    report = score_agreement(result, reference, scale=scale, collapse_table=collapse)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     io.write_agreement_json(out_dir / "agreement.json", report)

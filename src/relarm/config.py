@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 
-from .dataset import IndicatorSpec, parse_indicator_specs, read_json
+from .dataset import IndicatorSpec, parse_indicator_specs, read_json, typed
 from .errors import ValidationError
 from .rating import RatingScale
 
@@ -54,17 +54,6 @@ class PipelineConfig:
         return replace(self, **kwargs) if kwargs else self
 
 
-def _number(raw: dict, key: str, kind, default=None):
-    value = raw.get(key, default)
-    try:
-        return kind(value)
-    except (TypeError, ValueError, OverflowError):
-        raise ValidationError(
-            f"'{key}' must be {'an integer' if kind is int else 'a number'}, "
-            f"got {value!r}"
-        ) from None
-
-
 def config_from_dict(raw: dict) -> PipelineConfig:
     if "indicators" not in raw:
         raise ValidationError("config is missing the 'indicators' key")
@@ -80,16 +69,16 @@ def config_from_dict(raw: dict) -> PipelineConfig:
         )
     return PipelineConfig(
         indicators=parse_indicator_specs(raw["indicators"]),
-        k=_number(raw, "k", int),
+        k=typed(raw, "k", int),
         labels=tuple(str(x) for x in raw["labels"]),
-        seed=_number(raw, "seed", int, 0),
-        variance_threshold=_number(
+        seed=typed(raw, "seed", int, 0),
+        variance_threshold=typed(
             raw, "variance_threshold", float, DEFAULT_VARIANCE_THRESHOLD
         ),
-        restarts=_number(raw, "restarts", int, DEFAULT_RESTARTS),
-        max_iterations=_number(raw, "max_iterations", int, DEFAULT_MAX_ITERATIONS),
+        restarts=typed(raw, "restarts", int, DEFAULT_RESTARTS),
+        max_iterations=typed(raw, "max_iterations", int, DEFAULT_MAX_ITERATIONS),
         distance=str(raw.get("distance", "euclidean")),
-        center=bool(raw.get("center", True)),
+        center=typed(raw, "center", bool, True),
         collapse_table=dict(raw.get("collapse_table", {})),
     )
 

@@ -96,6 +96,25 @@ class RawDataset:
         )
 
 
+_KINDS = {int: "an integer", float: "a number", bool: "true or false"}
+
+
+def typed(obj: dict, key: str, kind, default=None, label=None):
+    """``obj[key]``, or ``default`` when absent, checked to be a JSON
+    ``kind``: an integer (not a boolean) for int, any number for float,
+    true or false for bool.  Anything else is a ``ValidationError`` naming
+    ``label`` (default: the key)."""
+    value = obj.get(key, default)
+    if kind is bool:
+        ok = isinstance(value, bool)
+    else:
+        ok = isinstance(value, int if kind is int else (int, float))
+        ok = ok and not isinstance(value, bool)
+    if not ok:
+        raise ValidationError(f"'{label or key}' must be {_KINDS[kind]}, got {value!r}")
+    return kind(value)
+
+
 def parse_indicator_specs(obj) -> tuple[IndicatorSpec, ...]:
     """Parse indicator declarations from decoded JSON.
 
@@ -125,7 +144,9 @@ def parse_indicator_specs(obj) -> tuple[IndicatorSpec, ...]:
             IndicatorSpec(
                 name=str(entry["name"]),
                 direction=direction,
-                pre_normalized=bool(entry.get("pre_normalized", False)),
+                pre_normalized=typed(
+                    entry, "pre_normalized", bool, False, f"indicators[{i}].pre_normalized"
+                ),
             )
         )
     return tuple(specs)

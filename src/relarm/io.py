@@ -8,9 +8,12 @@ from __future__ import annotations
 
 import csv
 import json
+import math
+from io import StringIO
 
 import numpy as np
 
+from .dataset import _read_text
 from .errors import ValidationError
 from .rating import AgreementReport, ClusterRating, RatingResult
 
@@ -41,45 +44,77 @@ def write_ratings_csv(path, ratings: RatingResult) -> None:
         w.writerows((obj, *row_of[c]) for obj, c in zip(ratings.objects, ratings.clusters))
 
 
+def _cell(path, r: int, row: dict, column: str, kind):
+    """``row[column]`` parsed as ``kind`` (an int, or a finite float);
+    anything else is a ``ValidationError`` naming the file, row and column."""
+    try:
+        value = kind(row[column])
+        ok = math.isfinite(value)
+    except (ValueError, OverflowError):
+        ok = False
+    if not ok:
+        raise ValidationError(
+            f"{path}: row {r}, column {column!r}: {row[column]!r} is not "
+            f"{'an integer' if kind is int else 'a finite number'}"
+        )
+    return value
+
+
 def read_ratings_csv(path) -> RatingResult:
-    """Rebuild a rating result from CSV; each cluster's projection and
-    category come from its first row, and centers are not stored, so the
-    per-cluster table has none."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        rows = list(csv.DictReader(fh))
+    """Rebuild a rating result from CSV.  Every row of a cluster must give
+    the projection and category of its first row; centers are not stored,
+    so the per-cluster table has none.  Rows are numbered by the line they
+    end on, the header being row 1."""
+    reader = csv.DictReader(StringIO(_read_text(path), newline=""))
+    rows = [(reader.line_num, row) for row in reader]
     if not rows:
         raise ValidationError(f"{path}: empty ratings file")
-    needed = {"object", "cluster", "projection", "category"}
-    if not needed.issubset(rows[0]):
+    needed = ("object", "cluster", "projection", "category")
+    if not set(needed).issubset(rows[0][1]):
         raise ValidationError(f"{path}: ratings file must have columns {sorted(needed)}")
-    clusters = tuple(int(row["cluster"]) for row in rows)
-    first: dict[int, tuple[float, str]] = {}
-    for q, row in zip(clusters, rows):
-        first.setdefault(q, (float(row["projection"]), row["category"]))
-    ranked = sorted(first.items(), key=lambda item: (-item[1][0], item[0]))
+    objects, clusters = [], []
+    first: dict[int, tuple[int, float, str]] = {}  # cluster -> (row, projection, category)
+    for r, row in rows:
+        if None in (row[c] for c in needed):
+            raise ValidationError(f"{path}: row {r} has fewer cells than the header")
+        q = _cell(path, r, row, "cluster", int)
+        p = _cell(path, r, row, "projection", float)
+        r0, p0, c0 = first.setdefault(q, (r, p, row["category"]))
+        if (p0, c0) != (p, row["category"]):
+            raise ValidationError(
+                f"{path}: row {r}: cluster {q} has projection {p!r} and category "
+                f"{row['category']!r}, but row {r0} gave it {p0!r} and {c0!r}"
+            )
+        objects.append(row["object"])
+        clusters.append(q)
+    ranked = sorted(first.items(), key=lambda item: (-item[1][1], item[0]))
     per_cluster = tuple(
         ClusterRating(cluster=q, center=(), projection=p, rank=rank + 1, category=c)
-        for rank, (q, (p, c)) in enumerate(ranked)
+        for rank, (q, (_, p, c)) in enumerate(ranked)
     )
-    return RatingResult(tuple(row["object"] for row in rows), clusters, per_cluster)
+    return RatingResult(tuple(objects), tuple(clusters), per_cluster)
 
 
 def read_reference_csv(path) -> dict[str, dict[str, str]]:
     """Reference agency ratings: columns object, agency, category."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None or not {"object", "agency", "category"}.issubset(
-            reader.fieldnames
-        ):
+    reader = csv.DictReader(StringIO(_read_text(path), newline=""))
+    if reader.fieldnames is None or not {"object", "agency", "category"}.issubset(
+        reader.fieldnames
+    ):
+        raise ValidationError(
+            f"{path}: reference file must have columns object, agency, category"
+        )
+    out: dict[str, dict[str, str]] = {}
+    for row in reader:
+        obj, agency, cat = row["object"], row["agency"], row["category"]
+        if None in (obj, agency, cat):
             raise ValidationError(
-                f"{path}: reference file must have columns object, agency, category"
+                f"{path}: row {reader.line_num} has fewer cells than the header"
             )
-        out: dict[str, dict[str, str]] = {}
-        for row in reader:
-            obj, agency, cat = row["object"], row["agency"], row["category"].strip()
-            if not cat or cat.lower() == "not rated":
-                continue
-            out.setdefault(obj, {})[agency] = cat
+        cat = cat.strip()
+        if not cat or cat.lower() == "not rated":
+            continue
+        out.setdefault(obj, {})[agency] = cat
     return out
 
 

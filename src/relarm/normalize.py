@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 
@@ -47,8 +48,9 @@ def scale_column(col: np.ndarray, lo, hi, spec: IndicatorSpec) -> np.ndarray:
 
     Positive direction maps (p - lo) / (hi - lo); negative maps
     (hi - p) / (hi - lo); values outside the range clip to the endpoints.
-    A range with no spread maps to 0.5.  A pre-normalized column is
-    returned as it is after a check that it lies in [0, 1].
+    A range with no spread maps to 0.5, and one whose width overflows is a
+    ``ValidationError``.  A pre-normalized column is returned as it is
+    after a check that it lies in [0, 1].
     """
     if spec.pre_normalized:
         bad = (col < 0.0) | (col > 1.0)
@@ -61,10 +63,18 @@ def scale_column(col: np.ndarray, lo, hi, spec: IndicatorSpec) -> np.ndarray:
         return col
     if lo == hi:
         return np.full(col.shape, 0.5)
-    if spec.direction is Direction.POSITIVE:
-        out = (col - lo) / (hi - lo)
-    else:
-        out = (hi - col) / (hi - lo)
+    width = float(hi) - float(lo)  # Python floats overflow to inf silently
+    if not math.isfinite(width):
+        raise ValidationError(
+            f"column {spec.name!r}: range [{float(lo)!r}, {float(hi)!r}] is too "
+            f"wide; hi - lo is not a finite number"
+        )
+    # a value far outside the range may overflow to inf, which clips exactly
+    with np.errstate(over="ignore"):
+        if spec.direction is Direction.POSITIVE:
+            out = (col - lo) / width
+        else:
+            out = (hi - col) / width
     # guard against rounding just past the endpoints
     return np.clip(out, 0.0, 1.0)
 

@@ -10,7 +10,7 @@ import numpy as np
 from .attributes import map_to_feature_space
 from .clustering import nearest_center
 from .config import PipelineConfig, config_from_dict, config_to_dict
-from .dataset import RawDataset, _freeze, read_json
+from .dataset import RawDataset, _freeze, read_json, typed
 from .errors import ValidationError
 from .normalize import NormalizedMatrix, scale_dataset
 from .pca import PcaModel
@@ -135,7 +135,7 @@ def _snapshot_from_doc(doc) -> Snapshot:
         W=_array(doc, "model", "W", (n, d)),
         Lambda=_array(doc, "model", "Lambda", (d,)),
         variance_threshold=float(_array(doc, "model", "variance_threshold", ())),
-        centered=bool(doc["model"]["centered"]),
+        centered=typed(doc["model"], "centered", bool, label="model.centered"),
         column_means=_array(doc, "model", "column_means", (n,)),
     )
     centers = _array(doc, "clusters", "centers", (k, d))

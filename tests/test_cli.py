@@ -240,7 +240,18 @@ def _edit_config(workdir, edit):
     (lambda c: c["indicators"].__setitem__(0, "gdp_growth"), "indicators[0]"),
     (lambda c: c.__setitem__("k", "seven"), "'k'"),
     (lambda c: c.__setitem__("labels", None), "'labels'"),
-], ids=["indicator-without-name", "indicator-is-string", "k-not-integer", "labels-null"])
+    (lambda c: c.__setitem__("k", 2.9), "'k'"),
+    (lambda c: c.__setitem__("k", "3"), "'k'"),
+    (lambda c: c.__setitem__("seed", True), "'seed'"),
+    (lambda c: c.__setitem__("restarts", 50.0), "'restarts'"),
+    (lambda c: c.__setitem__("max_iterations", "300"), "'max_iterations'"),
+    (lambda c: c.__setitem__("variance_threshold", "0.95"), "'variance_threshold'"),
+    (lambda c: c.__setitem__("center", "false"), "'center'"),
+    (lambda c: c["indicators"][3].__setitem__("pre_normalized", "false"),
+     "'indicators[3].pre_normalized'"),
+], ids=["indicator-without-name", "indicator-is-string", "k-not-integer", "labels-null",
+        "k-fraction", "k-string", "seed-bool", "restarts-float", "max-iterations-string",
+        "threshold-string", "center-string", "pre-normalized-string"])
 def test_bad_config_field_names_file_and_field(workdir, capsys, edit, field):
     config = _edit_config(workdir, edit)
     code = run_cli(
@@ -263,3 +274,79 @@ def test_non_utf8_data_names_file_and_line(workdir, capsys):
     assert code == 1
     err = capsys.readouterr().err
     assert f"{data}: line 2: byte 0xe9" in err, err
+
+
+def test_score_warns_once_per_skipped_object_in_order(workdir, data_dir, capsys):
+    (workdir / "ref.csv").write_text(
+        "object,agency,category\nZed,Fitch,AA\nAtlantis,Fitch,AA\nZed,S&P,A\n"
+    )
+    code = run_cli(
+        "score", "--ratings", data_dir / "table8_model_categories.csv",
+        "--reference", workdir / "ref.csv", "--out-dir", workdir / "out",
+    )
+    assert code == 0
+    assert capsys.readouterr().err == (
+        "warning: reference object 'Atlantis' absent from results; skipped\n"
+        "warning: reference object 'Zed' absent from results; skipped\n"
+    )
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda rows: rows[3].__setitem__(1, "one"), "row 4, column 'cluster': 'one' is not an integer"),
+    (lambda rows: rows[2].__setitem__(2, "zz"), "row 3, column 'projection': 'zz' is not a finite number"),
+    (lambda rows: rows[5].__setitem__(2, "nan"), "row 6, column 'projection': 'nan' is not a finite number"),
+    (lambda rows: rows[3].__setitem__(2, "0.5"),
+     "row 4: cluster 1 has projection 0.5 and category 'AAA', but row 2 gave it 1.0 and 'AAA'"),
+    (lambda rows: rows[3].__setitem__(3, "AA"),
+     "row 4: cluster 1 has projection 1.0 and category 'AA', but row 2 gave it 1.0 and 'AAA'"),
+    (lambda rows: rows[4].pop(), "row 5 has fewer cells than the header"),
+], ids=["cluster-not-integer", "projection-not-number", "projection-nan",
+        "projection-differs", "category-differs", "short-row"])
+def test_bad_ratings_file_names_file_row_and_column(workdir, data_dir, capsys, edit, message):
+    rows = [
+        line.split(",")
+        for line in (data_dir / "table8_model_categories.csv").read_text().splitlines()
+    ]
+    assert rows[1][1:] == rows[3][1:] == ["1", "1.0", "AAA"]
+    edit(rows)
+    ratings = workdir / "ratings.csv"
+    ratings.write_text("".join(",".join(row) + "\n" for row in rows))
+    code = run_cli(
+        "score", "--ratings", ratings, "--reference", workdir / "reference.csv",
+        "--out-dir", workdir / "out",
+    )
+    assert code == 1
+    err = capsys.readouterr().err
+    assert f"error: {ratings}: {message}\n" == err, err
+
+
+@pytest.mark.parametrize("flag", ["--ratings", "--reference"])
+def test_score_non_utf8_input_names_file(workdir, data_dir, capsys, flag):
+    bad = workdir / "bad.csv"
+    bad.write_bytes(b"object,cluster,projection,category\nSchw\xe9iz,1,1.0,AAA\n")
+    files = {"--ratings": data_dir / "table8_model_categories.csv",
+             "--reference": workdir / "reference.csv", flag: bad}
+    code = run_cli("score", *(x for kv in files.items() for x in kv),
+                   "--out-dir", workdir / "out")
+    assert code == 1
+    assert f"{bad}: line 2: byte 0xe9" in capsys.readouterr().err
+
+
+def test_range_too_wide_names_column(workdir, capsys):
+    data = workdir / "data.csv"
+    rows = data.read_text().splitlines()
+    for i, v in ((1, "-1e308"), (2, "1e308"), (3, "0")):
+        cells = rows[i].split(",")
+        cells[1 + NAMES.index("inflation")] = v
+        rows[i] = ",".join(cells)
+    data.write_text("\n".join(rows) + "\n")
+    code = run_cli(
+        "run", "--config", workdir / "config.json", "--data", data,
+        "--out-dir", workdir / "out",
+    )
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err == (
+        "error: column 'inflation': range [-1e+308, 1e+308] is too wide; "
+        "hi - lo is not a finite number\n"
+    ), err

@@ -10,6 +10,7 @@ from relarm.normalize import (
     ConstantColumnWarning,
     normalize_column,
     normalize_dataset,
+    scale_column,
 )
 
 columns = arrays(
@@ -149,3 +150,22 @@ def test_column_order_independent_of_evaluation():
     ds = make_dataset([[1.0, 4.0], [3.0, 2.0]], specs)
     nm = normalize_dataset(ds)
     np.testing.assert_array_equal(nm.values, [[0.0, 0.0], [1.0, 1.0]])
+
+
+def test_range_whose_width_overflows_names_column():
+    ds = RawDataset(
+        objects=("a", "b", "c"),
+        indicators=(IndicatorSpec("x", Direction.POSITIVE), IndicatorSpec("y", Direction.NEGATIVE)),
+        values=np.array([[1.0, -1e308], [2.0, 1e308], [3.0, 0.0]]),
+    )
+    with pytest.raises(ValidationError, match=r"column 'y': range \[-1e\+308, 1e\+308\]"):
+        normalize_dataset(ds)
+
+
+def test_values_far_outside_a_stored_range_clip_without_overflow():
+    # col - lo overflows to +-inf (RuntimeWarning is an error in this suite)
+    col = np.array([1.7e308, -1.7e308, -5e307])
+    for direction, expected in ((Direction.POSITIVE, [1.0, 0.0, 0.5]),
+                                (Direction.NEGATIVE, [0.0, 1.0, 0.5])):
+        out = scale_column(col, -1e308, 0.0, IndicatorSpec("x", direction))
+        assert out.tolist() == expected

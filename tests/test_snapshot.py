@@ -80,8 +80,14 @@ def _drop_last(rows):
     (lambda doc: _drop_last(doc["clusters"]["centers"]), "'clusters.centers'"),
     (lambda doc: doc["model"].__setitem__("W", "none"), "'model.W'"),
     (lambda doc: doc["config"].__setitem__("k", "seven"), "'k'"),
+    (lambda doc: doc["config"].__setitem__("k", 7.0), "'k'"),
+    (lambda doc: doc["config"].__setitem__("center", "false"), "'center'"),
+    (lambda doc: doc["config"]["indicators"][0].__setitem__("pre_normalized", 0),
+     "'indicators[0].pre_normalized'"),
+    (lambda doc: doc["model"].__setitem__("centered", "false"), "'model.centered'"),
 ], ids=["ragged-center", "ragged-W", "no-clusters", "no-Lambda", "center-missing",
-        "W-not-numbers", "config-k"])
+        "W-not-numbers", "config-k", "config-k-float", "config-center-string",
+        "config-pre-normalized-int", "model-centered-string"])
 def test_load_rejects_malformed_snapshot(
     tmp_path, country_config, country_dataset, country_run, edit, key
 ):
