@@ -61,10 +61,10 @@ def _cell(path, r: int, row: dict, column: str, kind):
 
 
 def read_ratings_csv(path) -> RatingResult:
-    """Rebuild a rating result from CSV.  Every row of a cluster must give
-    the projection and category of its first row; centers are not stored,
-    so the per-cluster table has none.  Rows are numbered by the line they
-    end on, the header being row 1."""
+    """Rebuild a rating result from CSV.  Each object appears once, and
+    every row of a cluster must give the projection and category of its
+    first row; centers are not stored, so the per-cluster table has none.
+    Rows are numbered by the line they end on, the header being row 1."""
     reader = csv.DictReader(StringIO(_read_text(path), newline=""))
     rows = [(reader.line_num, row) for row in reader]
     if not rows:
@@ -72,11 +72,17 @@ def read_ratings_csv(path) -> RatingResult:
     needed = ("object", "cluster", "projection", "category")
     if not set(needed).issubset(rows[0][1]):
         raise ValidationError(f"{path}: ratings file must have columns {sorted(needed)}")
-    objects, clusters = [], []
+    row_of: dict[str, int] = {}  # object -> row
+    clusters = []
     first: dict[int, tuple[int, float, str]] = {}  # cluster -> (row, projection, category)
     for r, row in rows:
         if None in (row[c] for c in needed):
             raise ValidationError(f"{path}: row {r} has fewer cells than the header")
+        if row_of.setdefault(row["object"], r) != r:
+            raise ValidationError(
+                f"{path}: row {r}: object {row['object']!r} is already rated "
+                f"at row {row_of[row['object']]}"
+            )
         q = _cell(path, r, row, "cluster", int)
         p = _cell(path, r, row, "projection", float)
         r0, p0, c0 = first.setdefault(q, (r, p, row["category"]))
@@ -85,14 +91,13 @@ def read_ratings_csv(path) -> RatingResult:
                 f"{path}: row {r}: cluster {q} has projection {p!r} and category "
                 f"{row['category']!r}, but row {r0} gave it {p0!r} and {c0!r}"
             )
-        objects.append(row["object"])
         clusters.append(q)
     ranked = sorted(first.items(), key=lambda item: (-item[1][1], item[0]))
     per_cluster = tuple(
         ClusterRating(cluster=q, center=(), projection=p, rank=rank + 1, category=c)
         for rank, (q, (_, p, c)) in enumerate(ranked)
     )
-    return RatingResult(tuple(objects), tuple(clusters), per_cluster)
+    return RatingResult(tuple(row_of), tuple(clusters), per_cluster)
 
 
 def read_reference_csv(path) -> dict[str, dict[str, str]]:

@@ -66,8 +66,8 @@ def scale_column(col: np.ndarray, lo, hi, spec: IndicatorSpec) -> np.ndarray:
     width = float(hi) - float(lo)  # Python floats overflow to inf silently
     if not math.isfinite(width):
         raise ValidationError(
-            f"column {spec.name!r}: range [{float(lo)!r}, {float(hi)!r}] is too "
-            f"wide; hi - lo is not a finite number"
+            f"column {spec.name!r}: the width hi - lo of its range "
+            f"[{float(lo)!r}, {float(hi)!r}] is not a finite number"
         )
     # a value far outside the range may overflow to inf, which clips exactly
     with np.errstate(over="ignore"):

@@ -84,9 +84,9 @@ _SECTIONS = {
 
 
 def load_snapshot(path) -> Snapshot:
-    """Read a snapshot written by :func:`save_snapshot`; a missing key or
-    an array of the wrong shape is a ``ValidationError`` naming the file
-    and the key."""
+    """Read a snapshot written by :func:`save_snapshot`; a missing key, or
+    an array of the wrong shape or with a non-finite entry, is a
+    ``ValidationError`` naming the file and the key."""
     doc = read_json(path)
     try:
         return _snapshot_from_doc(doc)
@@ -104,6 +104,8 @@ def _array(doc: dict, section: str, key: str, shape: tuple[int, ...]) -> np.ndar
         raise ValidationError(
             f"'{section}.{key}' must be numbers of shape {shape}, got {got}"
         )
+    if not np.isfinite(a).all():
+        raise ValidationError(f"'{section}.{key}' must be finite numbers")
     return a
 
 

@@ -172,13 +172,21 @@ def test_score_empty_reference(workdir, data_dir, capsys):
 
 
 def test_score_unknown_object_warns(workdir, data_dir, capsys):
-    (workdir / "ref.csv").write_text("object,agency,category\nAtlantis,Fitch,AA\n")
+    (workdir / "ref.csv").write_text(
+        "object,agency,category\nZed,Fitch,AA\nAtlantis,Fitch,AA\nZed,S&P,A\n"
+    )
     code = run_cli(
         "score", "--ratings", data_dir / "table8_model_categories.csv",
         "--reference", workdir / "ref.csv", "--out-dir", workdir / "out",
     )
     assert code == 0
-    assert "Atlantis" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "Atlantis" in err
+    # one warning per skipped object, in sorted order
+    assert err == (
+        "warning: reference object 'Atlantis' absent from results; skipped\n"
+        "warning: reference object 'Zed' absent from results; skipped\n"
+    )
 
 
 def test_uncollapsible_category_is_validation_error(workdir, data_dir, capsys):
@@ -276,21 +284,6 @@ def test_non_utf8_data_names_file_and_line(workdir, capsys):
     assert f"{data}: line 2: byte 0xe9" in err, err
 
 
-def test_score_warns_once_per_skipped_object_in_order(workdir, data_dir, capsys):
-    (workdir / "ref.csv").write_text(
-        "object,agency,category\nZed,Fitch,AA\nAtlantis,Fitch,AA\nZed,S&P,A\n"
-    )
-    code = run_cli(
-        "score", "--ratings", data_dir / "table8_model_categories.csv",
-        "--reference", workdir / "ref.csv", "--out-dir", workdir / "out",
-    )
-    assert code == 0
-    assert capsys.readouterr().err == (
-        "warning: reference object 'Atlantis' absent from results; skipped\n"
-        "warning: reference object 'Zed' absent from results; skipped\n"
-    )
-
-
 @pytest.mark.parametrize("edit, message", [
     (lambda rows: rows[3].__setitem__(1, "one"), "row 4, column 'cluster': 'one' is not an integer"),
     (lambda rows: rows[2].__setitem__(2, "zz"), "row 3, column 'projection': 'zz' is not a finite number"),
@@ -300,8 +293,10 @@ def test_score_warns_once_per_skipped_object_in_order(workdir, data_dir, capsys)
     (lambda rows: rows[3].__setitem__(3, "AA"),
      "row 4: cluster 1 has projection 1.0 and category 'AA', but row 2 gave it 1.0 and 'AAA'"),
     (lambda rows: rows[4].pop(), "row 5 has fewer cells than the header"),
+    (lambda rows: rows.append(["Switzerland"] + rows[-1][1:]),
+     "row 32: object 'Switzerland' is already rated at row 2"),
 ], ids=["cluster-not-integer", "projection-not-number", "projection-nan",
-        "projection-differs", "category-differs", "short-row"])
+        "projection-differs", "category-differs", "short-row", "duplicate-object"])
 def test_bad_ratings_file_names_file_row_and_column(workdir, data_dir, capsys, edit, message):
     rows = [
         line.split(",")
@@ -347,6 +342,6 @@ def test_range_too_wide_names_column(workdir, capsys):
     assert code == 1
     err = capsys.readouterr().err
     assert err == (
-        "error: column 'inflation': range [-1e+308, 1e+308] is too wide; "
-        "hi - lo is not a finite number\n"
+        "error: column 'inflation': the width hi - lo of its range "
+        "[-1e+308, 1e+308] is not a finite number\n"
     ), err

@@ -85,9 +85,14 @@ def _drop_last(rows):
     (lambda doc: doc["config"]["indicators"][0].__setitem__("pre_normalized", 0),
      "'indicators[0].pre_normalized'"),
     (lambda doc: doc["model"].__setitem__("centered", "false"), "'model.centered'"),
+    (lambda doc: doc["clusters"]["centers"][0].__setitem__(0, float("nan")),
+     "'clusters.centers'"),
+    (lambda doc: doc["normalization"]["column_max"].__setitem__(1, float("inf")),
+     "'normalization.column_max'"),
 ], ids=["ragged-center", "ragged-W", "no-clusters", "no-Lambda", "center-missing",
         "W-not-numbers", "config-k", "config-k-float", "config-center-string",
-        "config-pre-normalized-int", "model-centered-string"])
+        "config-pre-normalized-int", "model-centered-string", "center-nan",
+        "column-max-infinite"])
 def test_load_rejects_malformed_snapshot(
     tmp_path, country_config, country_dataset, country_run, edit, key
 ):
