@@ -49,10 +49,9 @@ def _cell(path, r: int, row: dict, column: str, kind):
     anything else is a ``ValidationError`` naming the file, row and column."""
     try:
         value = kind(row[column])
-        ok = math.isfinite(value)
-    except (ValueError, OverflowError):
-        ok = False
-    if not ok:
+    except ValueError:
+        value = None
+    if value is None or (kind is float and not math.isfinite(value)):
         raise ValidationError(
             f"{path}: row {r}, column {column!r}: {row[column]!r} is not "
             f"{'an integer' if kind is int else 'a finite number'}"
