@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 
-from .dataset import IndicatorSpec, parse_indicator_specs, read_json, typed
+from .dataset import IndicatorSpec, checked, parse_indicator_specs, read_json, typed
 from .errors import ValidationError
 from .rating import RatingScale
 
@@ -63,23 +63,27 @@ def config_from_dict(raw: dict) -> PipelineConfig:
         raise ValidationError("config is missing the 'labels' key")
     if not isinstance(raw["labels"], (list, tuple)):
         raise ValidationError(f"'labels' must be a list, got {raw['labels']!r}")
-    if not isinstance(raw.get("collapse_table", {}), dict):
+    collapse_table = raw.get("collapse_table", {})
+    if not isinstance(collapse_table, dict):
         raise ValidationError(
-            f"'collapse_table' must be an object, got {raw['collapse_table']!r}"
+            f"'collapse_table' must be an object, got {collapse_table!r}"
         )
+    for fine, coarse in collapse_table.items():
+        checked(fine, str, "collapse_table key")
+        checked(coarse, str, f"collapse_table.{fine}")
     return PipelineConfig(
         indicators=parse_indicator_specs(raw["indicators"]),
         k=typed(raw, "k", int),
-        labels=tuple(str(x) for x in raw["labels"]),
+        labels=tuple(checked(x, str, f"labels[{i}]") for i, x in enumerate(raw["labels"])),
         seed=typed(raw, "seed", int, 0),
         variance_threshold=typed(
             raw, "variance_threshold", float, DEFAULT_VARIANCE_THRESHOLD
         ),
         restarts=typed(raw, "restarts", int, DEFAULT_RESTARTS),
         max_iterations=typed(raw, "max_iterations", int, DEFAULT_MAX_ITERATIONS),
-        distance=str(raw.get("distance", "euclidean")),
+        distance=typed(raw, "distance", str, "euclidean"),
         center=typed(raw, "center", bool, True),
-        collapse_table=dict(raw.get("collapse_table", {})),
+        collapse_table=dict(collapse_table),
     )
 
 

@@ -96,22 +96,26 @@ class RawDataset:
         )
 
 
-_KINDS = {int: "an integer", float: "a number", bool: "true or false"}
+_KINDS = {int: "an integer", float: "a number", bool: "true or false", str: "a string"}
 
 
 def typed(obj: dict, key: str, kind, default=None, label=None):
-    """``obj[key]``, or ``default`` when absent, checked to be a JSON
-    ``kind``: an integer (not a boolean) for int, any number for float,
-    true or false for bool.  Anything else is a ``ValidationError`` naming
-    ``label`` (default: the key)."""
-    value = obj.get(key, default)
-    if kind is bool:
-        ok = isinstance(value, bool)
-    else:
+    """``obj[key]``, or ``default`` when absent, checked by :func:`checked`
+    under ``label`` (default: the key)."""
+    return checked(obj.get(key, default), kind, label or key)
+
+
+def checked(value, kind, label: str):
+    """``value`` checked to be a JSON ``kind``: an integer (not a boolean)
+    for int, any number for float, true or false for bool, a string for
+    str.  Anything else is a ``ValidationError`` naming ``label``."""
+    if kind is int or kind is float:
         ok = isinstance(value, int if kind is int else (int, float))
         ok = ok and not isinstance(value, bool)
+    else:
+        ok = isinstance(value, kind)
     if not ok:
-        raise ValidationError(f"'{label or key}' must be {_KINDS[kind]}, got {value!r}")
+        raise ValidationError(f"'{label}' must be {_KINDS[kind]}, got {value!r}")
     return kind(value)
 
 
@@ -142,7 +146,7 @@ def parse_indicator_specs(obj) -> tuple[IndicatorSpec, ...]:
             ) from None
         specs.append(
             IndicatorSpec(
-                name=str(entry["name"]),
+                name=typed(entry, "name", str, label=f"indicators[{i}].name"),
                 direction=direction,
                 pre_normalized=typed(
                     entry, "pre_normalized", bool, False, f"indicators[{i}].pre_normalized"

@@ -62,8 +62,8 @@ def _cell(path, r: int, row: dict, column: str, kind):
 def read_ratings_csv(path) -> RatingResult:
     """Rebuild a rating result from CSV.  Each object appears once, and
     every row of a cluster must give the projection and category of its
-    first row; centers are not stored, so the per-cluster table has none.
-    Rows are numbered by the line they end on, the header being row 1."""
+    first row.  Rows are numbered by the line they end on, the header being
+    row 1."""
     reader = csv.DictReader(StringIO(_read_text(path), newline=""))
     rows = [(reader.line_num, row) for row in reader]
     if not rows:
@@ -93,14 +93,15 @@ def read_ratings_csv(path) -> RatingResult:
         clusters.append(q)
     ranked = sorted(first.items(), key=lambda item: (-item[1][1], item[0]))
     per_cluster = tuple(
-        ClusterRating(cluster=q, center=(), projection=p, rank=rank + 1, category=c)
+        ClusterRating(cluster=q, projection=p, rank=rank + 1, category=c)
         for rank, (q, (_, p, c)) in enumerate(ranked)
     )
     return RatingResult(tuple(row_of), tuple(clusters), per_cluster)
 
 
 def read_reference_csv(path) -> dict[str, dict[str, str]]:
-    """Reference agency ratings: columns object, agency, category."""
+    """Reference agency ratings: columns object, agency, category, one row
+    per (object, agency) pair."""
     reader = csv.DictReader(StringIO(_read_text(path), newline=""))
     if reader.fieldnames is None or not {"object", "agency", "category"}.issubset(
         reader.fieldnames
@@ -109,11 +110,16 @@ def read_reference_csv(path) -> dict[str, dict[str, str]]:
             f"{path}: reference file must have columns object, agency, category"
         )
     out: dict[str, dict[str, str]] = {}
+    row_of: dict[tuple[str, str], int] = {}  # (object, agency) -> row
     for row in reader:
+        r = reader.line_num
         obj, agency, cat = row["object"], row["agency"], row["category"]
         if None in (obj, agency, cat):
+            raise ValidationError(f"{path}: row {r} has fewer cells than the header")
+        if row_of.setdefault((obj, agency), r) != r:
             raise ValidationError(
-                f"{path}: row {reader.line_num} has fewer cells than the header"
+                f"{path}: row {r}: object {obj!r} is already rated by agency "
+                f"{agency!r} at row {row_of[obj, agency]}"
             )
         cat = cat.strip()
         if not cat or cat.lower() == "not rated":

@@ -81,25 +81,25 @@ def jacobi_eigh(
 class PcaModel:
     """Fitted components plus the derived ranking weights.
 
-    components   : N x N, column k is the l1-normalized k-th component
+    components   : N x N, column k is the l1-normalized k-th component;
+                   None when loaded from a snapshot, which does not store it
     variance_fractions : length-N, eigenvalue_k / trace, descending
     d            : retained component count (cumulative fraction rule)
     W            : N x d entrywise |components[:, :d]|, columns sum to 1
     Lambda       : the first d variance fractions
     """
 
-    components: np.ndarray = field(repr=False)
+    components: np.ndarray | None = field(repr=False)
     variance_fractions: np.ndarray = field(repr=False)
     d: int
     W: np.ndarray = field(repr=False)
     Lambda: np.ndarray = field(repr=False)
     variance_threshold: float
     centered: bool = True
-    column_means: np.ndarray = field(default=None, repr=False)
 
     @property
     def n_indicators(self) -> int:
-        return self.components.shape[0]
+        return self.W.shape[0]
 
 
 def _l1_columns(vectors: np.ndarray) -> np.ndarray:
@@ -122,7 +122,6 @@ def derive_weights(
     variance_fractions: np.ndarray,
     variance_threshold: float,
     centered: bool = True,
-    column_means: np.ndarray | None = None,
 ) -> PcaModel:
     """Pick d by the cumulative-variance rule and build W and Lambda.
 
@@ -145,7 +144,6 @@ def derive_weights(
         Lambda=_freeze(fractions[:d]),
         variance_threshold=float(variance_threshold),
         centered=centered,
-        column_means=_freeze(column_means) if column_means is not None else None,
     )
 
 
@@ -170,8 +168,7 @@ def fit_pca(
     if x.ndim != 2 or x.shape[0] < 2:
         raise ValidationError("need an M x N matrix with M >= 2")
     m = x.shape[0]
-    means = x.mean(axis=0)
-    centered_x = x - means if center else np.array(x)
+    centered_x = x - x.mean(axis=0) if center else np.array(x)
     cov = centered_x.T @ centered_x / (m - 1)
 
     try:
@@ -181,12 +178,10 @@ def fit_pca(
     trace = float(np.trace(cov))
     if trace <= 0.0:
         raise ValidationError("data has zero total variance; cannot fit")
-    eigvals = np.where(eigvals > _RANK_EPS * trace, eigvals, np.maximum(eigvals, 0.0))
+    eigvals = np.maximum(eigvals, 0.0)
     order = np.argsort(-eigvals, kind="stable")
     eigvals = eigvals[order]
     eigvecs = eigvecs[:, order]
     fractions = eigvals / eigvals.sum()
     components = _l1_columns(eigvecs)
-    return derive_weights(
-        components, fractions, variance_threshold, centered=center, column_means=means
-    )
+    return derive_weights(components, fractions, variance_threshold, centered=center)

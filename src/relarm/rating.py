@@ -33,7 +33,6 @@ class RatingScale:
 @dataclass(frozen=True)
 class ClusterRating:
     cluster: int  # 1-based cluster id
-    center: tuple[float, ...]
     projection: float
     rank: int  # 1 = best
     category: str
@@ -69,20 +68,17 @@ def project_center(center, rating_vector) -> float:
     return abs(float(c @ lam))
 
 
-def bind_categories(centers, projections, labels) -> tuple[ClusterRating, ...]:
+def bind_categories(projections, labels) -> tuple[ClusterRating, ...]:
     """The per-cluster table, best first: ``labels`` (best first) bound to
-    clusters in order of descending projection, equal projections lower
-    cluster id first."""
-    k = len(centers)
-    if len(labels) != k or len(projections) != k:
-        raise ValidationError(
-            f"{k} clusters, {len(projections)} projections and {len(labels)} labels"
-        )
+    clusters (``projections[q]`` is cluster q + 1's) in order of descending
+    projection, equal projections lower cluster id first."""
+    k = len(projections)
+    if len(labels) != k:
+        raise ValidationError(f"{k} projections and {len(labels)} labels")
     order = sorted(range(k), key=lambda q: (-projections[q], q))
     return tuple(
         ClusterRating(
             cluster=q + 1,
-            center=tuple(float(v) for v in centers[q]),
             projection=projections[q],
             rank=rank + 1,
             category=labels[rank],
@@ -101,7 +97,7 @@ def assign_ratings(
     so the mapping cluster -> category stays a bijection.
     """
     projections = [project_center(c, rating_vector) for c in clusters.centers]
-    per_cluster = bind_categories(clusters.centers, projections, scale.labels)
+    per_cluster = bind_categories(projections, scale.labels)
     ties = tuple(
         (a.cluster, b.cluster)
         for i, a in enumerate(per_cluster)

@@ -16,7 +16,7 @@ from .normalize import NormalizedMatrix, scale_dataset
 from .pca import PcaModel
 from .rating import ClusterRating, RatingResult, bind_categories
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2  # format 1 also stored model.components and model.column_means
 
 
 @dataclass(frozen=True)
@@ -37,10 +37,6 @@ class Snapshot:
         object.__setattr__(self, "centers", _freeze(self.centers))
 
 
-def _matrix(a: np.ndarray) -> list[list[float]]:
-    return [[float(v) for v in row] for row in np.atleast_2d(a)]
-
-
 def save_snapshot(snapshot: Snapshot, path) -> None:
     model = snapshot.model
     by_id = sorted(snapshot.per_cluster, key=lambda c: c.cluster)
@@ -48,21 +44,19 @@ def save_snapshot(snapshot: Snapshot, path) -> None:
         "format_version": FORMAT_VERSION,
         "config": config_to_dict(snapshot.config),
         "normalization": {
-            "column_min": [float(v) for v in snapshot.column_min],
-            "column_max": [float(v) for v in snapshot.column_max],
+            "column_min": snapshot.column_min.tolist(),
+            "column_max": snapshot.column_max.tolist(),
         },
         "model": {
-            "components": _matrix(model.components),
-            "variance_fractions": [float(v) for v in model.variance_fractions],
+            "variance_fractions": model.variance_fractions.tolist(),
             "d": model.d,
-            "W": _matrix(model.W),
-            "Lambda": [float(v) for v in model.Lambda],
+            "W": model.W.tolist(),
+            "Lambda": model.Lambda.tolist(),
             "variance_threshold": model.variance_threshold,
             "centered": model.centered,
-            "column_means": [float(v) for v in model.column_means],
         },
         "clusters": {
-            "centers": _matrix(snapshot.centers),
+            "centers": snapshot.centers.tolist(),
             "categories": [c.category for c in by_id],
             "projections": [c.projection for c in by_id],
         },
@@ -75,16 +69,14 @@ def save_snapshot(snapshot: Snapshot, path) -> None:
 _SECTIONS = {
     "config": (),
     "normalization": ("column_min", "column_max"),
-    "model": (
-        "components", "variance_fractions", "d", "W", "Lambda",
-        "variance_threshold", "centered", "column_means",
-    ),
+    "model": ("variance_fractions", "d", "W", "Lambda", "variance_threshold", "centered"),
     "clusters": ("centers", "categories", "projections"),
 }
 
 
 def load_snapshot(path) -> Snapshot:
-    """Read a snapshot written by :func:`save_snapshot`; a missing key, or
+    """Read a snapshot written by :func:`save_snapshot`, in format 2 or in
+    format 1, whose extra keys are ignored; a missing key, or
     an array of the wrong shape or with a non-finite entry, is a
     ``ValidationError`` naming the file and the key."""
     doc = read_json(path)
@@ -112,10 +104,9 @@ def _array(doc: dict, section: str, key: str, shape: tuple[int, ...]) -> np.ndar
 def _snapshot_from_doc(doc) -> Snapshot:
     if not isinstance(doc, dict):
         raise ValidationError("snapshot must be a JSON object")
-    if doc.get("format_version") != FORMAT_VERSION:
-        raise ValidationError(
-            f"unsupported snapshot format {doc.get('format_version')!r}"
-        )
+    version = doc.get("format_version")
+    if type(version) is not int or version not in (1, FORMAT_VERSION):
+        raise ValidationError(f"unsupported snapshot format {version!r}")
     for section, keys in _SECTIONS.items():
         if not isinstance(doc.get(section), dict):
             raise ValidationError(f"missing or malformed '{section}' section")
@@ -131,18 +122,17 @@ def _snapshot_from_doc(doc) -> Snapshot:
     if type(d) is not int or not 1 <= d <= n:
         raise ValidationError(f"'model.d' must be an integer in [1, {n}], got {d!r}")
     model = PcaModel(
-        components=_array(doc, "model", "components", (n, n)),
+        components=None,
         variance_fractions=_array(doc, "model", "variance_fractions", (n,)),
         d=d,
         W=_array(doc, "model", "W", (n, d)),
         Lambda=_array(doc, "model", "Lambda", (d,)),
         variance_threshold=float(_array(doc, "model", "variance_threshold", ())),
         centered=typed(doc["model"], "centered", bool, label="model.centered"),
-        column_means=_array(doc, "model", "column_means", (n,)),
     )
     centers = _array(doc, "clusters", "centers", (k, d))
     projections = _array(doc, "clusters", "projections", (k,)).tolist()
-    per_cluster = bind_categories(centers, projections, config.labels)
+    per_cluster = bind_categories(projections, config.labels)
     stored = doc["clusters"]["categories"]
     bound = [c.category for c in sorted(per_cluster, key=lambda c: c.cluster)]
     if bound != stored:

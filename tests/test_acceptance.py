@@ -210,7 +210,6 @@ def test_criterion_7_ordering_invariances(country_config, country_dataset):
             out.model.variance_fractions,
             out.model.variance_threshold,
             centered=out.model.centered,
-            column_means=out.model.column_means,
         )
         assert model2.d == out.model.d
         assert np.array_equal(model2.W, out.model.W)

@@ -189,6 +189,23 @@ def test_score_unknown_object_warns(workdir, data_dir, capsys):
     )
 
 
+def test_repeated_reference_pair_names_both_rows(workdir, data_dir, capsys):
+    ref = workdir / "reference.csv"
+    rows = ref.read_text().splitlines()
+    assert "Switzerland,S&P," in rows[1], rows[1]
+    ref.write_text("\n".join(rows + ["Switzerland,S&P,CCC"]) + "\n")
+    code = run_cli(
+        "score", "--ratings", data_dir / "table8_model_categories.csv",
+        "--reference", ref, "--out-dir", workdir / "out",
+    )
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err == (
+        f"error: {ref}: row {len(rows) + 1}: object 'Switzerland' is already "
+        "rated by agency 'S&P' at row 2\n"
+    ), err
+
+
 def test_uncollapsible_category_is_validation_error(workdir, data_dir, capsys):
     (workdir / "ref.csv").write_text("object,agency,category\nSwitzerland,Fitch,ZZ\n")
     code = run_cli(
@@ -257,9 +274,14 @@ def _edit_config(workdir, edit):
     (lambda c: c.__setitem__("center", "false"), "'center'"),
     (lambda c: c["indicators"][3].__setitem__("pre_normalized", "false"),
      "'indicators[3].pre_normalized'"),
+    (lambda c: c["labels"].__setitem__(1, 1.5), "'labels[1]'"),
+    (lambda c: c.__setitem__("distance", ["euclidean"]), "'distance'"),
+    (lambda c: c["indicators"][4].__setitem__("name", 5), "'indicators[4].name'"),
+    (lambda c: c.__setitem__("collapse_table", {"AA+": 5}), "'collapse_table.AA+'"),
 ], ids=["indicator-without-name", "indicator-is-string", "k-not-integer", "labels-null",
         "k-fraction", "k-string", "seed-bool", "restarts-float", "max-iterations-string",
-        "threshold-string", "center-string", "pre-normalized-string"])
+        "threshold-string", "center-string", "pre-normalized-string", "label-number",
+        "distance-list", "indicator-name-number", "collapse-value-number"])
 def test_bad_config_field_names_file_and_field(workdir, capsys, edit, field):
     config = _edit_config(workdir, edit)
     code = run_cli(

@@ -1,11 +1,16 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from relarm.cli import main
 from relarm.errors import ValidationError
 from relarm.pipeline import build_snapshot
 from relarm.snapshot import load_snapshot, save_snapshot, score_with_snapshot
+
+# written by `relarm fit` on the country sample before format 2
+SNAPSHOT_V1 = Path(__file__).parent / "data" / "snapshot_country_v1.json"
 
 
 def test_snapshot_roundtrip_is_lossless(tmp_path, country_config, country_dataset, country_run):
@@ -13,7 +18,9 @@ def test_snapshot_roundtrip_is_lossless(tmp_path, country_config, country_datase
     path = tmp_path / "snapshot.json"
     save_snapshot(snap, path)
     loaded = load_snapshot(path)
-    np.testing.assert_array_equal(loaded.model.components, snap.model.components)
+    assert loaded.model.components is None
+    np.testing.assert_array_equal(loaded.model.Lambda, snap.model.Lambda)
+    np.testing.assert_array_equal(loaded.model.variance_fractions, snap.model.variance_fractions)
     np.testing.assert_array_equal(loaded.model.W, snap.model.W)
     np.testing.assert_array_equal(loaded.centers, snap.centers)
     np.testing.assert_array_equal(loaded.column_min, snap.column_min)
@@ -54,6 +61,26 @@ def test_scoring_new_objects(tmp_path, country_config, country_dataset, country_
     assert order.index(cats["Utopia"]) < order.index(cats["Dystopia"])
 
 
+def test_format_1_snapshot_assigns_like_run(tmp_path, data_dir):
+    common = ["--data", str(data_dir / "country_raw.csv"), "--out-dir"]
+    assert main(["run", "--config", str(data_dir / "country_config.json"),
+                 *common, str(tmp_path / "run")]) == 0
+    assert main(["assign", "--snapshot", str(SNAPSHOT_V1),
+                 *common, str(tmp_path / "assigned")]) == 0
+    run = (tmp_path / "run" / "ratings.csv").read_bytes()
+    assert (tmp_path / "assigned" / "ratings.csv").read_bytes() == run
+
+
+def test_format_1_snapshot_saves_as_format_2_without_unread_keys(tmp_path):
+    path = tmp_path / "snapshot.json"
+    save_snapshot(load_snapshot(SNAPSHOT_V1), path)
+    doc = json.loads(SNAPSHOT_V1.read_text())
+    assert doc["format_version"] == 1
+    del doc["model"]["components"], doc["model"]["column_means"]
+    doc["format_version"] = 2
+    assert path.read_text() == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
 def test_load_rejects_categories_that_disagree_with_projections(
     tmp_path, country_config, country_dataset, country_run
 ):
@@ -89,10 +116,11 @@ def _drop_last(rows):
      "'clusters.centers'"),
     (lambda doc: doc["normalization"]["column_max"].__setitem__(1, float("inf")),
      "'normalization.column_max'"),
+    (lambda doc: doc.__setitem__("format_version", 3), "unsupported snapshot format 3"),
 ], ids=["ragged-center", "ragged-W", "no-clusters", "no-Lambda", "center-missing",
         "W-not-numbers", "config-k", "config-k-float", "config-center-string",
         "config-pre-normalized-int", "model-centered-string", "center-nan",
-        "column-max-infinite"])
+        "column-max-infinite", "format-version-3"])
 def test_load_rejects_malformed_snapshot(
     tmp_path, country_config, country_dataset, country_run, edit, key
 ):
