@@ -89,12 +89,19 @@ def _write_normalized(out_dir: Path, normalized) -> Path:
 
 def _fit(args, reference=None):
     """Fit on ``--data`` with the config and its overrides, and write the
-    snapshot; returns (config, outputs, output directory)."""
+    snapshot; returns (config, outputs, output directory).  A fit that
+    stopped at the Lloyd cap is reported on stderr."""
     cfg = load_config(args.config).with_overrides(
         seed=args.seed, k=args.k, variance_threshold=args.threshold
     )
     dataset = load_dataset(args.data, cfg.indicators)
     outputs = run_pipeline(cfg, dataset, reference=reference)
+    if not outputs.clusters.converged:
+        print(
+            f"warning: k-means stopped at max_iterations={cfg.max_iterations} "
+            f"before converging",
+            file=sys.stderr,
+        )
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     save_snapshot(build_snapshot(cfg, dataset, outputs), out_dir / "snapshot.json")

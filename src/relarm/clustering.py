@@ -58,7 +58,9 @@ def _splitmix64(x: int) -> int:
 
 @dataclass(frozen=True)
 class ClusteringResult:
-    """Outcome of the best restart: assignments are 1-based cluster ids."""
+    """Outcome of the best restart: assignments are 1-based cluster ids.
+    ``converged`` is False when ``max_iterations`` stopped it short of a
+    Lloyd fixed point."""
 
     assignments: tuple[int, ...]
     centers: np.ndarray = field(repr=False)
@@ -66,6 +68,7 @@ class ClusteringResult:
     restarts_used: int
     seed: int
     sse_history: tuple[float, ...] = ()
+    converged: bool = True
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "centers", _freeze(self.centers))
@@ -164,9 +167,28 @@ def _lloyd(
         if it == max_iterations - 1:
             break  # the cap: keep the centers this assignment was made against
         prev = assign
-        for j in range(coords.shape[0]):
-            centers[:, j] = np.bincount(assign, weights=coords[j], minlength=k) / counts
+        _means(coords, assign, counts, out=centers)
     return assign, centers, history[-1], history
+
+
+def _means(coords, assign, counts, out: np.ndarray) -> np.ndarray:
+    """The cluster means of the points into ``out`` (k x d), each summed
+    in index order."""
+    for j, c in enumerate(coords):
+        out[:, j] = np.bincount(assign, weights=c, minlength=counts.size) / counts
+    return out
+
+
+def _is_fixed_point(points: np.ndarray, assign: np.ndarray, centers: np.ndarray) -> bool:
+    """Whether another Lloyd iteration would leave ``assign`` and ``centers``
+    as they are, as it does once ``_lloyd`` has converged."""
+    coords = _coords(points)
+    counts = np.bincount(assign, minlength=centers.shape[0])
+    return (
+        bool(counts.all())
+        and np.array_equal(nearest_center(coords, centers)[0], assign)
+        and np.array_equal(_means(coords, assign, counts, np.empty_like(centers)), centers)
+    )
 
 
 def kmeans(
@@ -215,4 +237,5 @@ def kmeans(
         restarts_used=restarts,
         seed=seed,
         sse_history=tuple(history),
+        converged=_is_fixed_point(x, assign, centers),
     )

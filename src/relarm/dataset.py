@@ -221,19 +221,23 @@ def _parse_plain(
     """
     if '"' in text:
         return None
-    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    lines = text.split("\n")
     if lines[-1] == "":
         lines.pop()
     if len(lines) < 2:
         return None
     data_names = [c.strip() for c in lines[0].split(",")][1:]
     spec_names = [s.name for s in specs]
-    if sorted(data_names) != sorted(spec_names):
-        return None
     commas = len(data_names)
+    if sorted(data_names) != sorted(spec_names) or len(set(data_names)) != commas:
+        return None
     data = lines[1:]
-    # also rejects blank lines, which loadtxt would skip
-    if any(line.count(",") != commas for line in data):
+    # loadtxt reads every column up to the last, and raises on a row
+    # narrower than that, so when the total matches, every row has exactly
+    # ``commas`` commas
+    if text.count(",") != commas * len(lines):
         return None
     try:
         values = np.loadtxt(
@@ -245,6 +249,8 @@ def _parse_plain(
             ndmin=2,
         )
     except ValueError:
+        return None
+    if values.shape[0] != len(data):  # loadtxt skips blank lines
         return None
     return [line.partition(",")[0].strip() for line in data], values
 

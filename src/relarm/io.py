@@ -6,10 +6,13 @@ a written file reproduces the exact double.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import json
 import math
+import os
 from io import StringIO
+from pathlib import Path
 
 import numpy as np
 
@@ -22,9 +25,33 @@ def _fmt(v: float) -> str:
     return repr(float(v))
 
 
+@contextlib.contextmanager
+def atomic_write(path, newline=None):
+    """A UTF-8 text file to write ``path``'s new content to.  It is a
+    temporary file in ``path``'s directory that replaces ``path`` when the
+    block ends, so readers see the old file or the whole new one; when the
+    block raises, it is removed and ``path`` is left as it was."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.urandom(6).hex()}.tmp")
+    fh = open(tmp, "x", newline=newline, encoding="utf-8")
+    try:
+        with fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
+
+
+def _csv_line(cells) -> str:
+    buf = StringIO()
+    csv.writer(buf).writerow(cells)
+    return buf.getvalue()
+
+
 def write_matrix_csv(path, values: np.ndarray, header: list[str], row_ids=None) -> None:
     values = np.atleast_2d(values)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    with atomic_write(path, newline="") as fh:
         w = csv.writer(fh)
         w.writerow(header)
         for i, row in enumerate(values):
@@ -35,13 +62,27 @@ def write_matrix_csv(path, values: np.ndarray, header: list[str], row_ids=None) 
 
 
 def write_ratings_csv(path, ratings: RatingResult) -> None:
-    row_of = {
+    """One row per object: its id and its cluster's id, projection and
+    category, quoted as ``csv.writer`` quotes them.  Each cluster's part of
+    a row is formatted once; only when some id needs quoting, or is not a
+    string, does every row go through ``csv.writer``."""
+    cells = {
         c.cluster: (c.cluster, _fmt(c.projection), c.category) for c in ratings.per_cluster
     }
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    try:
+        plain = not any(ch in "".join(ratings.objects) for ch in ',"\r\n')
+    except TypeError:  # an id that is not a string: csv.writer formats it
+        plain = False
+    with atomic_write(path, newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["object", "cluster", "projection", "category"])
-        w.writerows((obj, *row_of[c]) for obj, c in zip(ratings.objects, ratings.clusters))
+        if plain:
+            suffix = {c: "," + _csv_line(row) for c, row in cells.items()}
+            fh.write(
+                "".join(obj + suffix[c] for obj, c in zip(ratings.objects, ratings.clusters))
+            )
+        else:
+            w.writerows((obj, *cells[c]) for obj, c in zip(ratings.objects, ratings.clusters))
 
 
 def _cell(path, r: int, row: dict, column: str, kind):
@@ -146,6 +187,6 @@ def write_agreement_json(path, report: AgreementReport) -> None:
         ],
         "note": report.note,
     }
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path) as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)
         fh.write("\n")

@@ -12,9 +12,10 @@ from .clustering import nearest_center
 from .config import PipelineConfig, config_from_dict, config_to_dict
 from .dataset import RawDataset, _freeze, read_json, typed
 from .errors import ValidationError
+from .io import atomic_write
 from .normalize import NormalizedMatrix, scale_dataset
 from .pca import PcaModel
-from .rating import ClusterRating, RatingResult, bind_categories
+from .rating import ClusterRating, RatingResult, bind_categories, project_center
 
 FORMAT_VERSION = 2  # format 1 also stored model.components and model.column_means
 
@@ -61,7 +62,7 @@ def save_snapshot(snapshot: Snapshot, path) -> None:
             "projections": [c.projection for c in by_id],
         },
     }
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path) as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
@@ -76,9 +77,10 @@ _SECTIONS = {
 
 def load_snapshot(path) -> Snapshot:
     """Read a snapshot written by :func:`save_snapshot`, in format 2 or in
-    format 1, whose extra keys are ignored; a missing key, or
-    an array of the wrong shape or with a non-finite entry, is a
-    ``ValidationError`` naming the file and the key."""
+    format 1, whose extra keys are ignored; a missing key, an array of
+    the wrong shape or with a non-finite entry, or a derived fact that
+    disagrees with the fit it derives from (``Lambda``, the projections,
+    the categories) is a ``ValidationError`` naming the file and the key."""
     doc = read_json(path)
     try:
         return _snapshot_from_doc(doc)
@@ -130,8 +132,20 @@ def _snapshot_from_doc(doc) -> Snapshot:
         variance_threshold=float(_array(doc, "model", "variance_threshold", ())),
         centered=typed(doc["model"], "centered", bool, label="model.centered"),
     )
+    if not np.array_equal(model.Lambda, model.variance_fractions[:d]):
+        raise ValidationError(
+            f"'model.Lambda' {model.Lambda.tolist()} is not the first d={d} "
+            f"entries of 'model.variance_fractions'"
+        )
     centers = _array(doc, "clusters", "centers", (k, d))
     projections = _array(doc, "clusters", "projections", (k,)).tolist()
+    # the fit's own products, to a tolerance for another BLAS's rounding
+    fitted = [project_center(c, model.Lambda) for c in centers]
+    if not np.allclose(projections, fitted, rtol=1e-12, atol=0.0):
+        raise ValidationError(
+            f"'clusters.projections' {projections} disagree with {fitted}, "
+            f"the centers' projections on Lambda"
+        )
     per_cluster = bind_categories(projections, config.labels)
     stored = doc["clusters"]["categories"]
     bound = [c.category for c in sorted(per_cluster, key=lambda c: c.cluster)]

@@ -252,6 +252,36 @@ def test_assign_matches_run_at_iteration_cap(tmp_path, cap):
     assert assigned == run
 
 
+@pytest.mark.parametrize("command", ["run", "fit"])
+def test_iteration_cap_warns_on_stderr(workdir, capsys, command):
+    capped = _edit_config(workdir, lambda c: c.__setitem__("max_iterations", 1))
+    outs = []
+    for config in (workdir / "config.json", capped):
+        code = run_cli(
+            command, "--config", config, "--data", workdir / "data.csv",
+            "--out-dir", workdir / "out",
+        )
+        assert code == 0
+        outs.append(capsys.readouterr())
+    assert outs[0].err == ""
+    assert outs[1].err == "warning: k-means stopped at max_iterations=1 before converging\n"
+    assert outs[1].out == outs[0].out
+
+
+def test_writers_leave_only_their_outputs(workdir):
+    """Every output goes through a temporary file that is renamed into
+    place, and none of those is left behind."""
+    assert run_cli(
+        "run", "--config", workdir / "config.json", "--data", workdir / "data.csv",
+        "--reference", workdir / "reference.csv", "--dump-intermediates",
+        "--out-dir", workdir / "out",
+    ) == 0
+    assert sorted(p.name for p in (workdir / "out").iterdir()) == [
+        "agreement.json", "centers.csv", "features.csv", "lambda.csv",
+        "normalized.csv", "ratings.csv", "snapshot.json", "w_matrix.csv",
+    ]
+
+
 def _edit_config(workdir, edit):
     cfg = json.loads((workdir / "config.json").read_text())
     edit(cfg)

@@ -157,3 +157,17 @@ def test_empty_cluster_repair_keeps_singletons():
     assert history == [2501.0, 0.5]
     assert assign.tolist() == [0, 0, 2, 1]
     assert centers.ravel().tolist() == [0.5, 100.0, 2.0]
+
+
+def test_converged_flag_marks_the_iteration_cap():
+    """The winner's run converges on iteration n: a cap of n still reports
+    it converged (and gives the same result), a cap of n - 1 does not."""
+    rng = np.random.default_rng(5)
+    pts = rng.normal(size=(200, 2))
+    free = kmeans(pts, k=5, seed=2, restarts=1)
+    n = len(free.sse_history)
+    assert free.converged and n >= 3
+    at_cap = kmeans(pts, k=5, seed=2, restarts=1, max_iterations=n)
+    assert at_cap.converged and at_cap.assignments == free.assignments
+    np.testing.assert_array_equal(at_cap.centers, free.centers)
+    assert not kmeans(pts, k=5, seed=2, restarts=1, max_iterations=n - 1).converged

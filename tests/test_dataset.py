@@ -174,11 +174,18 @@ def tables(draw):
                           min_size=1, max_size=4, unique=True))
     spec_order = draw(st.permutations(names))
     specs = tuple(IndicatorSpec(n, Direction.POSITIVE) for n in spec_order)
-    defect = draw(st.sampled_from([None, None, None, "blank", "quote", "cell", "header"]))
+    defect = draw(st.sampled_from(
+        [None, None, None, "blank", "quote", "cell", "header", "ragged", "space"]
+    ))
     pad = lambda s: draw(PAD) + s + draw(PAD)  # noqa: E731
     rows = [[pad("object")] + [pad(n) for n in names]]
     for _ in range(0 if defect == "header" else draw(st.integers(1, 6))):
         rows.append([pad(draw(ID))] + [pad(draw(NUMBER)) for _ in names])
+    if defect == "ragged":  # one row a cell wider, another a cell narrower
+        rows.append([pad(draw(ID))] + [pad(draw(NUMBER)) for _ in names])
+        wide, narrow = draw(st.permutations(range(1, len(rows))))[:2]
+        rows[wide].append(pad(draw(NUMBER)))
+        rows[narrow].pop()
     if defect == "quote":
         rows[draw(st.integers(1, len(rows) - 1))][0] = draw(QUOTED_ID)
     if defect == "cell":
@@ -186,8 +193,9 @@ def tables(draw):
             draw(ODD_CELL)
         )
     lines = [",".join(row) for row in rows]
-    if defect == "blank":
-        lines.insert(draw(st.integers(1, len(lines))), "")
+    if defect in ("blank", "space"):
+        line = "" if defect == "blank" else draw(st.sampled_from([" ", "\t", "  "]))
+        lines.insert(draw(st.integers(1, len(lines))), line)
     end = draw(st.sampled_from(["\n", "\r\n", "\r"]))
     text = end.join(lines) + (end if draw(st.booleans()) else "")
     return text, specs
@@ -238,6 +246,9 @@ def test_plain_parse_taken(text):
     'object,x,y\n"a,b",1,2\nb,3,4\n',  # quoted id
     "object,x,y\na,1_000,2\nb,3,4\n",  # float()-only syntax
     "object,x,y\na,1,2,3\nb,3,4\n",  # ragged row
+    "object,x,y\na,1,2,3\nb,3\n",  # ragged rows whose commas add up
+    "object,x,y\na,1,2\n \nb,3,4\n",  # whitespace-only line
+    "object,x,y\na,1,2,3,4\n\nb,3,4\n",  # blank line beside a wide row
     "object,x,z\na,1,2\nb,3,4\n",  # names differ from the spec
     "object,x,y\na,,2\nb,3,4\n",  # missing value
 ])
@@ -245,10 +256,18 @@ def test_plain_parse_declined(text):
     assert _parse_plain(text, SPECS_XY) is None
 
 
+def test_plain_parse_declines_repeated_header_names():
+    # loadtxt would read column 1 twice and never see the rows' widths
+    specs = (IndicatorSpec("x", Direction.POSITIVE),) * 2
+    assert _parse_plain("object,x,x\na,1\nb,3,4,5\n", specs) is None
+
+
 @pytest.mark.parametrize("text, outcome", [
     ("object,x,y\na,1_000,2\nb,3,4\n", [[2.0, 1000.0], [4.0, 3.0]]),
     ('object,x,y\n"a,b",1,2\nb,3,4\n', [[2.0, 1.0], [4.0, 3.0]]),
     ("object,x,y\na,1,2\n\nb,3,4\n", r"row 3 has 0 cells, expected 3"),
+    ("object,x,y\na,1,2,3\nb,3\n", r"row 2 has 4 cells, expected 3"),
+    ("object,x,y\na,1,2\n \nb,3,4\n", r"row 3 has 1 cells, expected 3"),
     ("object,x,y\na,#1,2\nb,3,4\n", r"row 2, column 'x': non-numeric value '#1'"),
     ("object,x,y\n", "need at least 2 rating objects"),
 ])

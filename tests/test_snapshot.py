@@ -99,6 +99,10 @@ def _drop_last(rows):
     rows.pop()
 
 
+def _scale(section, key, factor):
+    section[key] = [factor * x for x in section[key]]
+
+
 @pytest.mark.parametrize("edit, key", [
     (lambda doc: _drop_last(doc["clusters"]["centers"][2]), "'clusters.centers'"),
     (lambda doc: _drop_last(doc["model"]["W"][4]), "'model.W'"),
@@ -117,10 +121,13 @@ def _drop_last(rows):
     (lambda doc: doc["normalization"]["column_max"].__setitem__(1, float("inf")),
      "'normalization.column_max'"),
     (lambda doc: doc.__setitem__("format_version", 3), "unsupported snapshot format 3"),
+    (lambda doc: _scale(doc["model"], "Lambda", 3), "'model.Lambda'"),
+    (lambda doc: _scale(doc["clusters"], "projections", 7), "'clusters.projections'"),
 ], ids=["ragged-center", "ragged-W", "no-clusters", "no-Lambda", "center-missing",
         "W-not-numbers", "config-k", "config-k-float", "config-center-string",
         "config-pre-normalized-int", "model-centered-string", "center-nan",
-        "column-max-infinite", "format-version-3"])
+        "column-max-infinite", "format-version-3", "Lambda-tripled",
+        "projections-times-7"])
 def test_load_rejects_malformed_snapshot(
     tmp_path, country_config, country_dataset, country_run, edit, key
 ):
@@ -132,3 +139,18 @@ def test_load_rejects_malformed_snapshot(
     with pytest.raises(ValidationError) as exc:
         load_snapshot(path)
     assert str(exc.value).startswith(f"{path}: ") and key in str(exc.value)
+
+
+def test_load_accepts_projections_a_rounding_apart(
+    tmp_path, country_config, country_dataset, country_run
+):
+    """Another BLAS may round a center's projection differently: a snapshot
+    whose projections are one ulp off still loads, and keeps them."""
+    path = tmp_path / "snapshot.json"
+    save_snapshot(build_snapshot(country_config, country_dataset, country_run), path)
+    doc = json.loads(path.read_text())
+    nudged = np.nextafter(doc["clusters"]["projections"], np.inf).tolist()
+    doc["clusters"]["projections"] = nudged
+    path.write_text(json.dumps(doc))
+    loaded = load_snapshot(path)
+    assert [c.projection for c in sorted(loaded.per_cluster, key=lambda c: c.cluster)] == nudged
