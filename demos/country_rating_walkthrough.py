@@ -28,7 +28,7 @@ print(f"loaded {dataset.n_objects} objects x {dataset.n_indicators} indicators")
 # 1. direction-aware min-max scaling onto [0, 1]
 normalized = normalize_dataset(dataset)
 print("\nnormalized rows (first 3):")
-for obj, row in list(zip(normalized.objects, normalized.values))[:3]:
+for obj, row in list(zip(dataset.objects, normalized))[:3]:
     print(f"  {obj:<15}", np.round(row, 2))
 
 # 2. principal components, l1-scaled; keep enough for 95% of the variance

@@ -13,12 +13,7 @@ from .dataset import (
     save_dataset,
 )
 from .errors import NumericalError, RelarmError, ValidationError
-from .normalize import (
-    ConstantColumnWarning,
-    NormalizedMatrix,
-    normalize_column,
-    normalize_dataset,
-)
+from .normalize import ConstantColumnWarning, normalize_dataset
 from .pca import PcaModel, fit_pca, jacobi_eigh
 from .pipeline import PipelineOutputs, build_snapshot, run_pipeline
 from .rating import (
@@ -40,7 +35,6 @@ __all__ = [
     "ConstantColumnWarning",
     "Direction",
     "IndicatorSpec",
-    "NormalizedMatrix",
     "NumericalError",
     "PcaModel",
     "PipelineConfig",
@@ -63,7 +57,6 @@ __all__ = [
     "load_dataset",
     "load_snapshot",
     "map_to_feature_space",
-    "normalize_column",
     "normalize_dataset",
     "project_center",
     "run_pipeline",

@@ -76,13 +76,10 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _write_normalized(out_dir: Path, normalized) -> Path:
+def _write_normalized(out_dir: Path, normalized, objects, indicators) -> Path:
     path = out_dir / "normalized.csv"
     io.write_matrix_csv(
-        path,
-        normalized.values,
-        ["object"] + [s.name for s in normalized.indicators],
-        row_ids=list(normalized.objects),
+        path, normalized, ["object"] + [s.name for s in indicators], row_ids=objects
     )
     return path
 
@@ -120,7 +117,8 @@ def _cmd_run(args) -> int:
             + (f"{frac:.4f}" if frac is not None else "no comparable objects")
         )
     if args.dump_intermediates:
-        _write_normalized(out_dir, outputs.normalized)
+        objects = outputs.ratings.objects
+        _write_normalized(out_dir, outputs.normalized, objects, cfg.indicators)
         model = outputs.model
         pc_names = [f"PC{p + 1}" for p in range(model.d)]
         io.write_matrix_csv(
@@ -134,7 +132,7 @@ def _cmd_run(args) -> int:
             out_dir / "features.csv",
             outputs.features,
             ["object"] + pc_names,
-            row_ids=list(outputs.normalized.objects),
+            row_ids=objects,
         )
         io.write_matrix_csv(
             out_dir / "centers.csv",
@@ -152,7 +150,9 @@ def _cmd_normalize(args) -> int:
     dataset = load_dataset(args.data, cfg.indicators)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    path = _write_normalized(out_dir, normalize_dataset(dataset))
+    path = _write_normalized(
+        out_dir, normalize_dataset(dataset), dataset.objects, cfg.indicators
+    )
     print(f"wrote {path}")
     return EXIT_OK
 

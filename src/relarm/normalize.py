@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -14,33 +13,6 @@ from .errors import ValidationError
 
 class ConstantColumnWarning(UserWarning):
     """A column carried no information; all its entries were mapped to 0.5."""
-
-
-@dataclass(frozen=True)
-class NormalizedMatrix:
-    """M x N matrix of values scaled to [0, 1], column order as declared.
-
-    ``constant_columns`` lists indices of columns whose fitted range had
-    no spread and were therefore mapped to 0.5 everywhere.
-    """
-
-    objects: tuple[str, ...]
-    indicators: tuple[IndicatorSpec, ...]
-    values: np.ndarray = field(repr=False)
-    constant_columns: tuple[int, ...] = ()
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "values", _freeze(self.values))
-        if self.values.min() < 0.0 or self.values.max() > 1.0:
-            raise ValidationError("normalized values must lie in [0, 1]")
-
-    @property
-    def n_objects(self) -> int:
-        return len(self.objects)
-
-    @property
-    def n_indicators(self) -> int:
-        return len(self.indicators)
 
 
 def scale_column(col: np.ndarray, lo, hi, spec: IndicatorSpec) -> np.ndarray:
@@ -79,54 +51,29 @@ def scale_column(col: np.ndarray, lo, hi, spec: IndicatorSpec) -> np.ndarray:
     return np.clip(out, 0.0, 1.0)
 
 
-def scale_dataset(raw: RawDataset, lo, hi) -> NormalizedMatrix:
+def scale_dataset(raw: RawDataset, lo, hi) -> np.ndarray:
     """Scale every column of ``raw`` with :func:`scale_column` over the
-    per-column ranges ``lo``/``hi``; columns whose range has no spread are
-    listed as constant."""
+    per-column ranges ``lo``/``hi``: the frozen M x N matrix, columns in
+    the declared order."""
     values = np.empty_like(raw.values)
     for j, spec in enumerate(raw.indicators):
         values[:, j] = scale_column(raw.values[:, j], lo[j], hi[j], spec)
-    return NormalizedMatrix(
-        objects=raw.objects,
-        indicators=raw.indicators,
-        values=values,
-        constant_columns=tuple(
-            j
-            for j, spec in enumerate(raw.indicators)
-            if not spec.pre_normalized and lo[j] == hi[j]
-        ),
-    )
+    return _freeze(values)
 
 
-def normalize_column(raw, direction: Direction) -> np.ndarray:
-    """Min-max scale one column over its own range (see
-    :func:`scale_column`).  A constant column is mapped to 0.5 with a
-    :class:`ConstantColumnWarning`.
-    """
-    raw = np.asarray(raw, dtype=np.float64)
-    if raw.ndim != 1 or raw.size < 2:
-        raise ValidationError("column must be a 1-D vector of length >= 2")
-    if not np.isfinite(raw).all():
-        raise ValidationError("column contains non-finite values")
-    lo, hi = raw.min(), raw.max()
-    if lo == hi:
-        warnings.warn(
-            "constant column mapped to 0.5", ConstantColumnWarning, stacklevel=2
-        )
-    return scale_column(raw, lo, hi, IndicatorSpec("column", direction))
-
-
-def normalize_dataset(raw: RawDataset) -> NormalizedMatrix:
+def normalize_dataset(raw: RawDataset) -> np.ndarray:
     """Scale every column over its range in ``raw``, with each indicator's
     direction; one :class:`ConstantColumnWarning` names each constant
     column.  Columns flagged pre-normalized are copied verbatim after a
     range check.
     """
-    out = scale_dataset(raw, raw.values.min(axis=0), raw.values.max(axis=0))
-    for j in out.constant_columns:
-        warnings.warn(
-            f"column {raw.indicators[j].name!r} is constant; mapped to 0.5",
-            ConstantColumnWarning,
-            stacklevel=2,
-        )
+    lo, hi = raw.values.min(axis=0), raw.values.max(axis=0)
+    out = scale_dataset(raw, lo, hi)
+    for j, spec in enumerate(raw.indicators):
+        if not spec.pre_normalized and lo[j] == hi[j]:
+            warnings.warn(
+                f"column {spec.name!r} is constant; mapped to 0.5",
+                ConstantColumnWarning,
+                stacklevel=2,
+            )
     return out

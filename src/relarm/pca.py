@@ -1,5 +1,6 @@
-"""Principal components of the normalized matrix, l1-scaled, with the
-weight matrix W and the rating vector of retained variance fractions.
+"""Principal components of the normalized M x N matrix B, l1-scaled,
+with the N x d weight matrix W and the rating vector Lambda of retained
+variance fractions.
 
 ``fit_pca`` solves the eigenproblem with ``np.linalg.eigh``;
 ``jacobi_eigh`` is the pure-Python reference solver it replaced, kept for
@@ -13,7 +14,6 @@ import numpy as np
 
 from .dataset import _freeze
 from .errors import NumericalError, ValidationError
-from .normalize import NormalizedMatrix
 
 _RANK_EPS = 1e-12  # eigenvalues below this fraction of the trace count as zero
 
@@ -148,11 +148,9 @@ def derive_weights(
 
 
 def fit_pca(
-    B: NormalizedMatrix | np.ndarray,
-    variance_threshold: float = 0.95,
-    center: bool = True,
+    B: np.ndarray, variance_threshold: float = 0.95, center: bool = True
 ) -> PcaModel:
-    """Fit principal components to the normalized matrix.
+    """Fit principal components to the M x N normalized matrix ``B``.
 
     Components are eigenvectors of the sample covariance matrix
     (divisor M - 1) of the mean-centered data, computed by LAPACK's
@@ -164,7 +162,7 @@ def fit_pca(
         raise ValidationError(
             f"variance threshold must be in (0, 1], got {variance_threshold}"
         )
-    x = B.values if isinstance(B, NormalizedMatrix) else np.asarray(B, dtype=np.float64)
+    x = np.asarray(B, dtype=np.float64)
     if x.ndim != 2 or x.shape[0] < 2:
         raise ValidationError("need an M x N matrix with M >= 2")
     m = x.shape[0]

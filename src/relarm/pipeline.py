@@ -11,7 +11,7 @@ from .clustering import ClusteringResult, kmeans
 from .config import PipelineConfig
 from .dataset import RawDataset
 from .errors import ValidationError
-from .normalize import NormalizedMatrix, normalize_dataset
+from .normalize import normalize_dataset
 from .pca import PcaModel, fit_pca
 from .rating import AgreementReport, RatingResult, assign_ratings, score_agreement
 from .snapshot import Snapshot
@@ -19,7 +19,7 @@ from .snapshot import Snapshot
 
 @dataclass(frozen=True)
 class PipelineOutputs:
-    normalized: NormalizedMatrix
+    normalized: np.ndarray  # M x N normalized matrix B, one row per object
     model: PcaModel
     features: np.ndarray  # M x d, one row per object
     clusters: ClusteringResult

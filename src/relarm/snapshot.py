@@ -13,7 +13,7 @@ from .config import PipelineConfig, config_from_dict, config_to_dict
 from .dataset import RawDataset, _freeze, read_json, typed
 from .errors import ValidationError
 from .io import atomic_write
-from .normalize import NormalizedMatrix, scale_dataset
+from .normalize import scale_dataset
 from .pca import PcaModel
 from .rating import ClusterRating, RatingResult, bind_categories, project_center
 
@@ -164,10 +164,9 @@ def _snapshot_from_doc(doc) -> Snapshot:
     )
 
 
-def normalize_with_snapshot(
-    snapshot: Snapshot, raw: RawDataset
-) -> NormalizedMatrix:
-    """Scale raw values using the ranges frozen at fit time."""
+def normalize_with_snapshot(snapshot: Snapshot, raw: RawDataset) -> np.ndarray:
+    """Scale raw values using the ranges frozen at fit time: the M x N
+    normalized matrix."""
     if tuple(raw.indicators) != snapshot.config.indicators:
         raise ValidationError("dataset indicators do not match the snapshot")
     return scale_dataset(raw, snapshot.column_min, snapshot.column_max)

@@ -87,7 +87,7 @@ def test_map_dimension_mismatch(model):
 def test_map_with_synthetic_expert_column(country_run):
     """30 x 10 matrix: the 9 published columns plus a flat expert column."""
     b10 = np.hstack(
-        [country_run.normalized.values, np.full((30, 1), 0.5)]
+        [country_run.normalized, np.full((30, 1), 0.5)]
     )
     model = fit_pca(b10, 0.95)
     out = map_to_feature_space(b10, model)
@@ -102,7 +102,7 @@ def test_map_with_synthetic_expert_column(country_run):
 
 def test_comparison_consistency(country_run):
     model = country_run.model
-    b = country_run.normalized.values
+    b = country_run.normalized
     r = map_to_feature_space(b, model)
     for p in range(1, model.d + 1):
         sums = [float(np.abs(model.W[:, p - 1]) @ b[i]) for i in range(len(b))]

@@ -1,3 +1,4 @@
+import csv
 import json
 import shutil
 import tempfile
@@ -6,6 +7,7 @@ import numpy as np
 import pytest
 
 from relarm.cli import main
+from relarm.normalize import normalize_dataset
 
 NAMES = [
     "gdp_growth",
@@ -30,6 +32,13 @@ def workdir(tmp_path, data_dir):
 
 def run_cli(*argv):
     return main([str(a) for a in argv])
+
+
+def read_matrix_csv(path):
+    """(header, row ids, values) of a matrix written by the CLI."""
+    with open(path, newline="") as fh:
+        header, *rows = csv.reader(fh)
+    return header, [r[0] for r in rows], np.array([[float(x) for x in r[1:]] for r in rows])
 
 
 def test_run_writes_outputs(workdir, capsys):
@@ -60,7 +69,7 @@ def test_run_byte_deterministic(workdir):
         assert (workdir / "a" / name).read_bytes() == (workdir / "b" / name).read_bytes()
 
 
-def test_dump_intermediates(workdir):
+def test_dump_intermediates(workdir, country_dataset, country_run):
     out = workdir / "out"
     run_cli(
         "run", "--config", workdir / "config.json", "--data", workdir / "data.csv",
@@ -68,6 +77,15 @@ def test_dump_intermediates(workdir):
     )
     for name in ("normalized.csv", "w_matrix.csv", "lambda.csv", "features.csv", "centers.csv"):
         assert (out / name).exists(), name
+    # rows in the data's order, every value read back exactly
+    header, ids, values = read_matrix_csv(out / "normalized.csv")
+    assert header == ["object"] + NAMES
+    assert ids == list(country_dataset.objects)
+    assert np.array_equal(values, normalize_dataset(country_dataset))
+    header, ids, values = read_matrix_csv(out / "features.csv")
+    assert header == ["object"] + [f"PC{p + 1}" for p in range(country_run.model.d)]
+    assert ids == list(country_dataset.objects)
+    assert np.array_equal(values, country_run.features)
 
 
 def test_missing_k_is_usage_error(workdir, capsys):
@@ -93,15 +111,17 @@ def test_flag_overrides_config(workdir):
     assert snap["config"]["seed"] == 7
 
 
-def test_normalize_subcommand(workdir):
+def test_normalize_subcommand(workdir, country_dataset):
     out = workdir / "out"
     code = run_cli(
         "normalize", "--config", workdir / "config.json",
         "--data", workdir / "data.csv", "--out-dir", out,
     )
     assert code == 0
-    header = (out / "normalized.csv").read_text().splitlines()[0]
-    assert header == "object," + ",".join(NAMES)
+    header, ids, values = read_matrix_csv(out / "normalized.csv")
+    assert header == ["object"] + NAMES
+    assert ids == list(country_dataset.objects)
+    assert np.array_equal(values, normalize_dataset(country_dataset))
 
 
 def test_fit_then_assign_matches_run(workdir):
@@ -220,6 +240,7 @@ def test_missing_required_flag_exits_1(capsys):
     with pytest.raises(SystemExit) as exc:
         run_cli("run")
     assert exc.value.code == 1
+
 
 
 @pytest.mark.parametrize("cap", [1, 2, 3])

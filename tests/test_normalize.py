@@ -6,12 +6,7 @@ from hypothesis.extra.numpy import arrays
 
 from relarm.dataset import Direction, IndicatorSpec, RawDataset
 from relarm.errors import ValidationError
-from relarm.normalize import (
-    ConstantColumnWarning,
-    normalize_column,
-    normalize_dataset,
-    scale_column,
-)
+from relarm.normalize import ConstantColumnWarning, normalize_dataset, scale_column
 
 columns = arrays(
     np.float64,
@@ -20,40 +15,41 @@ columns = arrays(
 )
 
 
+def make_dataset(values, specs):
+    return RawDataset(
+        objects=tuple(f"o{i}" for i in range(len(values))),
+        indicators=specs,
+        values=np.asarray(values, dtype=np.float64),
+    )
+
+
+def normalize_one(col, direction):
+    """One column scaled over its own range, through ``normalize_dataset``."""
+    ds = make_dataset(np.reshape(col, (-1, 1)), (IndicatorSpec("x", direction),))
+    return normalize_dataset(ds)[:, 0]
+
+
 def test_published_positive_example():
     col = np.array([4.44, 3.3, 5.76])
-    out = normalize_column(col, Direction.POSITIVE)
+    out = normalize_one(col, Direction.POSITIVE)
     assert out[0] == pytest.approx(0.4634, abs=1e-4)
 
 
 def test_published_negative_example():
     col = np.array([7.5, -1.3, 180.9])
-    out = normalize_column(col, Direction.NEGATIVE)
+    out = normalize_one(col, Direction.NEGATIVE)
     assert out[0] == pytest.approx(0.9517, abs=1e-4)
 
 
 def test_endpoints():
     col = np.array([2.0, 5.0, 9.0])
-    out = normalize_column(col, Direction.POSITIVE)
+    out = normalize_one(col, Direction.POSITIVE)
     assert out[0] == 0.0 and out[2] == 1.0
 
 
 def test_negative_direction_reverses():
-    out = normalize_column(np.array([0.0, 10.0]), Direction.NEGATIVE)
+    out = normalize_one(np.array([0.0, 10.0]), Direction.NEGATIVE)
     assert out.tolist() == [1.0, 0.0]
-
-
-def test_constant_column_maps_to_half_with_warning():
-    with pytest.warns(ConstantColumnWarning):
-        out = normalize_column(np.array([5.0, 5.0, 5.0]), Direction.POSITIVE)
-    assert out.tolist() == [0.5, 0.5, 0.5]
-
-
-def test_too_short_and_non_finite_rejected():
-    with pytest.raises(ValidationError):
-        normalize_column(np.array([1.0]), Direction.POSITIVE)
-    with pytest.raises(ValidationError):
-        normalize_column(np.array([1.0, np.inf]), Direction.POSITIVE)
 
 
 @given(col=columns, c=st.floats(min_value=1e-3, max_value=1e3),
@@ -65,8 +61,8 @@ def test_affine_invariance(col, c, s):
     transformed = c * col + s
     assume(np.ptp(transformed) > 1e-7 * max(1.0, np.abs(transformed).max()))
     for direction in Direction:
-        base = normalize_column(col, direction)
-        shifted = normalize_column(transformed, direction)
+        base = normalize_one(col, direction)
+        shifted = normalize_one(transformed, direction)
         np.testing.assert_allclose(shifted, base, atol=1e-8)
 
 
@@ -74,16 +70,16 @@ def test_affine_invariance(col, c, s):
 def test_direction_duality(col):
     if col.min() == col.max():
         return
-    pos = normalize_column(col, Direction.POSITIVE)
-    neg = normalize_column(col, Direction.NEGATIVE)
+    pos = normalize_one(col, Direction.POSITIVE)
+    neg = normalize_one(col, Direction.NEGATIVE)
     np.testing.assert_allclose(neg, 1.0 - pos, atol=1e-12)
 
 
 @pytest.mark.filterwarnings("ignore::relarm.normalize.ConstantColumnWarning")
 @given(col=columns)
 def test_rank_preservation(col):
-    pos = normalize_column(col, Direction.POSITIVE)
-    neg = normalize_column(col, Direction.NEGATIVE)
+    pos = normalize_one(col, Direction.POSITIVE)
+    neg = normalize_one(col, Direction.NEGATIVE)
     order = np.argsort(col, kind="stable")
     assert (np.diff(pos[order]) >= 0).all()
     assert (np.diff(neg[order]) <= 0).all()
@@ -92,7 +88,7 @@ def test_rank_preservation(col):
 @pytest.mark.filterwarnings("ignore::relarm.normalize.ConstantColumnWarning")
 @given(col=columns)
 def test_range_and_extremes(col):
-    out = normalize_column(col, Direction.POSITIVE)
+    out = normalize_one(col, Direction.POSITIVE)
     assert out.min() >= 0.0 and out.max() <= 1.0
     if col.min() != col.max():
         assert out.min() == 0.0 and out.max() == 1.0
@@ -102,15 +98,7 @@ def test_country_fixture_matches_published_matrix(
     country_dataset, table4_matrix, country_run
 ):
     np.testing.assert_allclose(
-        country_run.normalized.values, table4_matrix, atol=5e-3
-    )
-
-
-def make_dataset(values, specs):
-    return RawDataset(
-        objects=tuple(f"o{i}" for i in range(len(values))),
-        indicators=specs,
-        values=np.asarray(values, dtype=np.float64),
+        country_run.normalized, table4_matrix, atol=5e-3
     )
 
 
@@ -122,10 +110,10 @@ def test_normalize_dataset_constant_column_flagged():
             IndicatorSpec("v", Direction.POSITIVE),
         ),
     )
-    with pytest.warns(ConstantColumnWarning):
+    with pytest.warns(ConstantColumnWarning) as record:
         nm = normalize_dataset(ds)
-    assert nm.constant_columns == (0,)
-    assert nm.values[:, 0].tolist() == [0.5, 0.5, 0.5]
+    assert [str(w.message) for w in record] == ["column 'c' is constant; mapped to 0.5"]
+    assert nm[:, 0].tolist() == [0.5, 0.5, 0.5]
 
 
 def test_pre_normalized_passthrough_and_range_check():
@@ -135,7 +123,7 @@ def test_pre_normalized_passthrough_and_range_check():
     )
     ds = make_dataset([[0.0, 0.2], [10.0, 0.9]], specs)
     nm = normalize_dataset(ds)
-    assert nm.values[:, 1].tolist() == [0.2, 0.9]
+    assert nm[:, 1].tolist() == [0.2, 0.9]
 
     bad = make_dataset([[0.0, 0.2], [10.0, 1.5]], specs)
     with pytest.raises(ValidationError, match="outside"):
@@ -149,7 +137,7 @@ def test_column_order_independent_of_evaluation():
     )
     ds = make_dataset([[1.0, 4.0], [3.0, 2.0]], specs)
     nm = normalize_dataset(ds)
-    np.testing.assert_array_equal(nm.values, [[0.0, 0.0], [1.0, 1.0]])
+    np.testing.assert_array_equal(nm, [[0.0, 0.0], [1.0, 1.0]])
 
 
 def test_values_far_outside_a_stored_range_clip_without_overflow():
