@@ -45,7 +45,6 @@ def _build_parser() -> argparse.ArgumentParser:
     common(p_run)
     p_run.add_argument("--reference", help="reference ratings CSV for agreement scoring")
     p_run.add_argument("--seed", type=int, help="override config seed")
-    p_run.add_argument("--k", type=int, help="override config k")
     p_run.add_argument("--threshold", type=float, help="override variance threshold")
     p_run.add_argument(
         "--dump-intermediates",
@@ -59,7 +58,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_fit = sub.add_parser("fit", help="fit the model and write a snapshot")
     common(p_fit)
     p_fit.add_argument("--seed", type=int, help="override config seed")
-    p_fit.add_argument("--k", type=int, help="override config k")
     p_fit.add_argument("--threshold", type=float, help="override variance threshold")
 
     p_assign = sub.add_parser("assign", help="score objects against a saved snapshot")
@@ -89,7 +87,7 @@ def _fit(args, reference=None):
     snapshot; returns (config, outputs, output directory).  A fit that
     stopped at the Lloyd cap is reported on stderr."""
     cfg = load_config(args.config).with_overrides(
-        seed=args.seed, k=args.k, variance_threshold=args.threshold
+        seed=args.seed, variance_threshold=args.threshold
     )
     dataset = load_dataset(args.data, cfg.indicators)
     outputs = run_pipeline(cfg, dataset, reference=reference)

@@ -9,6 +9,7 @@ import json
 import os
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import zip_longest
 
 import numpy as np
 
@@ -94,6 +95,25 @@ class RawDataset:
             and self.indicators == other.indicators
             and np.array_equal(self.values, other.values)
         )
+
+
+def check_indicators(got, want, source: str) -> None:
+    """Raise a ``ValidationError`` unless the dataset's indicator specs
+    ``got`` equal ``want``, those of ``source``, in name, direction and
+    pre-normalized flag; it names the first indicator that differs."""
+    for i, (g, w) in enumerate(zip_longest(got, want)):
+        if g != w:
+            raise ValidationError(
+                f"dataset indicator {i + 1} is {_describe(g)}, but {source} "
+                f"declares {_describe(w)}"
+            )
+
+
+def _describe(spec: IndicatorSpec | None) -> str:
+    if spec is None:
+        return "absent"
+    flag = ", pre-normalized" if spec.pre_normalized else ""
+    return f"{spec.name!r} ({spec.direction.value}{flag})"
 
 
 _KINDS = {int: "an integer", float: "a number", bool: "true or false", str: "a string"}

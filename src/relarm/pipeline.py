@@ -9,8 +9,7 @@ import numpy as np
 from .attributes import map_to_feature_space
 from .clustering import ClusteringResult, kmeans
 from .config import PipelineConfig
-from .dataset import RawDataset
-from .errors import ValidationError
+from .dataset import RawDataset, check_indicators
 from .normalize import normalize_dataset
 from .pca import PcaModel, fit_pca
 from .rating import AgreementReport, RatingResult, assign_ratings, score_agreement
@@ -33,10 +32,7 @@ def run_pipeline(
     reference: dict[str, dict[str, str]] | None = None,
 ) -> PipelineOutputs:
     """normalize -> fit -> map -> cluster -> assign (-> score)."""
-    if tuple(s.name for s in dataset.indicators) != tuple(
-        s.name for s in config.indicators
-    ):
-        raise ValidationError("dataset indicators do not match the configuration")
+    check_indicators(dataset.indicators, config.indicators, "the configuration")
     normalized = normalize_dataset(dataset)
     model = fit_pca(
         normalized, variance_threshold=config.variance_threshold, center=config.center

@@ -10,7 +10,7 @@ import numpy as np
 from .attributes import map_to_feature_space
 from .clustering import nearest_center
 from .config import PipelineConfig, config_from_dict, config_to_dict
-from .dataset import RawDataset, _freeze, read_json, typed
+from .dataset import RawDataset, _freeze, check_indicators, read_json, typed
 from .errors import ValidationError
 from .io import atomic_write
 from .normalize import scale_dataset
@@ -167,8 +167,7 @@ def _snapshot_from_doc(doc) -> Snapshot:
 def normalize_with_snapshot(snapshot: Snapshot, raw: RawDataset) -> np.ndarray:
     """Scale raw values using the ranges frozen at fit time: the M x N
     normalized matrix."""
-    if tuple(raw.indicators) != snapshot.config.indicators:
-        raise ValidationError("dataset indicators do not match the snapshot")
+    check_indicators(raw.indicators, snapshot.config.indicators, "the snapshot")
     return scale_dataset(raw, snapshot.column_min, snapshot.column_max)
 
 

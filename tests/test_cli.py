@@ -242,6 +242,17 @@ def test_missing_required_flag_exits_1(capsys):
     assert exc.value.code == 1
 
 
+@pytest.mark.parametrize("command", ["run", "fit"])
+def test_k_is_not_a_flag(workdir, command, capsys):
+    # k is fixed by the config's labels, so no flag overrides it
+    with pytest.raises(SystemExit) as exc:
+        run_cli(
+            command, "--config", workdir / "config.json", "--data", workdir / "data.csv",
+            "--out-dir", workdir / "out", "--k", 7,
+        )
+    assert exc.value.code == 1
+    assert "unrecognized arguments: --k 7" in capsys.readouterr().err
+
 
 @pytest.mark.parametrize("cap", [1, 2, 3])
 def test_assign_matches_run_at_iteration_cap(tmp_path, cap):

@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 
 from relarm.cli import main
+from relarm.dataset import Direction, IndicatorSpec, RawDataset
 from relarm.errors import ValidationError
-from relarm.pipeline import build_snapshot
+from relarm.pipeline import build_snapshot, run_pipeline
 from relarm.snapshot import load_snapshot, save_snapshot, score_with_snapshot
 
 # written by `relarm fit` on the country sample before format 2
@@ -40,8 +41,6 @@ def test_scoring_original_objects_matches_fit(tmp_path, country_config, country_
 def test_scoring_new_objects(tmp_path, country_config, country_dataset, country_run):
     snap = build_snapshot(country_config, country_dataset, country_run)
     # a synthetic strong economy: best raw value per column by direction
-    from relarm.dataset import Direction, RawDataset
-
     best = np.empty(country_dataset.n_indicators)
     worst = np.empty_like(best)
     for j, spec in enumerate(country_dataset.indicators):
@@ -59,6 +58,35 @@ def test_scoring_new_objects(tmp_path, country_config, country_dataset, country_
     cats = result.categories()
     order = list(country_config.labels)
     assert order.index(cats["Utopia"]) < order.index(cats["Dystopia"])
+
+
+def test_indicators_declared_otherwise_are_rejected(
+    country_config, country_dataset, country_run
+):
+    # gdp_growth declared negative: the snapshot would store the config's
+    # positive direction for a fit made with the negative one
+    first, *rest = country_dataset.indicators
+    flipped = RawDataset(
+        objects=country_dataset.objects,
+        indicators=(IndicatorSpec(first.name, Direction.NEGATIVE), *rest),
+        values=country_dataset.values,
+    )
+    with pytest.raises(ValidationError) as exc:
+        run_pipeline(country_config, flipped)
+    assert str(exc.value) == (
+        "dataset indicator 1 is 'gdp_growth' (negative), but the configuration "
+        "declares 'gdp_growth' (positive)"
+    )
+    snap = build_snapshot(country_config, country_dataset, country_run)
+    with pytest.raises(ValidationError, match="'gdp_growth' \\(negative\\), but the snapshot"):
+        score_with_snapshot(snap, flipped)
+    fewer = RawDataset(
+        objects=country_dataset.objects,
+        indicators=country_dataset.indicators[:-1],
+        values=country_dataset.values[:, :-1],
+    )
+    with pytest.raises(ValidationError, match="indicator 9 is absent, but the configuration"):
+        run_pipeline(country_config, fewer)
 
 
 def test_format_1_snapshot_assigns_like_run(tmp_path, data_dir):
