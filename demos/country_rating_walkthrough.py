@@ -17,8 +17,9 @@ from relarm import (
     load_dataset,
     map_to_feature_space,
     normalize_dataset,
+    project_center,
 )
-from relarm.rating import REPORT_FOOTER
+from relarm.rating import REPORT_FOOTER, bind_categories
 
 data = resources.files("relarm") / "data"
 config = load_config(data / "country_config.json")
@@ -48,10 +49,13 @@ clusters = kmeans(
 )
 print(f"clustered into {clusters.k} groups, total SSE {clusters.sse:.4f}")
 
-# 5. project centers onto the variance vector; higher projection = better
-ratings = assign_ratings(dataset.objects, clusters, model.Lambda, config.scale)
+# 5. project centers onto the variance vector; higher projection = better;
+#    each object takes the category of its nearest center
+projections = [project_center(c, model.Lambda) for c in clusters.centers]
+per_cluster = bind_categories(projections, config.labels)
+ratings = assign_ratings(dataset.objects, features, clusters.centers, per_cluster)
 print("\ncluster projections and categories:")
-for c in sorted(ratings.per_cluster, key=lambda c: c.rank):
+for c in ratings.per_cluster:
     members = ratings.clusters.count(c.cluster)
     print(f"  {c.category:<4} projection={c.projection:.4f}  members={members}")
 

@@ -18,7 +18,6 @@ from relarm import (
     score_with_snapshot,
 )
 from relarm.io import read_reference_csv
-from relarm.pipeline import build_snapshot
 
 data = resources.files("relarm") / "data"
 config = load_config(data / "country_config.json")
@@ -28,7 +27,7 @@ outputs = run_pipeline(config, dataset)
 
 with tempfile.TemporaryDirectory() as tmp:
     path = Path(tmp) / "snapshot.json"
-    save_snapshot(build_snapshot(config, dataset, outputs), path)
+    save_snapshot(outputs.snapshot, path)
     print(f"snapshot written ({path.stat().st_size} bytes)")
 
     # re-score the same objects purely from the snapshot

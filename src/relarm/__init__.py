@@ -15,7 +15,7 @@ from .dataset import (
 from .errors import NumericalError, RelarmError, ValidationError
 from .normalize import ConstantColumnWarning, normalize_dataset
 from .pca import PcaModel, fit_pca, jacobi_eigh
-from .pipeline import PipelineOutputs, build_snapshot, run_pipeline
+from .pipeline import PipelineOutputs, run_pipeline
 from .rating import (
     AgreementReport,
     RatingResult,
@@ -47,7 +47,6 @@ __all__ = [
     "ValidationError",
     "Xorshift64Star",
     "assign_ratings",
-    "build_snapshot",
     "collapse_category",
     "config_from_dict",
     "fit_pca",

@@ -7,14 +7,15 @@ from __future__ import annotations
 
 import argparse
 import sys
+import warnings
 from pathlib import Path
 
 from . import io
 from .config import load_config
 from .dataset import load_dataset
 from .errors import NumericalError, ValidationError
-from .normalize import normalize_dataset
-from .pipeline import build_snapshot, run_pipeline
+from .normalize import ConstantColumnWarning, normalize_dataset
+from .pipeline import run_pipeline
 from .rating import REPORT_FOOTER, score_agreement
 from .snapshot import load_snapshot, save_snapshot, score_with_snapshot
 
@@ -99,7 +100,7 @@ def _fit(args, reference=None):
         )
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    save_snapshot(build_snapshot(cfg, dataset, outputs), out_dir / "snapshot.json")
+    save_snapshot(outputs.snapshot, out_dir / "snapshot.json")
     return cfg, outputs, out_dir
 
 
@@ -117,7 +118,7 @@ def _cmd_run(args) -> int:
     if args.dump_intermediates:
         objects = outputs.ratings.objects
         _write_normalized(out_dir, outputs.normalized, objects, cfg.indicators)
-        model = outputs.model
+        model = outputs.snapshot.model
         pc_names = [f"PC{p + 1}" for p in range(model.d)]
         io.write_matrix_csv(
             out_dir / "w_matrix.csv",
@@ -146,18 +147,17 @@ def _cmd_run(args) -> int:
 def _cmd_normalize(args) -> int:
     cfg = load_config(args.config)
     dataset = load_dataset(args.data, cfg.indicators)
+    normalized = normalize_dataset(dataset)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    path = _write_normalized(
-        out_dir, normalize_dataset(dataset), dataset.objects, cfg.indicators
-    )
+    path = _write_normalized(out_dir, normalized, dataset.objects, cfg.indicators)
     print(f"wrote {path}")
     return EXIT_OK
 
 
 def _cmd_fit(args) -> int:
     cfg, outputs, out_dir = _fit(args)
-    print(f"wrote {out_dir / 'snapshot.json'} (d={outputs.model.d}, k={cfg.k})")
+    print(f"wrote {out_dir / 'snapshot.json'} (d={outputs.snapshot.model.d}, k={cfg.k})")
     return EXIT_OK
 
 
@@ -205,10 +205,19 @@ _COMMANDS = {
 }
 
 
+def _print_warning(message, *_):
+    print(f"warning: {message}", file=sys.stderr)
+
+
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        with warnings.catch_warnings():
+            # a warning prints as the CLI's own do, without library source;
+            # each constant column once per command, whatever the filters
+            warnings.simplefilter("always", ConstantColumnWarning)
+            warnings.showwarning = _print_warning
+            return _COMMANDS[args.command](args)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

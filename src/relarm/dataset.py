@@ -63,8 +63,8 @@ class RawDataset:
         m, n = self.values.shape
         if len(self.objects) != m or len(self.indicators) != n:
             raise ValidationError("values shape does not match objects/indicators")
-        if m < 2:
-            raise ValidationError(f"need at least 2 rating objects, got {m}")
+        if m < 1:
+            raise ValidationError("need at least 1 rating object, got 0")
         if n < 1:
             raise ValidationError("need at least 1 indicator")
         if len(set(self.objects)) != m:

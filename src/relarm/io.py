@@ -132,10 +132,10 @@ def read_ratings_csv(path) -> RatingResult:
                 f"{row['category']!r}, but row {r0} gave it {p0!r} and {c0!r}"
             )
         clusters.append(q)
+    # best first: descending projection, equal projections lower id first
     ranked = sorted(first.items(), key=lambda item: (-item[1][1], item[0]))
     per_cluster = tuple(
-        ClusterRating(cluster=q, projection=p, rank=rank + 1, category=c)
-        for rank, (q, (_, p, c)) in enumerate(ranked)
+        ClusterRating(cluster=q, projection=p, category=c) for q, (_, p, c) in ranked
     )
     return RatingResult(tuple(row_of), tuple(clusters), per_cluster)
 

@@ -65,8 +65,12 @@ def normalize_dataset(raw: RawDataset) -> np.ndarray:
     """Scale every column over its range in ``raw``, with each indicator's
     direction; one :class:`ConstantColumnWarning` names each constant
     column.  Columns flagged pre-normalized are copied verbatim after a
-    range check.
+    range check.  A range needs at least 2 objects.
     """
+    if raw.n_objects < 2:
+        raise ValidationError(
+            f"need at least 2 rating objects to take column ranges, got {raw.n_objects}"
+        )
     lo, hi = raw.values.min(axis=0), raw.values.max(axis=0)
     out = scale_dataset(raw, lo, hi)
     for j, spec in enumerate(raw.indicators):

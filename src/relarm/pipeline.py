@@ -12,14 +12,21 @@ from .config import PipelineConfig
 from .dataset import RawDataset, check_indicators
 from .normalize import normalize_dataset
 from .pca import PcaModel, fit_pca
-from .rating import AgreementReport, RatingResult, assign_ratings, score_agreement
+from .rating import (
+    AgreementReport,
+    RatingResult,
+    assign_ratings,
+    bind_categories,
+    project_center,
+    score_agreement,
+)
 from .snapshot import Snapshot
 
 
 @dataclass(frozen=True)
 class PipelineOutputs:
     normalized: np.ndarray  # M x N normalized matrix B, one row per object
-    model: PcaModel
+    snapshot: Snapshot  # the fitted model
     features: np.ndarray  # M x d, one row per object
     clusters: ClusteringResult
     ratings: RatingResult
@@ -31,7 +38,9 @@ def run_pipeline(
     dataset: RawDataset,
     reference: dict[str, dict[str, str]] | None = None,
 ) -> PipelineOutputs:
-    """normalize -> fit -> map -> cluster -> assign (-> score)."""
+    """normalize -> fit -> map -> cluster -> snapshot -> assign (-> score);
+    the fit data is rated by the snapshot's centers and table, as
+    :func:`score_with_snapshot` rates new objects."""
     check_indicators(dataset.indicators, config.indicators, "the configuration")
     normalized = normalize_dataset(dataset)
     model = fit_pca(
@@ -46,7 +55,10 @@ def run_pipeline(
         max_iterations=config.max_iterations,
         distance=config.distance,
     )
-    ratings = assign_ratings(dataset.objects, clusters, model.Lambda, config.scale)
+    snapshot = build_snapshot(config, dataset, model, clusters.centers)
+    ratings = assign_ratings(
+        dataset.objects, features, snapshot.centers, snapshot.per_cluster
+    )
     agreement = None
     if reference is not None:
         agreement = score_agreement(
@@ -54,7 +66,7 @@ def run_pipeline(
         )
     return PipelineOutputs(
         normalized=normalized,
-        model=model,
+        snapshot=snapshot,
         features=features,
         clusters=clusters,
         ratings=ratings,
@@ -63,15 +75,18 @@ def run_pipeline(
 
 
 def build_snapshot(
-    config: PipelineConfig, dataset: RawDataset, outputs: PipelineOutputs
+    config: PipelineConfig, dataset: RawDataset, model: PcaModel, centers: np.ndarray
 ) -> Snapshot:
     """Pack a fit into a snapshot: the data's column ranges, the weights,
-    the centers and their per-cluster table."""
+    the centers and the config's labels bound to them by projection on
+    Lambda."""
     return Snapshot(
         config=config,
         column_min=np.min(dataset.values, axis=0),
         column_max=np.max(dataset.values, axis=0),
-        model=outputs.model,
-        centers=outputs.clusters.centers,
-        per_cluster=outputs.ratings.per_cluster,
+        model=model,
+        centers=centers,
+        per_cluster=bind_categories(
+            [project_center(c, model.Lambda) for c in centers], config.labels
+        ),
     )

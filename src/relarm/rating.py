@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .clustering import ClusteringResult
+from .clustering import nearest_center
 from .errors import ValidationError
 
 REPORT_FOOTER = (
@@ -34,19 +34,17 @@ class RatingScale:
 class ClusterRating:
     cluster: int  # 1-based cluster id
     projection: float
-    rank: int  # 1 = best
     category: str
 
 
 @dataclass(frozen=True)
 class RatingResult:
     """Object ids and their 1-based cluster ids, column by column; an
-    object's category is its cluster's in ``per_cluster``."""
+    object's category is its cluster's in ``per_cluster`` (best first)."""
 
     objects: tuple[str, ...]
     clusters: tuple[int, ...]
     per_cluster: tuple[ClusterRating, ...]
-    tie_flags: tuple[tuple[int, int], ...] = ()
 
     def __post_init__(self) -> None:
         if len(self.objects) != len(self.clusters):
@@ -77,39 +75,17 @@ def bind_categories(projections, labels) -> tuple[ClusterRating, ...]:
         raise ValidationError(f"{k} projections and {len(labels)} labels")
     order = sorted(range(k), key=lambda q: (-projections[q], q))
     return tuple(
-        ClusterRating(
-            cluster=q + 1,
-            projection=projections[q],
-            rank=rank + 1,
-            category=labels[rank],
-        )
-        for rank, q in enumerate(order)
+        ClusterRating(cluster=q + 1, projection=projections[q], category=label)
+        for q, label in zip(order, labels)
     )
 
 
-def assign_ratings(
-    objects, clusters: ClusteringResult, rating_vector, scale: RatingScale
-) -> RatingResult:
-    """Rate ``objects`` (one id per clustered point): bind scale labels to
-    clusters in order of descending projection.
-
-    Exact projection ties are flagged and broken by ascending cluster id,
-    so the mapping cluster -> category stays a bijection.
-    """
-    projections = [project_center(c, rating_vector) for c in clusters.centers]
-    per_cluster = bind_categories(projections, scale.labels)
-    ties = tuple(
-        (a.cluster, b.cluster)
-        for i, a in enumerate(per_cluster)
-        for b in per_cluster[i + 1 :]
-        if a.projection == b.projection
-    )
-    return RatingResult(
-        objects=tuple(objects),
-        clusters=clusters.assignments,
-        per_cluster=per_cluster,
-        tie_flags=ties,
-    )
+def assign_ratings(objects, features, centers, per_cluster) -> RatingResult:
+    """Rate ``objects``, one per row of the M x d ``features``: each takes
+    the category, in ``per_cluster``, of its nearest of the k x d
+    ``centers``, equal distances going to the lower cluster id."""
+    nearest, _ = nearest_center(np.ascontiguousarray(np.transpose(features)), centers)
+    return RatingResult(tuple(objects), tuple((nearest + 1).tolist()), per_cluster)
 
 
 def collapse_category(
@@ -170,11 +146,7 @@ def score_agreement(
     agency.  Objects with no reference rating stay out of the denominator.
     """
     if scale is None:
-        scale = RatingScale(
-            labels=tuple(
-                dict.fromkeys(c.category for c in sorted(result.per_cluster, key=lambda c: c.rank))
-            )
-        )
+        scale = RatingScale(tuple(dict.fromkeys(c.category for c in result.per_cluster)))
     model = result.categories()
     skipped = tuple(sorted(o for o in reference if o not in model))
     rows = []

@@ -8,14 +8,19 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .attributes import map_to_feature_space
-from .clustering import nearest_center
 from .config import PipelineConfig, config_from_dict, config_to_dict
 from .dataset import RawDataset, _freeze, check_indicators, read_json, typed
 from .errors import ValidationError
 from .io import atomic_write
 from .normalize import scale_dataset
 from .pca import PcaModel
-from .rating import ClusterRating, RatingResult, bind_categories, project_center
+from .rating import (
+    ClusterRating,
+    RatingResult,
+    assign_ratings,
+    bind_categories,
+    project_center,
+)
 
 FORMAT_VERSION = 2  # format 1 also stored model.components and model.column_means
 
@@ -172,10 +177,8 @@ def normalize_with_snapshot(snapshot: Snapshot, raw: RawDataset) -> np.ndarray:
 
 
 def score_with_snapshot(snapshot: Snapshot, raw: RawDataset) -> RatingResult:
-    """Assign categories to (possibly new) objects: normalize with the
-    stored ranges, map through W, bind each object to its nearest stored
-    cluster center's category."""
+    """Rate (possibly new) objects: normalize with the stored ranges, map
+    through W, and give each the category of its nearest stored center."""
     normalized = normalize_with_snapshot(snapshot, raw)
     features = map_to_feature_space(normalized, snapshot.model)
-    nearest, _ = nearest_center(np.ascontiguousarray(features.T), snapshot.centers)
-    return RatingResult(raw.objects, tuple((nearest + 1).tolist()), snapshot.per_cluster)
+    return assign_ratings(raw.objects, features, snapshot.centers, snapshot.per_cluster)

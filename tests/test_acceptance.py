@@ -14,7 +14,13 @@ from relarm.io import read_ratings_csv, read_reference_csv
 from relarm.normalize import normalize_dataset
 from relarm.pca import derive_weights, fit_pca
 from relarm.pipeline import run_pipeline
-from relarm.rating import RatingScale, assign_ratings, score_agreement
+from relarm.rating import (
+    RatingScale,
+    assign_ratings,
+    bind_categories,
+    project_center,
+    score_agreement,
+)
 
 from fixture_check import verify_fixture_w
 
@@ -63,7 +69,7 @@ def test_criterion_3a_end_to_end_invariants(country_config, country_dataset):
     elapsed = time.perf_counter() - t0
     assert elapsed < 1.0
 
-    model = out.model
+    model = out.snapshot.model
     np.testing.assert_allclose(model.W.sum(axis=0), np.ones(model.d), atol=1e-12)
     cum = np.cumsum(model.variance_fractions)
     assert cum[model.d - 1] >= 0.95
@@ -184,47 +190,46 @@ def test_criterion_6_ranking_function_properties():
 
 def test_criterion_7_ordering_invariances(country_config, country_dataset):
     out = run_pipeline(country_config, country_dataset)
-    scale = country_config.scale
     objects = country_dataset.objects
-    base = assign_ratings(objects, out.clusters, out.model.Lambda, scale)
+    model = out.snapshot.model
+
+    def rate(centers, rating_vector, features=out.features):
+        projections = [project_center(c, rating_vector) for c in centers]
+        per_cluster = bind_categories(projections, country_config.labels)
+        return assign_ratings(objects, features, centers, per_cluster)
+
+    base = rate(out.clusters.centers, model.Lambda)
 
     # scaling the rating vector never changes categories
     for c in (0.1, 3.0, 100.0):
-        scaled = assign_ratings(objects, out.clusters, c * out.model.Lambda, scale)
+        scaled = rate(out.clusters.centers, c * model.Lambda)
         assert scaled.categories() == base.categories()
 
     # permuting cluster ids never changes per-object categories
-    from relarm.clustering import ClusteringResult
-
     k = out.clusters.k
     rng = np.random.default_rng(1)
     perm = rng.permutation(k) + 1  # old id q -> perm[q-1]
     inverse = {int(perm[q - 1]): q for q in range(1, k + 1)}
-    permuted = ClusteringResult(
-        assignments=tuple(int(perm[a - 1]) for a in out.clusters.assignments),
-        centers=np.array([out.clusters.centers[inverse[q + 1] - 1] for q in range(k)]),
-        sse=out.clusters.sse,
-        restarts_used=out.clusters.restarts_used,
-        seed=out.clusters.seed,
-    )
-    relabeled = assign_ratings(objects, permuted, out.model.Lambda, scale)
+    permuted = np.array([out.clusters.centers[inverse[q + 1] - 1] for q in range(k)])
+    relabeled = rate(permuted, model.Lambda)
+    assert relabeled.clusters == tuple(int(perm[a - 1]) for a in base.clusters)
     assert relabeled.categories() == base.categories()
 
     # flipping any eigenvector sign leaves the whole pipeline bit-identical
     from relarm.attributes import map_to_feature_space
 
-    for p in range(out.model.components.shape[1]):
-        flipped = np.array(out.model.components)
+    for p in range(model.components.shape[1]):
+        flipped = np.array(model.components)
         flipped[:, p] = -flipped[:, p]
         model2 = derive_weights(
             flipped,
-            out.model.variance_fractions,
-            out.model.variance_threshold,
-            centered=out.model.centered,
+            model.variance_fractions,
+            model.variance_threshold,
+            centered=model.centered,
         )
-        assert model2.d == out.model.d
-        assert np.array_equal(model2.W, out.model.W)
-        assert np.array_equal(model2.Lambda, out.model.Lambda)
+        assert model2.d == model.d
+        assert np.array_equal(model2.W, model.W)
+        assert np.array_equal(model2.Lambda, model.Lambda)
         features2 = map_to_feature_space(out.normalized, model2)
         assert np.array_equal(features2, out.features)
         clusters2 = kmeans(
@@ -233,7 +238,7 @@ def test_criterion_7_ordering_invariances(country_config, country_dataset):
         )
         assert clusters2.assignments == out.clusters.assignments
         assert np.array_equal(clusters2.centers, out.clusters.centers)
-        ratings2 = assign_ratings(objects, clusters2, model2.Lambda, scale)
+        ratings2 = rate(clusters2.centers, model2.Lambda, features2)
         assert ratings2 == out.ratings
     report("7 (scale/relabel/sign invariances)")
 

@@ -101,7 +101,7 @@ def test_map_with_synthetic_expert_column(country_run):
 
 
 def test_comparison_consistency(country_run):
-    model = country_run.model
+    model = country_run.snapshot.model
     b = country_run.normalized
     r = map_to_feature_space(b, model)
     for p in range(1, model.d + 1):

@@ -83,7 +83,7 @@ def test_dump_intermediates(workdir, country_dataset, country_run):
     assert ids == list(country_dataset.objects)
     assert np.array_equal(values, normalize_dataset(country_dataset))
     header, ids, values = read_matrix_csv(out / "features.csv")
-    assert header == ["object"] + [f"PC{p + 1}" for p in range(country_run.model.d)]
+    assert header == ["object"] + [f"PC{p + 1}" for p in range(country_run.snapshot.model.d)]
     assert ids == list(country_dataset.objects)
     assert np.array_equal(values, country_run.features)
 
@@ -429,3 +429,54 @@ def test_range_too_wide_names_column(workdir, capsys):
         "error: column 'inflation': the width hi - lo of its range "
         "[-1e+308, 1e+308] is not a finite number\n"
     ), err
+
+
+@pytest.mark.parametrize("command", ["run", "fit", "normalize"])
+def test_constant_column_warns_on_stderr(workdir, capsys, command):
+    data = workdir / "data.csv"
+    header, *rows = data.read_text().splitlines()
+    rows = [",".join(r.split(",")[:1] + ["1.0"] + r.split(",")[2:]) for r in rows]
+    data.write_text("\n".join([header, *rows]) + "\n")
+    assert header.split(",")[1] == "gdp_growth"
+    code = run_cli(
+        command, "--config", workdir / "config.json", "--data", data,
+        "--out-dir", workdir / "out",
+    )
+    assert code == 0
+    assert capsys.readouterr().err == (
+        "warning: column 'gdp_growth' is constant; mapped to 0.5\n"
+    )
+
+
+def _first_rows(workdir, n):
+    """The data file cut to its first ``n`` objects."""
+    lines = (workdir / "data.csv").read_text().splitlines()
+    path = workdir / f"first{n}.csv"
+    path.write_text("\n".join(lines[: n + 1]) + "\n")
+    return path
+
+
+def test_assign_scores_one_object(workdir):
+    assert run_cli(
+        "run", "--config", workdir / "config.json", "--data", workdir / "data.csv",
+        "--out-dir", workdir / "run",
+    ) == 0
+    header, first, *_ = (workdir / "run" / "ratings.csv").read_text().splitlines()
+    assert run_cli(
+        "assign", "--snapshot", workdir / "run" / "snapshot.json",
+        "--data", _first_rows(workdir, 1), "--out-dir", workdir / "one",
+    ) == 0
+    assert (workdir / "one" / "ratings.csv").read_text() == f"{header}\n{first}\n"
+
+
+@pytest.mark.parametrize("command", ["run", "fit", "normalize"])
+def test_one_object_has_no_ranges(workdir, capsys, command):
+    code = run_cli(
+        command, "--config", workdir / "config.json", "--data", _first_rows(workdir, 1),
+        "--out-dir", workdir / "out",
+    )
+    assert code == 1
+    assert capsys.readouterr().err == (
+        "error: need at least 2 rating objects to take column ranges, got 1\n"
+    )
+    assert not (workdir / "out").exists()

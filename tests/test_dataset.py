@@ -18,6 +18,7 @@ from relarm.dataset import (
     save_dataset,
 )
 from relarm.errors import ValidationError
+from relarm.normalize import normalize_dataset
 
 
 def write_spec(path, names, directions=None):
@@ -129,12 +130,13 @@ def test_roundtrip(tmp_path, country_dataset):
 
 
 def test_single_object_rejected():
-    with pytest.raises(ValidationError, match="at least 2"):
-        RawDataset(
-            objects=("a",),
-            indicators=(IndicatorSpec("x", Direction.POSITIVE),),
-            values=np.array([[1.0]]),
-        )
+    # one object is a dataset that can be scored, but has no column ranges
+    spec = (IndicatorSpec("x", Direction.POSITIVE),)
+    one = RawDataset(objects=("a",), indicators=spec, values=np.array([[1.0]]))
+    with pytest.raises(ValidationError, match="at least 2 rating objects to take column ranges, got 1"):
+        normalize_dataset(one)
+    with pytest.raises(ValidationError, match="need at least 1 rating object, got 0"):
+        RawDataset(objects=(), indicators=spec, values=np.empty((0, 1)))
 
 
 def test_non_finite_rejected():
@@ -269,7 +271,7 @@ def test_plain_parse_declines_repeated_header_names():
     ("object,x,y\na,1,2,3\nb,3\n", r"row 2 has 4 cells, expected 3"),
     ("object,x,y\na,1,2\n \nb,3,4\n", r"row 3 has 1 cells, expected 3"),
     ("object,x,y\na,#1,2\nb,3,4\n", r"row 2, column 'x': non-numeric value '#1'"),
-    ("object,x,y\n", "need at least 2 rating objects"),
+    ("object,x,y\n", "need at least 1 rating object, got 0"),
 ])
 def test_declined_tables_keep_per_cell_results(tmp_path, text, outcome):
     path = tmp_path / "d.csv"

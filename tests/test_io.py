@@ -19,7 +19,6 @@ def ratings(draw):
         ClusterRating(
             cluster=q + 1,
             projection=draw(st.floats(allow_nan=False, allow_infinity=False)),
-            rank=q + 1,
             category=draw(TEXT),
         )
         for q in range(k)
@@ -46,7 +45,7 @@ def test_ratings_csv_equals_csv_writer_rows(tmp_path_factory, result):
 
 def test_ratings_ids_that_are_not_strings_are_written_as_csv_writer_writes_them(tmp_path):
     path = tmp_path / "ratings.csv"
-    write_ratings_csv(path, RatingResult((7, 2.5), (1, 1), (ClusterRating(1, 0.5, 1, "A"),)))
+    write_ratings_csv(path, RatingResult((7, 2.5), (1, 1), (ClusterRating(1, 0.5, "A"),)))
     assert path.read_bytes() == b"object,cluster,projection,category\r\n7,1,0.5,A\r\n2.5,1,0.5,A\r\n"
 
 
@@ -65,11 +64,11 @@ def test_failed_write_keeps_old_file_and_leaves_no_temp(tmp_path):
 @pytest.mark.parametrize("objects", [("a", "b"), ("a,1", "b")], ids=["joined", "quoted"])
 def test_ratings_write_failing_mid_file_keeps_old_ratings(tmp_path, objects):
     path = tmp_path / "ratings.csv"
-    good = RatingResult(("x", "y"), (1, 1), (ClusterRating(1, 0.5, 1, "AAA"),))
+    good = RatingResult(("x", "y"), (1, 1), (ClusterRating(1, 0.5, "AAA"),))
     write_ratings_csv(path, good)
     before = path.read_bytes()
     # the second object's cluster has no row: formatting fails after the first
-    bad = RatingResult(objects, (1, 2), (ClusterRating(1, 0.5, 1, "AAA"),))
+    bad = RatingResult(objects, (1, 2), (ClusterRating(1, 0.5, "AAA"),))
     with pytest.raises(KeyError):
         write_ratings_csv(path, bad)
     assert path.read_bytes() == before

@@ -53,7 +53,7 @@ class TestFitPca:
         assert model.W[0, 0] == pytest.approx(0.0, abs=1e-12)
 
     def test_invariants_on_country_data(self, country_run):
-        model = country_run.model
+        model = country_run.snapshot.model
         n = model.n_indicators
         # l1 norms of all components
         np.testing.assert_allclose(

@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
 
-from relarm.clustering import ClusteringResult, kmeans
 from relarm.errors import ValidationError
 from relarm.io import read_ratings_csv, read_reference_csv
 from relarm.rating import (
     RatingScale,
     assign_ratings,
+    bind_categories,
     collapse_category,
     project_center,
     score_agreement,
@@ -15,14 +15,18 @@ from relarm.rating import (
 SCALE7 = RatingScale(("AAA", "AA", "A", "BBB", "BB", "B", "CCC"))
 
 
-def make_clusters(centers, assignments):
-    return ClusteringResult(
-        assignments=tuple(assignments),
-        centers=np.asarray(centers, dtype=np.float64),
-        sse=0.0,
-        restarts_used=1,
-        seed=0,
-    )
+def bind(centers, rating_vector, scale):
+    """The per-cluster table of ``centers`` by projection on ``rating_vector``."""
+    return bind_categories([project_center(c, rating_vector) for c in centers], scale.labels)
+
+
+def rate(objects, centers, assignments, rating_vector, scale):
+    """Rate objects that sit on their assigned (1-based) centers."""
+    centers = np.asarray(centers, dtype=np.float64)
+    features = centers[np.asarray(assignments) - 1]
+    result = assign_ratings(objects, features, centers, bind(centers, rating_vector, scale))
+    assert result.clusters == tuple(assignments)
+    return result
 
 
 def ids(n):
@@ -51,26 +55,28 @@ class TestProjection:
 
 class TestAssign:
     def test_two_clusters(self):
-        clusters = make_clusters([[0.9], [0.1]], [1, 2, 2])
-        result = assign_ratings(ids(3), clusters, [1.0], RatingScale(("A", "B")))
+        result = rate(ids(3), [[0.9], [0.1]], [1, 2, 2], [1.0], RatingScale(("A", "B")))
         cats = result.categories()
         assert cats["o0"] == "A" and cats["o1"] == "B"
 
     def test_single_cluster(self):
-        clusters = make_clusters([[0.4]], [1, 1, 1])
-        result = assign_ratings(ids(3), clusters, [1.0], RatingScale(("only",)))
+        result = rate(ids(3), [[0.4]], [1, 1, 1], [1.0], RatingScale(("only",)))
         assert set(result.categories().values()) == {"only"}
 
     def test_scale_size_mismatch(self):
-        clusters = make_clusters([[0.9], [0.1]], [1, 2])
         with pytest.raises(ValidationError):
-            assign_ratings(ids(2), clusters, [1.0], SCALE7)
+            rate(ids(2), [[0.9], [0.1]], [1, 2], [1.0], SCALE7)
 
     def test_ties_flagged_and_broken_by_index(self):
-        clusters = make_clusters([[0.5], [0.5]], [1, 2])
-        result = assign_ratings(ids(2), clusters, [1.0], RatingScale(("A", "B")))
-        assert result.tie_flags == ((1, 2),)
+        # equal projections, |0.5| and |-0.5|, from two distinct centers
+        result = rate(ids(2), [[0.5], [-0.5]], [1, 2], [1.0], RatingScale(("A", "B")))
         assert result.categories() == {"o0": "A", "o1": "B"}
+        # equal centers: the table still binds by id, and an object at equal
+        # distance from both goes to the lower id
+        centers = np.array([[0.5], [0.5]])
+        per_cluster = bind(centers, [1.0], RatingScale(("A", "B")))
+        assert [(c.cluster, c.category) for c in per_cluster] == [(1, "A"), (2, "B")]
+        assert assign_ratings(ids(2), centers, centers, per_cluster).clusters == (1, 1)
 
     def test_objects_in_same_cluster_share_category(self, country_run):
         ratings = country_run.ratings
@@ -83,35 +89,34 @@ class TestAssign:
 
     def test_scale_invariance_of_ordering(self, country_run):
         base = country_run.ratings.categories()
+        centers = country_run.clusters.centers
         for c in (0.1, 3.0, 100.0):
             scaled = assign_ratings(
-                country_run.ratings.objects, country_run.clusters, c * country_run.model.Lambda, SCALE7
+                country_run.ratings.objects,
+                country_run.features,
+                centers,
+                bind(centers, c * country_run.snapshot.model.Lambda, SCALE7),
             )
             assert scaled.categories() == base
 
     def test_label_permutation_invariance(self, country_run):
-        clusters = country_run.clusters
-        k = clusters.k
+        centers = country_run.clusters.centers
+        k = centers.shape[0]
         perm = np.roll(np.arange(1, k + 1), 3)  # old id q -> perm[q-1]
-        permuted = ClusteringResult(
-            assignments=tuple(int(perm[a - 1]) for a in clusters.assignments),
-            centers=np.array(
-                [clusters.centers[int(np.where(perm == q + 1)[0][0])] for q in range(k)]
-            ),
-            sse=clusters.sse,
-            restarts_used=clusters.restarts_used,
-            seed=clusters.seed,
+        permuted = np.array(
+            [centers[int(np.where(perm == q + 1)[0][0])] for q in range(k)]
         )
-        objects = country_run.ratings.objects
-        base = assign_ratings(objects, clusters, country_run.model.Lambda, SCALE7)
-        other = assign_ratings(objects, permuted, country_run.model.Lambda, SCALE7)
+        objects, features = country_run.ratings.objects, country_run.features
+        lam = country_run.snapshot.model.Lambda
+        base = assign_ratings(objects, features, centers, bind(centers, lam, SCALE7))
+        other = assign_ratings(objects, features, permuted, bind(permuted, lam, SCALE7))
+        assert other.clusters == tuple(int(perm[q - 1]) for q in base.clusters)
         assert base.categories() == other.categories()
 
     def test_monotone_consistency(self):
-        clusters = make_clusters([[0.6, 0.5], [0.4, 0.5]], [1, 2])
-        result = assign_ratings(ids(2), clusters, [0.7, 0.3], RatingScale(("hi", "lo")))
-        ranks = {c.cluster: c.rank for c in result.per_cluster}
-        assert ranks[1] < ranks[2]
+        result = rate(ids(2), [[0.6, 0.5], [0.4, 0.5]], [1, 2], [0.7, 0.3], RatingScale(("hi", "lo")))
+        order = [c.cluster for c in result.per_cluster]  # best first
+        assert order.index(1) < order.index(2)
 
 
 class TestCollapse:
@@ -130,16 +135,14 @@ class TestCollapse:
 
 class TestScoreAgreement:
     def test_subcategory_match(self):
-        clusters = make_clusters([[0.9], [0.1]], [1, 2])
-        result = assign_ratings(("x", "y"), clusters, [1.0], RatingScale(("AA", "A")))
+        result = rate(("x", "y"), [[0.9], [0.1]], [1, 2], [1.0], RatingScale(("AA", "A")))
         report = score_agreement(
             result, {"x": {"Fitch": "AA+"}}, scale=SCALE7
         )
         assert report.matched == 1 and report.compared == 1
 
     def test_must_match_at_least_one_agency(self):
-        clusters = make_clusters([[0.9], [0.1]], [1, 2])
-        result = assign_ratings(("x", "y"), clusters, [1.0], RatingScale(("BBB", "B")))
+        result = rate(("x", "y"), [[0.9], [0.1]], [1, 2], [1.0], RatingScale(("BBB", "B")))
         report = score_agreement(
             result,
             {"x": {"S&P": "A", "Moody's": "A", "Fitch": "A"}},
@@ -148,20 +151,17 @@ class TestScoreAgreement:
         assert report.matched == 0 and report.compared == 1
 
     def test_unrated_objects_excluded_from_denominator(self):
-        clusters = make_clusters([[0.9], [0.1]], [1, 2])
-        result = assign_ratings(("x", "y"), clusters, [1.0], RatingScale(("AA", "A")))
+        result = rate(("x", "y"), [[0.9], [0.1]], [1, 2], [1.0], RatingScale(("AA", "A")))
         report = score_agreement(result, {"x": {"Fitch": "AA"}}, scale=SCALE7)
         assert report.compared == 1
 
     def test_empty_reference(self):
-        clusters = make_clusters([[0.9], [0.1]], [1, 2])
-        result = assign_ratings(ids(2), clusters, [1.0], RatingScale(("AA", "A")))
+        result = rate(ids(2), [[0.9], [0.1]], [1, 2], [1.0], RatingScale(("AA", "A")))
         report = score_agreement(result, {}, scale=SCALE7)
         assert report.compared == 0 and report.fraction is None
 
     def test_reference_object_missing_from_results_is_skipped(self):
-        clusters = make_clusters([[0.9], [0.1]], [1, 2])
-        result = assign_ratings(("x", "y"), clusters, [1.0], RatingScale(("AA", "A")))
+        result = rate(("x", "y"), [[0.9], [0.1]], [1, 2], [1.0], RatingScale(("AA", "A")))
         report = score_agreement(result, {"ghost": {"Fitch": "AA"}}, scale=SCALE7)
         assert report.skipped == ("ghost",)
         assert report.compared == 0

@@ -3,19 +3,22 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, reject, settings
+from hypothesis import strategies as st
 
 from relarm.cli import main
+from relarm.config import PipelineConfig
 from relarm.dataset import Direction, IndicatorSpec, RawDataset
-from relarm.errors import ValidationError
-from relarm.pipeline import build_snapshot, run_pipeline
+from relarm.errors import RelarmError, ValidationError
+from relarm.pipeline import run_pipeline
 from relarm.snapshot import load_snapshot, save_snapshot, score_with_snapshot
 
 # written by `relarm fit` on the country sample before format 2
 SNAPSHOT_V1 = Path(__file__).parent / "data" / "snapshot_country_v1.json"
 
 
-def test_snapshot_roundtrip_is_lossless(tmp_path, country_config, country_dataset, country_run):
-    snap = build_snapshot(country_config, country_dataset, country_run)
+def test_snapshot_roundtrip_is_lossless(tmp_path, country_config, country_run):
+    snap = country_run.snapshot
     path = tmp_path / "snapshot.json"
     save_snapshot(snap, path)
     loaded = load_snapshot(path)
@@ -29,8 +32,8 @@ def test_snapshot_roundtrip_is_lossless(tmp_path, country_config, country_datase
     assert loaded.config == country_config
 
 
-def test_scoring_original_objects_matches_fit(tmp_path, country_config, country_dataset, country_run):
-    snap = build_snapshot(country_config, country_dataset, country_run)
+def test_scoring_original_objects_matches_fit(tmp_path, country_dataset, country_run):
+    snap = country_run.snapshot
     path = tmp_path / "snapshot.json"
     save_snapshot(snap, path)
     rescored = score_with_snapshot(load_snapshot(path), country_dataset)
@@ -38,8 +41,71 @@ def test_scoring_original_objects_matches_fit(tmp_path, country_config, country_
     assert rescored.clusters == country_run.ratings.clusters
 
 
+VALUE = st.one_of(st.integers(-3, 3).map(float), st.floats(-100, 100))
+
+
+@st.composite
+def fits(draw):
+    """A small dataset, with repeated values likely, and a config to fit
+    it, stopped at 1, 2 or 3 Lloyd iterations or run to convergence."""
+    m, n = draw(st.integers(2, 12)), draw(st.integers(1, 3))
+    rows = st.lists(VALUE, min_size=n, max_size=n)
+    indicators = tuple(
+        IndicatorSpec(f"x{j}", draw(st.sampled_from(list(Direction)))) for j in range(n)
+    )
+    dataset = RawDataset(
+        objects=tuple(f"o{i}" for i in range(m)),
+        indicators=indicators,
+        values=np.array(draw(st.lists(rows, min_size=m, max_size=m))),
+    )
+    k = draw(st.integers(1, min(m, 4)))
+    config = PipelineConfig(
+        indicators=indicators,
+        k=k,
+        labels=tuple("ABCD"[:k]),
+        seed=draw(st.integers(0, 2**32)),
+        restarts=draw(st.integers(1, 4)),
+        max_iterations=draw(st.sampled_from([1, 2, 3, 300])),
+    )
+    return config, dataset
+
+
+@pytest.mark.filterwarnings("ignore::relarm.normalize.ConstantColumnWarning")
+@settings(max_examples=200, deadline=None)
+@given(fits())
+def test_saved_snapshot_rates_the_fit_data_as_run_does(tmp_path_factory, fit):
+    config, dataset = fit
+    try:
+        outputs = run_pipeline(config, dataset)
+    except RelarmError:  # k above the distinct points, or no variance at all
+        reject()
+    path = tmp_path_factory.mktemp("fit") / "snapshot.json"
+    save_snapshot(outputs.snapshot, path)
+    assert score_with_snapshot(load_snapshot(path), dataset) == outputs.ratings
+    if outputs.clusters.converged:
+        assert outputs.ratings.clusters == outputs.clusters.assignments
+
+
+def test_run_rates_by_nearest_center_after_a_repair_at_the_cap(tmp_path):
+    """a and c are a squared distance 0 apart (1e-200 squared underflows),
+    so the first Lloyd step leaves a cluster empty, and the repair moves a
+    into it; stopped there, k-means reports a in cluster 3 though center
+    1 is as near.  run rates a by its nearest center, as assign does."""
+    spec = (IndicatorSpec("x", Direction.POSITIVE),)
+    dataset = RawDataset(("a", "b", "c"), spec, np.array([[0.0], [1.0], [1e-200]]))
+    config = PipelineConfig(
+        indicators=spec, k=3, labels=("A", "B", "C"), seed=0, restarts=1, max_iterations=1
+    )
+    outputs = run_pipeline(config, dataset)
+    assert outputs.clusters.assignments == (3, 2, 1)
+    assert not outputs.clusters.converged
+    assert outputs.ratings.clusters == (1, 2, 1)
+    save_snapshot(outputs.snapshot, tmp_path / "snapshot.json")
+    assert score_with_snapshot(load_snapshot(tmp_path / "snapshot.json"), dataset) == outputs.ratings
+
+
 def test_scoring_new_objects(tmp_path, country_config, country_dataset, country_run):
-    snap = build_snapshot(country_config, country_dataset, country_run)
+    snap = country_run.snapshot
     # a synthetic strong economy: best raw value per column by direction
     best = np.empty(country_dataset.n_indicators)
     worst = np.empty_like(best)
@@ -77,7 +143,7 @@ def test_indicators_declared_otherwise_are_rejected(
         "dataset indicator 1 is 'gdp_growth' (negative), but the configuration "
         "declares 'gdp_growth' (positive)"
     )
-    snap = build_snapshot(country_config, country_dataset, country_run)
+    snap = country_run.snapshot
     with pytest.raises(ValidationError, match="'gdp_growth' \\(negative\\), but the snapshot"):
         score_with_snapshot(snap, flipped)
     fewer = RawDataset(
@@ -109,11 +175,9 @@ def test_format_1_snapshot_saves_as_format_2_without_unread_keys(tmp_path):
     assert path.read_text() == json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
-def test_load_rejects_categories_that_disagree_with_projections(
-    tmp_path, country_config, country_dataset, country_run
-):
+def test_load_rejects_categories_that_disagree_with_projections(tmp_path, country_run):
     path = tmp_path / "snapshot.json"
-    save_snapshot(build_snapshot(country_config, country_dataset, country_run), path)
+    save_snapshot(country_run.snapshot, path)
     doc = json.loads(path.read_text())
     cats = doc["clusters"]["categories"]
     best, worst = cats.index("AAA"), cats.index("CCC")
@@ -156,11 +220,9 @@ def _scale(section, key, factor):
         "config-pre-normalized-int", "model-centered-string", "center-nan",
         "column-max-infinite", "format-version-3", "Lambda-tripled",
         "projections-times-7"])
-def test_load_rejects_malformed_snapshot(
-    tmp_path, country_config, country_dataset, country_run, edit, key
-):
+def test_load_rejects_malformed_snapshot(tmp_path, country_run, edit, key):
     path = tmp_path / "snapshot.json"
-    save_snapshot(build_snapshot(country_config, country_dataset, country_run), path)
+    save_snapshot(country_run.snapshot, path)
     doc = json.loads(path.read_text())
     edit(doc)
     path.write_text(json.dumps(doc))
@@ -169,13 +231,11 @@ def test_load_rejects_malformed_snapshot(
     assert str(exc.value).startswith(f"{path}: ") and key in str(exc.value)
 
 
-def test_load_accepts_projections_a_rounding_apart(
-    tmp_path, country_config, country_dataset, country_run
-):
+def test_load_accepts_projections_a_rounding_apart(tmp_path, country_run):
     """Another BLAS may round a center's projection differently: a snapshot
     whose projections are one ulp off still loads, and keeps them."""
     path = tmp_path / "snapshot.json"
-    save_snapshot(build_snapshot(country_config, country_dataset, country_run), path)
+    save_snapshot(country_run.snapshot, path)
     doc = json.loads(path.read_text())
     nudged = np.nextafter(doc["clusters"]["projections"], np.inf).tolist()
     doc["clusters"]["projections"] = nudged
