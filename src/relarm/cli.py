@@ -104,11 +104,19 @@ def _fit(args, reference=None):
     return cfg, outputs, out_dir
 
 
+def _warn_skipped(report) -> None:
+    """One stderr line per reference object the agreement report skipped."""
+    for obj in report.skipped:
+        print(f"warning: reference object {obj!r} absent from results; skipped",
+              file=sys.stderr)
+
+
 def _cmd_run(args) -> int:
     reference = io.read_reference_csv(args.reference) if args.reference else None
     cfg, outputs, out_dir = _fit(args, reference)
     io.write_ratings_csv(out_dir / "ratings.csv", outputs.ratings)
     if outputs.agreement is not None:
+        _warn_skipped(outputs.agreement)
         io.write_agreement_json(out_dir / "agreement.json", outputs.agreement)
         frac = outputs.agreement.fraction
         print(
@@ -183,9 +191,7 @@ def _cmd_score(args) -> int:
         scale = cfg.scale
         collapse = cfg.collapse_table
     report = score_agreement(result, reference, scale=scale, collapse_table=collapse)
-    for obj in report.skipped:
-        print(f"warning: reference object {obj!r} absent from results; skipped",
-              file=sys.stderr)
+    _warn_skipped(report)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     io.write_agreement_json(out_dir / "agreement.json", report)

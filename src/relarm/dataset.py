@@ -204,7 +204,10 @@ def load_dataset(path, spec) -> RawDataset:
     if table is None:
         table = _parse_rows(list(csv.reader(io.StringIO(text, newline=""))), specs, source)
     objects, values = table
-    return RawDataset(objects=tuple(objects), indicators=specs, values=values)
+    try:
+        return RawDataset(objects=tuple(objects), indicators=specs, values=values)
+    except ValidationError as exc:
+        raise ValidationError(f"{source}: {exc}") from None
 
 
 def read_json(path):

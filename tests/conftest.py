@@ -1,4 +1,5 @@
 import csv
+import os
 from pathlib import Path
 
 import numpy as np
@@ -9,6 +10,22 @@ from relarm.dataset import load_dataset
 from relarm.pipeline import run_pipeline
 
 DATA = Path(__file__).resolve().parents[1] / "src" / "relarm" / "data"
+
+
+@pytest.fixture(autouse=True)
+def no_child_process_left():
+    """Fail a test that leaves a child process running or unreaped, as a
+    forked k-means worker that outlived its call would."""
+    yield
+    if not hasattr(os, "WNOHANG"):
+        return  # no waitpid(-1, ...) to ask with
+    try:
+        pid, status = os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return  # no children: the only passing outcome
+    if pid == 0:
+        pytest.fail("the test left a child process running")
+    pytest.fail(f"the test left child process {pid} unreaped (status {status})")
 
 
 @pytest.fixture(scope="session")

@@ -209,6 +209,21 @@ def test_score_unknown_object_warns(workdir, data_dir, capsys):
     )
 
 
+def test_run_unknown_reference_object_warns(workdir, capsys):
+    ref = workdir / "reference.csv"
+    ref.write_text(ref.read_text() + "Atlantis,Fitch,AA\n")
+    code = run_cli(
+        "run", "--config", workdir / "config.json", "--data", workdir / "data.csv",
+        "--reference", ref, "--out-dir", workdir / "out",
+    )
+    assert code == 0
+    assert capsys.readouterr().err == (
+        "warning: reference object 'Atlantis' absent from results; skipped\n"
+    )
+    report = json.loads((workdir / "out" / "agreement.json").read_text())
+    assert report["skipped_reference_objects"] == ["Atlantis"]
+
+
 def test_repeated_reference_pair_names_both_rows(workdir, data_dir, capsys):
     ref = workdir / "reference.csv"
     rows = ref.read_text().splitlines()
@@ -409,6 +424,53 @@ def test_score_non_utf8_input_names_file(workdir, data_dir, capsys, flag):
                    "--out-dir", workdir / "out")
     assert code == 1
     assert f"{bad}: line 2: byte 0xe9" in capsys.readouterr().err
+
+
+def _cut_rows(rows):
+    return rows[:1]
+
+
+def _repeat_row(rows):
+    return rows + rows[1:2]
+
+
+def _nan_cell(rows):
+    cells = rows[1].split(",")
+    return [rows[0], ",".join(cells[:1] + ["nan"] + cells[2:]), *rows[2:]]
+
+
+@pytest.mark.parametrize("command", ["run", "assign"])
+@pytest.mark.parametrize("edit, message", [
+    (_cut_rows, "need at least 1 rating object, got 0"),
+    (_repeat_row, "duplicate object ids: ['Switzerland']"),
+    (_nan_cell, "non-finite value at row 1 ('Switzerland'), column 'gdp_growth'"),
+], ids=["header-only", "repeated-row", "nan-cell"])
+def test_bad_data_rows_name_the_file(workdir, capsys, command, edit, message):
+    assert run_cli(
+        "fit", "--config", workdir / "config.json", "--data", workdir / "data.csv",
+        "--out-dir", workdir / "fit",
+    ) == 0
+    data = workdir / "bad.csv"
+    data.write_text("\n".join(edit((workdir / "data.csv").read_text().splitlines())) + "\n")
+    model = (
+        ["--config", workdir / "config.json"] if command == "run"
+        else ["--snapshot", workdir / "fit" / "snapshot.json"]
+    )
+    code = run_cli(command, *model, "--data", data, "--out-dir", workdir / "out")
+    assert code == 1
+    assert capsys.readouterr().err == f"error: {data}: {message}\n"
+
+
+def test_repeated_indicator_names_the_data_file(workdir, capsys):
+    config = _edit_config(workdir, lambda c: c["indicators"].append(c["indicators"][0]))
+    code = run_cli(
+        "run", "--config", config, "--data", workdir / "data.csv",
+        "--out-dir", workdir / "out",
+    )
+    assert code == 1
+    assert capsys.readouterr().err == (
+        f"error: {workdir / 'data.csv'}: duplicate indicator names: ['gdp_growth']\n"
+    )
 
 
 def test_range_too_wide_names_column(workdir, capsys):

@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import re
 import time
 
 import numpy as np
@@ -281,6 +282,21 @@ def test_declined_tables_keep_per_cell_results(tmp_path, text, outcome):
             load_dataset(path, SPECS_XY)
     else:
         assert load_dataset(path, SPECS_XY).values.tolist() == outcome
+
+
+@pytest.mark.parametrize("text, specs, message", [
+    ("object,x,y\n", SPECS_XY, "need at least 1 rating object, got 0"),
+    ("object,x,y\na,1,2\na,3,4\n", SPECS_XY, r"duplicate object ids: \['a'\]"),
+    ("object,x,y\na,nan,2\nb,3,4\n", SPECS_XY,
+     r"non-finite value at row 1 \('a'\), column 'x'"),
+    ("object,x\na,1\nb,2\n", (IndicatorSpec("x", Direction.POSITIVE),) * 2,
+     r"duplicate indicator names: \['x'\]"),
+], ids=["header-only", "repeated-row", "nan-cell", "repeated-indicator"])
+def test_dataset_errors_name_the_file(tmp_path, text, specs, message):
+    path = tmp_path / "d.csv"
+    path.write_text(text)
+    with pytest.raises(ValidationError, match=rf"^{re.escape(str(path))}: {message}$"):
+        load_dataset(path, specs)
 
 
 def test_non_utf8_data_names_file_and_line(tmp_path):
