@@ -3,25 +3,18 @@ l1-scaled principal components, ranking-function features, k-means
 clustering, and projection-ordered category assignment."""
 
 from .attributes import map_to_feature_space
-from .clustering import ClusteringResult, Xorshift64Star, kmeans
+from .clustering import ClusteringResult, kmeans
 from .config import PipelineConfig, config_from_dict, load_config
-from .dataset import (
-    Direction,
-    IndicatorSpec,
-    RawDataset,
-    load_dataset,
-    save_dataset,
-)
+from .dataset import Direction, IndicatorSpec, RawDataset, load_dataset
 from .errors import NumericalError, RelarmError, ValidationError
 from .normalize import ConstantColumnWarning, normalize_dataset
-from .pca import PcaModel, fit_pca, jacobi_eigh
+from .pca import PcaModel, fit_pca
 from .pipeline import PipelineOutputs, run_pipeline
 from .rating import (
     AgreementReport,
     RatingResult,
     RatingScale,
     assign_ratings,
-    collapse_category,
     project_center,
     score_agreement,
 )
@@ -45,12 +38,9 @@ __all__ = [
     "RelarmError",
     "Snapshot",
     "ValidationError",
-    "Xorshift64Star",
     "assign_ratings",
-    "collapse_category",
     "config_from_dict",
     "fit_pca",
-    "jacobi_eigh",
     "kmeans",
     "load_config",
     "load_dataset",
@@ -59,7 +49,6 @@ __all__ = [
     "normalize_dataset",
     "project_center",
     "run_pipeline",
-    "save_dataset",
     "save_snapshot",
     "score_agreement",
     "score_with_snapshot",

@@ -14,7 +14,7 @@ from . import io
 from .config import load_config
 from .dataset import load_dataset
 from .errors import NumericalError, ValidationError
-from .normalize import ConstantColumnWarning, normalize_dataset
+from .normalize import ConstantColumnWarning
 from .pipeline import run_pipeline
 from .rating import REPORT_FOOTER, score_agreement
 from .snapshot import load_snapshot, save_snapshot, score_with_snapshot
@@ -53,9 +53,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="also write normalized matrix, weights, features, centers",
     )
 
-    p_norm = sub.add_parser("normalize", help="emit the normalized matrix as CSV")
-    common(p_norm)
-
     p_fit = sub.add_parser("fit", help="fit the model and write a snapshot")
     common(p_fit)
     p_fit.add_argument("--seed", type=int, help="override config seed")
@@ -75,57 +72,68 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _write_normalized(out_dir: Path, normalized, objects, indicators) -> Path:
-    path = out_dir / "normalized.csv"
-    io.write_matrix_csv(
-        path, normalized, ["object"] + [s.name for s in indicators], row_ids=objects
-    )
-    return path
-
-
-def _fit(args, reference=None):
-    """Fit on ``--data`` with the config and its overrides, and write the
-    snapshot; returns (config, outputs, output directory).  A fit that
-    stopped at the Lloyd cap is reported on stderr."""
+def _fit(args):
+    """Fit on ``--data`` with the config and its overrides; returns
+    (config, outputs).  A fit that stopped at the Lloyd cap is reported
+    on stderr."""
     cfg = load_config(args.config).with_overrides(
         seed=args.seed, variance_threshold=args.threshold
     )
     dataset = load_dataset(args.data, cfg.indicators)
-    outputs = run_pipeline(cfg, dataset, reference=reference)
+    outputs = run_pipeline(cfg, dataset)
     if not outputs.clusters.converged:
         print(
             f"warning: k-means stopped at max_iterations={cfg.max_iterations} "
             f"before converging",
             file=sys.stderr,
         )
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    save_snapshot(outputs.snapshot, out_dir / "snapshot.json")
-    return cfg, outputs, out_dir
+    return cfg, outputs
 
 
-def _warn_skipped(report) -> None:
-    """One stderr line per reference object the agreement report skipped."""
+def _agreement(args, ratings, reference, scale, collapse_table):
+    """Score ``ratings`` against ``reference``, read from ``--reference``;
+    a category that collapses to no label is an error naming that file,
+    and each reference object absent from the ratings a stderr warning."""
+    try:
+        report = score_agreement(
+            ratings, reference, scale=scale, collapse_table=collapse_table
+        )
+    except ValidationError as exc:
+        raise ValidationError(f"{args.reference}: {exc}") from None
     for obj in report.skipped:
         print(f"warning: reference object {obj!r} absent from results; skipped",
               file=sys.stderr)
+    return report
 
 
 def _cmd_run(args) -> int:
     reference = io.read_reference_csv(args.reference) if args.reference else None
-    cfg, outputs, out_dir = _fit(args, reference)
+    cfg, outputs = _fit(args)
+    # compared before anything is written, so a bad reference leaves no output
+    report = None
+    if reference is not None:
+        report = _agreement(
+            args, outputs.ratings, reference, cfg.scale, cfg.collapse_table
+        )
+    out_dir = Path(args.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    save_snapshot(outputs.snapshot, out_dir / "snapshot.json")
     io.write_ratings_csv(out_dir / "ratings.csv", outputs.ratings)
-    if outputs.agreement is not None:
-        _warn_skipped(outputs.agreement)
-        io.write_agreement_json(out_dir / "agreement.json", outputs.agreement)
-        frac = outputs.agreement.fraction
+    if report is not None:
+        io.write_agreement_json(out_dir / "agreement.json", report)
+        frac = report.fraction
         print(
             "agreement: "
             + (f"{frac:.4f}" if frac is not None else "no comparable objects")
         )
     if args.dump_intermediates:
         objects = outputs.ratings.objects
-        _write_normalized(out_dir, outputs.normalized, objects, cfg.indicators)
+        io.write_matrix_csv(
+            out_dir / "normalized.csv",
+            outputs.normalized,
+            ["object"] + [s.name for s in cfg.indicators],
+            row_ids=objects,
+        )
         model = outputs.snapshot.model
         pc_names = [f"PC{p + 1}" for p in range(model.d)]
         io.write_matrix_csv(
@@ -152,19 +160,11 @@ def _cmd_run(args) -> int:
     return EXIT_OK
 
 
-def _cmd_normalize(args) -> int:
-    cfg = load_config(args.config)
-    dataset = load_dataset(args.data, cfg.indicators)
-    normalized = normalize_dataset(dataset)
+def _cmd_fit(args) -> int:
+    cfg, outputs = _fit(args)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    path = _write_normalized(out_dir, normalized, dataset.objects, cfg.indicators)
-    print(f"wrote {path}")
-    return EXIT_OK
-
-
-def _cmd_fit(args) -> int:
-    cfg, outputs, out_dir = _fit(args)
+    save_snapshot(outputs.snapshot, out_dir / "snapshot.json")
     print(f"wrote {out_dir / 'snapshot.json'} (d={outputs.snapshot.model.d}, k={cfg.k})")
     return EXIT_OK
 
@@ -190,8 +190,7 @@ def _cmd_score(args) -> int:
         cfg = load_config(args.config)
         scale = cfg.scale
         collapse = cfg.collapse_table
-    report = score_agreement(result, reference, scale=scale, collapse_table=collapse)
-    _warn_skipped(report)
+    report = _agreement(args, result, reference, scale, collapse)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     io.write_agreement_json(out_dir / "agreement.json", report)
@@ -204,7 +203,6 @@ def _cmd_score(args) -> int:
 
 _COMMANDS = {
     "run": _cmd_run,
-    "normalize": _cmd_normalize,
     "fit": _cmd_fit,
     "assign": _cmd_assign,
     "score": _cmd_score,

@@ -6,6 +6,7 @@ import csv
 import enum
 import io
 import json
+import math
 import os
 from collections import Counter
 from dataclasses import dataclass, field
@@ -186,9 +187,10 @@ def load_dataset(path, spec) -> RawDataset:
 
     A plain table (no quotes, no blank lines, every row as wide as the
     header, header names exactly the spec's) is parsed by numpy's C
-    parser; anything else, and any value that parser rejects, goes
-    through ``csv`` and per-cell ``float()``, which gives the same values
-    and names the offending cell in its errors.
+    parser; anything else, and any value that parser rejects or reads as
+    non-finite, goes through ``csv`` and per-cell ``float()``, which gives
+    the same values and names the offending cell, by file line, in its
+    errors.
     """
     if isinstance(spec, (str, os.PathLike)):
         declared = read_json(spec)
@@ -275,6 +277,8 @@ def _parse_plain(
         return None
     if values.shape[0] != len(data):  # loadtxt skips blank lines
         return None
+    if not np.isfinite(values).all():  # the per-cell path names the cell
+        return None
     return [line.partition(",")[0].strip() for line in data], values
 
 
@@ -312,18 +316,14 @@ def _parse_rows(
             if not cell:
                 raise ValidationError(f"{source}: row {r}, column {name!r}: missing value")
             try:
-                values[r - 2, j] = float(cell)
+                value = float(cell)
             except ValueError:
                 raise ValidationError(
                     f"{source}: row {r}, column {name!r}: non-numeric value {cell!r}"
                 ) from None
+            if not math.isfinite(value):
+                raise ValidationError(
+                    f"{source}: row {r}, column {name!r}: non-finite value {cell!r}"
+                )
+            values[r - 2, j] = value
     return objects, values
-
-
-def save_dataset(dataset: RawDataset, path, id_header: str = "object") -> None:
-    """Write a dataset back to CSV losslessly (shortest round-trip floats)."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow([id_header] + [s.name for s in dataset.indicators])
-        for obj, row in zip(dataset.objects, dataset.values):
-            w.writerow([obj] + [repr(float(v)) for v in row])

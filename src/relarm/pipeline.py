@@ -12,14 +12,7 @@ from .config import PipelineConfig
 from .dataset import RawDataset, check_indicators
 from .normalize import normalize_dataset
 from .pca import PcaModel, fit_pca
-from .rating import (
-    AgreementReport,
-    RatingResult,
-    assign_ratings,
-    bind_categories,
-    project_center,
-    score_agreement,
-)
+from .rating import RatingResult, assign_ratings, bind_categories, project_center
 from .snapshot import Snapshot
 
 
@@ -30,15 +23,10 @@ class PipelineOutputs:
     features: np.ndarray  # M x d, one row per object
     clusters: ClusteringResult
     ratings: RatingResult
-    agreement: AgreementReport | None = None
 
 
-def run_pipeline(
-    config: PipelineConfig,
-    dataset: RawDataset,
-    reference: dict[str, dict[str, str]] | None = None,
-) -> PipelineOutputs:
-    """normalize -> fit -> map -> cluster -> snapshot -> assign (-> score);
+def run_pipeline(config: PipelineConfig, dataset: RawDataset) -> PipelineOutputs:
+    """normalize -> fit -> map -> cluster -> snapshot -> assign;
     the fit data is rated by the snapshot's centers and table, as
     :func:`score_with_snapshot` rates new objects."""
     check_indicators(dataset.indicators, config.indicators, "the configuration")
@@ -59,18 +47,12 @@ def run_pipeline(
     ratings = assign_ratings(
         dataset.objects, features, snapshot.centers, snapshot.per_cluster
     )
-    agreement = None
-    if reference is not None:
-        agreement = score_agreement(
-            ratings, reference, scale=config.scale, collapse_table=config.collapse_table
-        )
     return PipelineOutputs(
         normalized=normalized,
         snapshot=snapshot,
         features=features,
         clusters=clusters,
         ratings=ratings,
-        agreement=agreement,
     )
 
 

@@ -111,17 +111,16 @@ def test_flag_overrides_config(workdir):
     assert snap["config"]["seed"] == 7
 
 
-def test_normalize_subcommand(workdir, country_dataset):
-    out = workdir / "out"
-    code = run_cli(
-        "normalize", "--config", workdir / "config.json",
-        "--data", workdir / "data.csv", "--out-dir", out,
-    )
-    assert code == 0
-    header, ids, values = read_matrix_csv(out / "normalized.csv")
-    assert header == ["object"] + NAMES
-    assert ids == list(country_dataset.objects)
-    assert np.array_equal(values, normalize_dataset(country_dataset))
+def test_normalize_is_not_a_command(workdir, capsys):
+    # run --dump-intermediates writes normalized.csv
+    with pytest.raises(SystemExit) as exc:
+        run_cli(
+            "normalize", "--config", workdir / "config.json",
+            "--data", workdir / "data.csv", "--out-dir", workdir / "out",
+        )
+    assert exc.value.code == 1
+    assert "invalid choice: 'normalize'" in capsys.readouterr().err
+    assert not (workdir / "out").exists()
 
 
 def test_fit_then_assign_matches_run(workdir):
@@ -241,14 +240,35 @@ def test_repeated_reference_pair_names_both_rows(workdir, data_dir, capsys):
     ), err
 
 
+UNCOLLAPSIBLE = (
+    "reference category 'ZZ' does not collapse to any scale label "
+    "['AAA', 'AA', 'A', 'BBB', 'BB', 'B', 'CCC']"
+)
+
+
 def test_uncollapsible_category_is_validation_error(workdir, data_dir, capsys):
-    (workdir / "ref.csv").write_text("object,agency,category\nSwitzerland,Fitch,ZZ\n")
+    ref = workdir / "ref.csv"
+    ref.write_text("object,agency,category\nSwitzerland,Fitch,ZZ\n")
     code = run_cli(
         "score", "--ratings", data_dir / "table8_model_categories.csv",
-        "--reference", workdir / "ref.csv",
+        "--reference", ref,
         "--config", workdir / "config.json", "--out-dir", workdir / "out",
     )
     assert code == 1
+    assert capsys.readouterr().err == f"error: {ref}: {UNCOLLAPSIBLE}\n"
+    assert not (workdir / "out").exists()
+
+
+def test_run_uncollapsible_category_writes_nothing(workdir, capsys):
+    ref = workdir / "ref.csv"
+    ref.write_text("object,agency,category\nSwitzerland,Fitch,ZZ\n")
+    code = run_cli(
+        "run", "--config", workdir / "config.json", "--data", workdir / "data.csv",
+        "--reference", ref, "--out-dir", workdir / "out", "--dump-intermediates",
+    )
+    assert code == 1
+    assert capsys.readouterr().err == f"error: {ref}: {UNCOLLAPSIBLE}\n"
+    assert not (workdir / "out").exists()
 
 
 def test_missing_required_flag_exits_1(capsys):
@@ -434,16 +454,16 @@ def _repeat_row(rows):
     return rows + rows[1:2]
 
 
-def _nan_cell(rows):
+def _bad_first_cell(rows, cell="nan"):
     cells = rows[1].split(",")
-    return [rows[0], ",".join(cells[:1] + ["nan"] + cells[2:]), *rows[2:]]
+    return [rows[0], ",".join(cells[:1] + [cell] + cells[2:]), *rows[2:]]
 
 
 @pytest.mark.parametrize("command", ["run", "assign"])
 @pytest.mark.parametrize("edit, message", [
     (_cut_rows, "need at least 1 rating object, got 0"),
     (_repeat_row, "duplicate object ids: ['Switzerland']"),
-    (_nan_cell, "non-finite value at row 1 ('Switzerland'), column 'gdp_growth'"),
+    (_bad_first_cell, "row 2, column 'gdp_growth': non-finite value 'nan'"),
 ], ids=["header-only", "repeated-row", "nan-cell"])
 def test_bad_data_rows_name_the_file(workdir, capsys, command, edit, message):
     assert run_cli(
@@ -459,6 +479,27 @@ def test_bad_data_rows_name_the_file(workdir, capsys, command, edit, message):
     code = run_cli(command, *model, "--data", data, "--out-dir", workdir / "out")
     assert code == 1
     assert capsys.readouterr().err == f"error: {data}: {message}\n"
+
+
+@pytest.mark.parametrize("cell, problem", [
+    ("nan", "non-finite value 'nan'"),
+    ("inf", "non-finite value 'inf'"),
+    ("1e999", "non-finite value '1e999'"),
+    ("abc", "non-numeric value 'abc'"),
+])
+def test_bad_cell_is_numbered_by_file_line(workdir, capsys, cell, problem):
+    # the first data row is line 2 of the file, whatever is wrong with it
+    data = workdir / "bad.csv"
+    rows = (workdir / "data.csv").read_text().splitlines()
+    data.write_text("\n".join(_bad_first_cell(rows, cell)) + "\n")
+    code = run_cli(
+        "run", "--config", workdir / "config.json", "--data", data,
+        "--out-dir", workdir / "out",
+    )
+    assert code == 1
+    assert capsys.readouterr().err == (
+        f"error: {data}: row 2, column 'gdp_growth': {problem}\n"
+    )
 
 
 def test_repeated_indicator_names_the_data_file(workdir, capsys):
@@ -493,7 +534,7 @@ def test_range_too_wide_names_column(workdir, capsys):
     ), err
 
 
-@pytest.mark.parametrize("command", ["run", "fit", "normalize"])
+@pytest.mark.parametrize("command", ["run", "fit"])
 def test_constant_column_warns_on_stderr(workdir, capsys, command):
     data = workdir / "data.csv"
     header, *rows = data.read_text().splitlines()
@@ -531,7 +572,7 @@ def test_assign_scores_one_object(workdir):
     assert (workdir / "one" / "ratings.csv").read_text() == f"{header}\n{first}\n"
 
 
-@pytest.mark.parametrize("command", ["run", "fit", "normalize"])
+@pytest.mark.parametrize("command", ["run", "fit"])
 def test_one_object_has_no_ranges(workdir, capsys, command):
     code = run_cli(
         command, "--config", workdir / "config.json", "--data", _first_rows(workdir, 1),

@@ -2,7 +2,9 @@
 
 The fixture pins behaviour, not just run-to-run determinism: cluster ids,
 categories and the retained ``d`` must match exactly, and the floats of
-``W``, ``Lambda``, the centers and their projections to 1e-12.
+``W``, ``Lambda``, the centers and their projections to 1e-12.  With
+``--reference`` it pins the agreement counts, each object's category and
+match, and the stdout lines.
 
 Regenerate (only when a change of output is intended, and say so in
 CHANGES.md):
@@ -12,7 +14,9 @@ CHANGES.md):
 
 from __future__ import annotations
 
+import contextlib
 import csv
+import io
 import json
 import sys
 from pathlib import Path
@@ -49,6 +53,30 @@ def country_run_summary(out_dir: Path) -> dict:
     }
 
 
+def country_reference_summary(out_dir: Path) -> dict:
+    """Run the CLI with the agencies' ratings and collect what the
+    fixture pins of the comparison."""
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        code = main([
+            "run", "--config", str(DATA / "country_config.json"),
+            "--data", str(DATA / "country_raw.csv"),
+            "--reference", str(DATA / "table8_reference.csv"),
+            "--out-dir", str(out_dir),
+        ])
+    assert code == 0
+    report = json.loads((out_dir / "agreement.json").read_text(encoding="utf-8"))
+    return {
+        "matched": report["matched"],
+        "compared": report["compared"],
+        "per_object": [
+            {k: row[k] for k in ("object", "model_category", "matched")}
+            for row in report["per_object"]
+        ],
+        "stdout": stdout.getvalue().splitlines(),
+    }
+
+
 def test_country_run_matches_golden(tmp_path):
     golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
     got = country_run_summary(tmp_path)
@@ -60,11 +88,17 @@ def test_country_run_matches_golden(tmp_path):
         )
 
 
+def test_country_run_with_reference_matches_golden(tmp_path):
+    golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
+    assert country_reference_summary(tmp_path) == golden["reference_run"]
+
+
 if __name__ == "__main__":
     import tempfile
 
     with tempfile.TemporaryDirectory() as tmp:
-        summary = country_run_summary(Path(tmp))
+        summary = country_run_summary(Path(tmp) / "run")
+        summary["reference_run"] = country_reference_summary(Path(tmp) / "reference")
     GOLDEN.parent.mkdir(exist_ok=True)
     GOLDEN.write_text(json.dumps(summary, indent=1) + "\n", encoding="utf-8")
     print(f"wrote {GOLDEN}", file=sys.stderr)
