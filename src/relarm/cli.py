@@ -45,8 +45,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_run = sub.add_parser("run", help="full pipeline: normalize, fit, cluster, assign")
     common(p_run)
     p_run.add_argument("--reference", help="reference ratings CSV for agreement scoring")
-    p_run.add_argument("--seed", type=int, help="override config seed")
-    p_run.add_argument("--threshold", type=float, help="override variance threshold")
     p_run.add_argument(
         "--dump-intermediates",
         action="store_true",
@@ -55,8 +53,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_fit = sub.add_parser("fit", help="fit the model and write a snapshot")
     common(p_fit)
-    p_fit.add_argument("--seed", type=int, help="override config seed")
-    p_fit.add_argument("--threshold", type=float, help="override variance threshold")
 
     p_assign = sub.add_parser("assign", help="score objects against a saved snapshot")
     p_assign.add_argument("--snapshot", required=True, help="snapshot JSON from 'fit'")
@@ -73,12 +69,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _fit(args):
-    """Fit on ``--data`` with the config and its overrides; returns
-    (config, outputs).  A fit that stopped at the Lloyd cap is reported
-    on stderr."""
-    cfg = load_config(args.config).with_overrides(
-        seed=args.seed, variance_threshold=args.threshold
-    )
+    """Fit on ``--data`` with the config; returns (config, outputs).  A
+    fit that stopped at the Lloyd cap is reported on stderr."""
+    cfg = load_config(args.config)
     dataset = load_dataset(args.data, cfg.indicators)
     outputs = run_pipeline(cfg, dataset)
     if not outputs.clusters.converged:

@@ -206,7 +206,6 @@ def kmeans(
     seed: int,
     restarts: int = 50,
     max_iterations: int = 300,
-    distance: str = "euclidean",
 ) -> ClusteringResult:
     """Best of ``restarts`` independently seeded k-means++ runs over the
     rows of ``points``.
@@ -220,8 +219,6 @@ def kmeans(
     :data:`FORK_MIN_WORK`, the restarts run in up to one process per
     usable CPU; the result is byte-identical to running them in order.
     """
-    if distance != "euclidean":
-        raise ValidationError(f"unsupported distance {distance!r}; only 'euclidean'")
     x = np.array(points, dtype=np.float64)
     if x.ndim != 2 or x.shape[0] < 1:
         raise ValidationError("points must be a non-empty 2-D matrix")

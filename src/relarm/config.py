@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+import json
+from dataclasses import dataclass, field
 
 from .dataset import IndicatorSpec, checked, parse_indicator_specs, read_json, typed
 from .errors import ValidationError
@@ -22,8 +23,6 @@ class PipelineConfig:
     variance_threshold: float = DEFAULT_VARIANCE_THRESHOLD
     restarts: int = DEFAULT_RESTARTS
     max_iterations: int = DEFAULT_MAX_ITERATIONS
-    distance: str = "euclidean"
-    center: bool = True
     collapse_table: dict[str, str] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
@@ -38,10 +37,6 @@ class PipelineConfig:
                 f"rating scale has {len(self.labels)} labels but k={self.k}"
             )
         RatingScale(self.labels)  # uniqueness check
-        if self.distance != "euclidean":
-            raise ValidationError(
-                f"unsupported distance {self.distance!r}; only 'euclidean'"
-            )
         if self.restarts < 1 or self.max_iterations < 1:
             raise ValidationError("restarts and max_iterations must be >= 1")
 
@@ -49,12 +44,24 @@ class PipelineConfig:
     def scale(self) -> RatingScale:
         return RatingScale(self.labels)
 
-    def with_overrides(self, **kwargs) -> "PipelineConfig":
-        kwargs = {k: v for k, v in kwargs.items() if v is not None}
-        return replace(self, **kwargs) if kwargs else self
+
+_KEYS = ("indicators", "k", "labels", "seed", "variance_threshold", "restarts",
+         "max_iterations", "collapse_table")
+# settings with one value in the model, accepted only at it: format-1 and
+# format-2 snapshots store them
+_FIXED = {"distance": "euclidean", "center": True}
 
 
 def config_from_dict(raw: dict) -> PipelineConfig:
+    for key, value in raw.items():
+        if key in _FIXED:
+            fixed = _FIXED[key]
+            if type(value) is not type(fixed) or value != fixed:
+                raise ValidationError(
+                    f"'{key}' must be {json.dumps(fixed)}, got {value!r}"
+                )
+        elif key not in _KEYS:
+            raise ValidationError(f"unknown key {key!r}")
     if "indicators" not in raw:
         raise ValidationError("config is missing the 'indicators' key")
     if "k" not in raw:
@@ -81,8 +88,6 @@ def config_from_dict(raw: dict) -> PipelineConfig:
         ),
         restarts=typed(raw, "restarts", int, DEFAULT_RESTARTS),
         max_iterations=typed(raw, "max_iterations", int, DEFAULT_MAX_ITERATIONS),
-        distance=typed(raw, "distance", str, "euclidean"),
-        center=typed(raw, "center", bool, True),
         collapse_table=dict(collapse_table),
     )
 
@@ -113,7 +118,5 @@ def config_to_dict(cfg: PipelineConfig) -> dict:
         "variance_threshold": cfg.variance_threshold,
         "restarts": cfg.restarts,
         "max_iterations": cfg.max_iterations,
-        "distance": cfg.distance,
-        "center": cfg.center,
         "collapse_table": dict(cfg.collapse_table),
     }

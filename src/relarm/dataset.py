@@ -53,7 +53,9 @@ def _duplicates(items) -> list[str]:
 
 @dataclass(frozen=True)
 class RawDataset:
-    """An M x N table of raw indicator values, one row per rating object."""
+    """An M x N table of raw indicator values, one row per rating object;
+    every value is finite, and those of a pre-normalized column lie in
+    [0, 1]."""
 
     objects: tuple[str, ...]
     indicators: tuple[IndicatorSpec, ...]
@@ -79,6 +81,16 @@ class RawDataset:
                 f"non-finite value at row {i + 1} ({self.objects[i]!r}), "
                 f"column {names[j]!r}"
             )
+        for j, spec in enumerate(self.indicators):
+            if spec.pre_normalized:
+                col = self.values[:, j]
+                bad = (col < 0.0) | (col > 1.0)
+                if bad.any():
+                    i = int(np.argmax(bad))
+                    raise ValidationError(
+                        f"pre-normalized column {spec.name!r} has value {col[i]} "
+                        f"outside [0, 1] for object {self.objects[i]!r}"
+                    )
 
     @property
     def n_objects(self) -> int:
@@ -137,7 +149,10 @@ def checked(value, kind, label: str):
         ok = isinstance(value, kind)
     if not ok:
         raise ValidationError(f"'{label}' must be {_KINDS[kind]}, got {value!r}")
-    return kind(value)
+    try:
+        return kind(value)
+    except OverflowError:  # an integer beyond the float range
+        raise ValidationError(f"'{label}' is too large, got {value!r}") from None
 
 
 def parse_indicator_specs(obj) -> tuple[IndicatorSpec, ...]:
@@ -158,6 +173,9 @@ def parse_indicator_specs(obj) -> tuple[IndicatorSpec, ...]:
             raise ValidationError(
                 f"indicators[{i}] must be an object with a 'name', got {entry!r}"
             )
+        for key in entry:
+            if key not in ("name", "direction", "pre_normalized"):
+                raise ValidationError(f"unknown key 'indicators[{i}].{key}'")
         try:
             direction = Direction(str(entry["direction"]).lower())
         except (KeyError, ValueError):

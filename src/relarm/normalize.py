@@ -21,17 +21,10 @@ def scale_column(col: np.ndarray, lo, hi, spec: IndicatorSpec) -> np.ndarray:
     Positive direction maps (p - lo) / (hi - lo); negative maps
     (hi - p) / (hi - lo); values outside the range clip to the endpoints.
     A range with no spread maps to 0.5, and one whose width overflows is a
-    ``ValidationError``.  A pre-normalized column is returned as it is
-    after a check that it lies in [0, 1].
+    ``ValidationError``.  A pre-normalized column, which
+    :class:`RawDataset` has checked to lie in [0, 1], is returned as it is.
     """
     if spec.pre_normalized:
-        bad = (col < 0.0) | (col > 1.0)
-        if bad.any():
-            i = int(np.argmax(bad))
-            raise ValidationError(
-                f"pre-normalized column {spec.name!r} has value "
-                f"{col[i]} outside [0, 1] at row {i + 1}"
-            )
         return col
     if lo == hi:
         return np.full(col.shape, 0.5)
@@ -64,8 +57,8 @@ def scale_dataset(raw: RawDataset, lo, hi) -> np.ndarray:
 def normalize_dataset(raw: RawDataset) -> np.ndarray:
     """Scale every column over its range in ``raw``, with each indicator's
     direction; one :class:`ConstantColumnWarning` names each constant
-    column.  Columns flagged pre-normalized are copied verbatim after a
-    range check.  A range needs at least 2 objects.
+    column.  Columns flagged pre-normalized are copied verbatim.  A range
+    needs at least 2 objects.
     """
     if raw.n_objects < 2:
         raise ValidationError(

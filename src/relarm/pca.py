@@ -95,7 +95,6 @@ class PcaModel:
     W: np.ndarray = field(repr=False)
     Lambda: np.ndarray = field(repr=False)
     variance_threshold: float
-    centered: bool = True
 
     @property
     def n_indicators(self) -> int:
@@ -118,10 +117,7 @@ def _l1_columns(vectors: np.ndarray) -> np.ndarray:
 
 
 def derive_weights(
-    components: np.ndarray,
-    variance_fractions: np.ndarray,
-    variance_threshold: float,
-    centered: bool = True,
+    components: np.ndarray, variance_fractions: np.ndarray, variance_threshold: float
 ) -> PcaModel:
     """Pick d by the cumulative-variance rule and build W and Lambda.
 
@@ -143,20 +139,16 @@ def derive_weights(
         W=_freeze(w),
         Lambda=_freeze(fractions[:d]),
         variance_threshold=float(variance_threshold),
-        centered=centered,
     )
 
 
-def fit_pca(
-    B: np.ndarray, variance_threshold: float = 0.95, center: bool = True
-) -> PcaModel:
+def fit_pca(B: np.ndarray, variance_threshold: float = 0.95) -> PcaModel:
     """Fit principal components to the M x N normalized matrix ``B``.
 
     Components are eigenvectors of the sample covariance matrix
     (divisor M - 1) of the mean-centered data, computed by LAPACK's
     symmetric eigensolver (``np.linalg.eigh``), each rescaled to unit l1
-    norm.  ``center=False`` skips the mean subtraction for comparison
-    runs.
+    norm.
     """
     if not 0.0 < variance_threshold <= 1.0:
         raise ValidationError(
@@ -166,7 +158,7 @@ def fit_pca(
     if x.ndim != 2 or x.shape[0] < 2:
         raise ValidationError("need an M x N matrix with M >= 2")
     m = x.shape[0]
-    centered_x = x - x.mean(axis=0) if center else np.array(x)
+    centered_x = x - x.mean(axis=0)
     cov = centered_x.T @ centered_x / (m - 1)
 
     try:
@@ -182,4 +174,4 @@ def fit_pca(
     eigvecs = eigvecs[:, order]
     fractions = eigvals / eigvals.sum()
     components = _l1_columns(eigvecs)
-    return derive_weights(components, fractions, variance_threshold, centered=center)
+    return derive_weights(components, fractions, variance_threshold)

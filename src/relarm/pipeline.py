@@ -31,9 +31,7 @@ def run_pipeline(config: PipelineConfig, dataset: RawDataset) -> PipelineOutputs
     :func:`score_with_snapshot` rates new objects."""
     check_indicators(dataset.indicators, config.indicators, "the configuration")
     normalized = normalize_dataset(dataset)
-    model = fit_pca(
-        normalized, variance_threshold=config.variance_threshold, center=config.center
-    )
+    model = fit_pca(normalized, variance_threshold=config.variance_threshold)
     features = map_to_feature_space(normalized, model)
     clusters = kmeans(
         features,
@@ -41,7 +39,6 @@ def run_pipeline(config: PipelineConfig, dataset: RawDataset) -> PipelineOutputs
         seed=config.seed,
         restarts=config.restarts,
         max_iterations=config.max_iterations,
-        distance=config.distance,
     )
     snapshot = build_snapshot(config, dataset, model, clusters.centers)
     ratings = assign_ratings(

@@ -9,7 +9,7 @@ import numpy as np
 
 from .attributes import map_to_feature_space
 from .config import PipelineConfig, config_from_dict, config_to_dict
-from .dataset import RawDataset, _freeze, check_indicators, read_json, typed
+from .dataset import RawDataset, _freeze, check_indicators, read_json
 from .errors import ValidationError
 from .io import atomic_write
 from .normalize import scale_dataset
@@ -22,7 +22,9 @@ from .rating import (
     project_center,
 )
 
-FORMAT_VERSION = 2  # format 1 also stored model.components and model.column_means
+# format 2 also stored model.variance_threshold and model.centered, and
+# format 1 model.components and model.column_means besides
+FORMAT_VERSION = 3
 
 
 @dataclass(frozen=True)
@@ -58,8 +60,6 @@ def save_snapshot(snapshot: Snapshot, path) -> None:
             "d": model.d,
             "W": model.W.tolist(),
             "Lambda": model.Lambda.tolist(),
-            "variance_threshold": model.variance_threshold,
-            "centered": model.centered,
         },
         "clusters": {
             "centers": snapshot.centers.tolist(),
@@ -75,14 +75,14 @@ def save_snapshot(snapshot: Snapshot, path) -> None:
 _SECTIONS = {
     "config": (),
     "normalization": ("column_min", "column_max"),
-    "model": ("variance_fractions", "d", "W", "Lambda", "variance_threshold", "centered"),
+    "model": ("variance_fractions", "d", "W", "Lambda"),
     "clusters": ("centers", "categories", "projections"),
 }
 
 
 def load_snapshot(path) -> Snapshot:
-    """Read a snapshot written by :func:`save_snapshot`, in format 2 or in
-    format 1, whose extra keys are ignored; a missing key, an array of
+    """Read a snapshot written by :func:`save_snapshot`, in format 3 or in
+    format 2 or 1, whose extra keys are ignored; a missing key, an array of
     the wrong shape or with a non-finite entry, or a derived fact that
     disagrees with the fit it derives from (``Lambda``, the projections,
     the categories) is a ``ValidationError`` naming the file and the key."""
@@ -112,7 +112,7 @@ def _snapshot_from_doc(doc) -> Snapshot:
     if not isinstance(doc, dict):
         raise ValidationError("snapshot must be a JSON object")
     version = doc.get("format_version")
-    if type(version) is not int or version not in (1, FORMAT_VERSION):
+    if type(version) is not int or version not in (1, 2, FORMAT_VERSION):
         raise ValidationError(f"unsupported snapshot format {version!r}")
     for section, keys in _SECTIONS.items():
         if not isinstance(doc.get(section), dict):
@@ -134,8 +134,7 @@ def _snapshot_from_doc(doc) -> Snapshot:
         d=d,
         W=_array(doc, "model", "W", (n, d)),
         Lambda=_array(doc, "model", "Lambda", (d,)),
-        variance_threshold=float(_array(doc, "model", "variance_threshold", ())),
-        centered=typed(doc["model"], "centered", bool, label="model.centered"),
+        variance_threshold=config.variance_threshold,
     )
     if not np.array_equal(model.Lambda, model.variance_fractions[:d]):
         raise ValidationError(

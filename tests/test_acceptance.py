@@ -222,10 +222,7 @@ def test_criterion_7_ordering_invariances(country_config, country_dataset):
         flipped = np.array(model.components)
         flipped[:, p] = -flipped[:, p]
         model2 = derive_weights(
-            flipped,
-            model.variance_fractions,
-            model.variance_threshold,
-            centered=model.centered,
+            flipped, model.variance_fractions, model.variance_threshold
         )
         assert model2.d == model.d
         assert np.array_equal(model2.W, model.W)

@@ -2,12 +2,24 @@ import csv
 import json
 import shutil
 import tempfile
+import types
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from relarm.cli import main
+from relarm.config import config_from_dict, load_config
+from relarm.errors import ValidationError
 from relarm.normalize import normalize_dataset
+
+ROOT = Path(__file__).resolve().parents[1]
+GEN = ROOT / "perfbench" / "gen.py"
+BUNDLED_CONFIG = json.loads(
+    (ROOT / "src" / "relarm" / "data" / "country_config.json").read_text(encoding="utf-8")
+)
 
 NAMES = [
     "gdp_growth",
@@ -98,17 +110,6 @@ def test_missing_k_is_usage_error(workdir, capsys):
     )
     assert code == 1
     assert "'k'" in capsys.readouterr().err
-
-
-def test_flag_overrides_config(workdir):
-    # --seed wins over the config seed: snapshot records the effective seed
-    out = workdir / "out"
-    run_cli(
-        "run", "--config", workdir / "config.json", "--data", workdir / "data.csv",
-        "--out-dir", out, "--seed", 7,
-    )
-    snap = json.loads((out / "snapshot.json").read_text())
-    assert snap["config"]["seed"] == 7
 
 
 def test_normalize_is_not_a_command(workdir, capsys):
@@ -289,6 +290,19 @@ def test_k_is_not_a_flag(workdir, command, capsys):
     assert "unrecognized arguments: --k 7" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["run", "fit"])
+def test_seed_and_threshold_are_not_flags(workdir, command, capsys):
+    # the config alone sets them
+    with pytest.raises(SystemExit) as exc:
+        run_cli(
+            command, "--config", workdir / "config.json", "--data", workdir / "data.csv",
+            "--out-dir", workdir / "out", "--seed", 7, "--threshold", 0.9,
+        )
+    assert exc.value.code == 1
+    assert "unrecognized arguments: --seed 7 --threshold 0.9" in capsys.readouterr().err
+    assert not (workdir / "out").exists()
+
+
 @pytest.mark.parametrize("cap", [1, 2, 3])
 def test_assign_matches_run_at_iteration_cap(tmp_path, cap):
     """Lloyd stopped by max_iterations: the snapshot's centers are the ones
@@ -375,10 +389,18 @@ def _edit_config(workdir, edit):
     (lambda c: c.__setitem__("distance", ["euclidean"]), "'distance'"),
     (lambda c: c["indicators"][4].__setitem__("name", 5), "'indicators[4].name'"),
     (lambda c: c.__setitem__("collapse_table", {"AA+": 5}), "'collapse_table.AA+'"),
+    (lambda c: c.__setitem__("center", False), "'center' must be true, got False"),
+    (lambda c: c.__setitem__("distance", "manhattan"),
+     "'distance' must be \"euclidean\", got 'manhattan'"),
+    (lambda c: c.__setitem__("restart", 1), "unknown key 'restart'"),
+    (lambda c: c["indicators"][1].__setitem__("pre_normalised", True),
+     "unknown key 'indicators[1].pre_normalised'"),
+    (lambda c: c.__setitem__("variance_threshold", 10**400), "'variance_threshold'"),
 ], ids=["indicator-without-name", "indicator-is-string", "k-not-integer", "labels-null",
         "k-fraction", "k-string", "seed-bool", "restarts-float", "max-iterations-string",
         "threshold-string", "center-string", "pre-normalized-string", "label-number",
-        "distance-list", "indicator-name-number", "collapse-value-number"])
+        "distance-list", "indicator-name-number", "collapse-value-number", "center-false",
+        "distance-manhattan", "unknown-key", "unknown-indicator-key", "threshold-huge"])
 def test_bad_config_field_names_file_and_field(workdir, capsys, edit, field):
     config = _edit_config(workdir, edit)
     code = run_cli(
@@ -388,6 +410,52 @@ def test_bad_config_field_names_file_and_field(workdir, capsys, edit, field):
     assert code == 1
     err = capsys.readouterr().err
     assert str(config) in err and field in err, err
+
+
+_INDICATOR_KEYS = ("name", "direction", "pre_normalized")
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=8), inner, max_size=3),
+    max_leaves=8,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    in_indicator=st.booleans(),
+    key=st.sampled_from([*BUNDLED_CONFIG, *_INDICATOR_KEYS]) | st.text(max_size=12),
+    value=_JSON,
+)
+def test_edited_config_loads_or_is_a_validation_error(in_indicator, key, value):
+    """The bundled config with one key set to any JSON value, replaced or
+    added, at the top level or in an indicator: a config, or a
+    ``ValidationError``, which an unknown key always gets."""
+    raw = json.loads(json.dumps(BUNDLED_CONFIG))
+    target = raw["indicators"][1] if in_indicator else raw
+    known = key in (
+        _INDICATOR_KEYS if in_indicator else (*BUNDLED_CONFIG, "distance", "center")
+    )
+    target[key] = value
+    try:
+        config_from_dict(raw)
+    except ValidationError:
+        return
+    assert known, f"unknown key {key!r} was accepted"
+
+
+def test_benchmark_configs_load(tmp_path):
+    """Every config ``perfbench/gen.py`` writes loads, so a change to the
+    config contract that would break the benchmark fails here first.  The
+    generator runs from its source text, so nothing is written beside it;
+    assign_bulk writes no config of its own (it uses fit_tall's)."""
+    gen = types.ModuleType("perfbench_gen")
+    exec(compile(GEN.read_text(encoding="utf-8"), str(GEN), "exec"), gen.__dict__)
+    gen.generate(0, tmp_path, workloads=("fit_tall", "fit_wide"))
+    configs = sorted(tmp_path.glob("*/config.json"))
+    assert [p.parent.name for p in configs] == ["fit_tall", "fit_wide"]
+    for path in configs:
+        load_config(path)
 
 
 def test_non_utf8_data_names_file_and_line(workdir, capsys):
@@ -500,6 +568,50 @@ def test_bad_cell_is_numbered_by_file_line(workdir, capsys, cell, problem):
     assert capsys.readouterr().err == (
         f"error: {data}: row 2, column 'gdp_growth': {problem}\n"
     )
+
+
+def _competitiveness(rows, value_of):
+    """``rows`` with the competitiveness cell of data row r set to
+    ``value_of(r)``, r = 1 for the first data row."""
+    j = 1 + NAMES.index("competitiveness")
+    out = rows[:1]
+    for r, row in enumerate(rows[1:], start=1):
+        cells = row.split(",")
+        cells[j] = value_of(r)
+        out.append(",".join(cells))
+    return out
+
+
+@pytest.mark.parametrize("command", ["run", "assign"])
+def test_pre_normalized_value_outside_unit_range_names_file_and_object(
+    workdir, capsys, command
+):
+    config = _edit_config(
+        workdir, lambda c: c["indicators"][1].__setitem__("pre_normalized", True)
+    )
+    rows = (workdir / "data.csv").read_text().splitlines()
+    good, bad = workdir / "good.csv", workdir / "bad.csv"
+    good.write_text("\n".join(_competitiveness(rows, lambda r: str(r / 40))) + "\n")
+    # file line 4 holds the third object, United States
+    bad.write_text(
+        "\n".join(_competitiveness(rows, lambda r: "1.5" if r == 3 else str(r / 40)))
+        + "\n"
+    )
+    assert run_cli(
+        "fit", "--config", config, "--data", good, "--out-dir", workdir / "fit"
+    ) == 0
+    model = (
+        ["--config", config] if command == "run"
+        else ["--snapshot", workdir / "fit" / "snapshot.json"]
+    )
+    capsys.readouterr()
+    code = run_cli(command, *model, "--data", bad, "--out-dir", workdir / "out")
+    assert code == 1
+    assert capsys.readouterr().err == (
+        f"error: {bad}: pre-normalized column 'competitiveness' has value 1.5 "
+        f"outside [0, 1] for object 'United States'\n"
+    )
+    assert not (workdir / "out").exists()
 
 
 def test_repeated_indicator_names_the_data_file(workdir, capsys):

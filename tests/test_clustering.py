@@ -49,8 +49,6 @@ def test_k_validation():
         kmeans(pts, k=0, seed=0)
     with pytest.raises(ValidationError, match="restarts"):
         kmeans(pts, k=2, seed=0, restarts=0)
-    with pytest.raises(ValidationError, match="distance"):
-        kmeans(pts, k=2, seed=0, distance="manhattan")
 
 
 def test_determinism():

@@ -10,6 +10,10 @@ Regenerate (only when a change of output is intended, and say so in
 CHANGES.md):
 
     PYTHONPATH=src python tests/test_golden.py
+
+A stored value that the fresh run matches (floats within ``TOL``) is kept
+as it is, so regenerating on another numpy/BLAS build rewrites only the
+keys that moved or are new.
 """
 
 from __future__ import annotations
@@ -77,6 +81,46 @@ def country_reference_summary(out_dir: Path) -> dict:
     }
 
 
+def merge_golden(stored: dict, fresh: dict) -> dict:
+    """The keys of ``fresh``, each holding its ``stored`` value where that
+    matches the fresh one (floats within ``TOL``) and its fresh value
+    otherwise."""
+    return {
+        key: stored[key] if key in stored and _matches(stored[key], value) else value
+        for key, value in fresh.items()
+    }
+
+
+def _matches(stored, fresh) -> bool:
+    if stored == fresh:
+        return True
+    try:
+        a, b = np.array(stored, dtype=np.float64), np.array(fresh, dtype=np.float64)
+    except (TypeError, ValueError):  # not numbers of one shape
+        return False
+    return a.shape == b.shape and np.allclose(a, b, rtol=0, atol=TOL)
+
+
+def test_merge_golden_rewrites_only_what_moved_beyond_tol():
+    stored = {"d": 6, "W": [[0.1, 0.2]], "Lambda": [0.5], "objects": [{"cluster": 1}]}
+    fresh = {
+        "d": 6,
+        "W": [[0.1 + TOL / 2, 0.2]],  # a rounding apart: kept as stored
+        "Lambda": [0.5 + 2 * TOL],  # moved: rewritten
+        "objects": [{"cluster": 2}],  # changed: rewritten
+        "reference_run": {"matched": 10},  # new: written
+    }
+    merged = merge_golden(stored, fresh)
+    assert merged == {
+        "d": 6,
+        "W": [[0.1, 0.2]],
+        "Lambda": [0.5 + 2 * TOL],
+        "objects": [{"cluster": 2}],
+        "reference_run": {"matched": 10},
+    }
+    assert merge_golden(stored, {"W": [[0.1]]}) == {"W": [[0.1]]}  # a new shape
+
+
 def test_country_run_matches_golden(tmp_path):
     golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
     got = country_run_summary(tmp_path)
@@ -99,6 +143,8 @@ if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
         summary = country_run_summary(Path(tmp) / "run")
         summary["reference_run"] = country_reference_summary(Path(tmp) / "reference")
+    if GOLDEN.exists():
+        summary = merge_golden(json.loads(GOLDEN.read_text(encoding="utf-8")), summary)
     GOLDEN.parent.mkdir(exist_ok=True)
     GOLDEN.write_text(json.dumps(summary, indent=1) + "\n", encoding="utf-8")
     print(f"wrote {GOLDEN}", file=sys.stderr)

@@ -125,9 +125,12 @@ def test_pre_normalized_passthrough_and_range_check():
     nm = normalize_dataset(ds)
     assert nm[:, 1].tolist() == [0.2, 0.9]
 
-    bad = make_dataset([[0.0, 0.2], [10.0, 1.5]], specs)
-    with pytest.raises(ValidationError, match="outside"):
-        normalize_dataset(bad)
+    # the dataset itself rejects the value, naming the column and object
+    with pytest.raises(
+        ValidationError,
+        match=r"column 'expert' has value 1.5 outside \[0, 1\] for object 'o1'",
+    ):
+        make_dataset([[0.0, 0.2], [10.0, 1.5]], specs)
 
 
 def test_column_order_independent_of_evaluation():

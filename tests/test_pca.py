@@ -85,15 +85,6 @@ class TestFitPca:
         vals, _ = jacobi_eigh(c)
         assert vals.sum() == pytest.approx(np.trace(c), rel=1e-10)
 
-    def test_centering_switch_changes_result(self):
-        rng = np.random.default_rng(4)
-        x = rng.uniform(0.3, 0.9, size=(10, 4))
-        centered = fit_pca(x, 0.95, center=True)
-        uncentered = fit_pca(x, 0.95, center=False)
-        assert not np.allclose(
-            centered.variance_fractions, uncentered.variance_fractions
-        )
-
     def test_oracle_equivalence_random(self):
         rng = np.random.default_rng(11)
         for _ in range(50):

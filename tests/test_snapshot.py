@@ -13,7 +13,7 @@ from relarm.errors import RelarmError, ValidationError
 from relarm.pipeline import run_pipeline
 from relarm.snapshot import load_snapshot, save_snapshot, score_with_snapshot
 
-# written by `relarm fit` on the country sample before format 2
+# written by `relarm fit` on the country sample in format 1
 SNAPSHOT_V1 = Path(__file__).parent / "data" / "snapshot_country_v1.json"
 
 
@@ -165,14 +165,35 @@ def test_format_1_snapshot_assigns_like_run(tmp_path, data_dir):
     assert (tmp_path / "assigned" / "ratings.csv").read_bytes() == run
 
 
-def test_format_1_snapshot_saves_as_format_2_without_unread_keys(tmp_path):
+def test_format_1_snapshot_saves_as_format_3_without_unread_keys(tmp_path):
     path = tmp_path / "snapshot.json"
     save_snapshot(load_snapshot(SNAPSHOT_V1), path)
     doc = json.loads(SNAPSHOT_V1.read_text())
     assert doc["format_version"] == 1
     del doc["model"]["components"], doc["model"]["column_means"]
-    doc["format_version"] = 2
+    del doc["model"]["variance_threshold"], doc["model"]["centered"]
+    del doc["config"]["distance"], doc["config"]["center"]
+    doc["format_version"] = 3
     assert path.read_text() == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+def test_format_2_snapshot_assigns_like_run_and_saves_as_format_3(tmp_path, data_dir):
+    common = ["--data", str(data_dir / "country_raw.csv"), "--out-dir"]
+    assert main(["run", "--config", str(data_dir / "country_config.json"),
+                 *common, str(tmp_path / "run")]) == 0
+    written = (tmp_path / "run" / "snapshot.json").read_text()
+    # the keys format 2 stored besides those of format 3, at their only values
+    doc = json.loads(written)
+    doc["format_version"] = 2
+    doc["config"].update(distance="euclidean", center=True)
+    doc["model"].update(variance_threshold=doc["config"]["variance_threshold"], centered=True)
+    v2 = tmp_path / "v2.json"
+    v2.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    assert main(["assign", "--snapshot", str(v2), *common, str(tmp_path / "assigned")]) == 0
+    run = (tmp_path / "run" / "ratings.csv").read_bytes()
+    assert (tmp_path / "assigned" / "ratings.csv").read_bytes() == run
+    save_snapshot(load_snapshot(v2), tmp_path / "resaved.json")
+    assert (tmp_path / "resaved.json").read_text() == written
 
 
 def test_load_rejects_categories_that_disagree_with_projections(tmp_path, country_run):
@@ -207,18 +228,17 @@ def _scale(section, key, factor):
     (lambda doc: doc["config"].__setitem__("center", "false"), "'center'"),
     (lambda doc: doc["config"]["indicators"][0].__setitem__("pre_normalized", 0),
      "'indicators[0].pre_normalized'"),
-    (lambda doc: doc["model"].__setitem__("centered", "false"), "'model.centered'"),
     (lambda doc: doc["clusters"]["centers"][0].__setitem__(0, float("nan")),
      "'clusters.centers'"),
     (lambda doc: doc["normalization"]["column_max"].__setitem__(1, float("inf")),
      "'normalization.column_max'"),
-    (lambda doc: doc.__setitem__("format_version", 3), "unsupported snapshot format 3"),
+    (lambda doc: doc.__setitem__("format_version", 4), "unsupported snapshot format 4"),
     (lambda doc: _scale(doc["model"], "Lambda", 3), "'model.Lambda'"),
     (lambda doc: _scale(doc["clusters"], "projections", 7), "'clusters.projections'"),
 ], ids=["ragged-center", "ragged-W", "no-clusters", "no-Lambda", "center-missing",
         "W-not-numbers", "config-k", "config-k-float", "config-center-string",
-        "config-pre-normalized-int", "model-centered-string", "center-nan",
-        "column-max-infinite", "format-version-3", "Lambda-tripled",
+        "config-pre-normalized-int", "center-nan",
+        "column-max-infinite", "format-version-4", "Lambda-tripled",
         "projections-times-7"])
 def test_load_rejects_malformed_snapshot(tmp_path, country_run, edit, key):
     path = tmp_path / "snapshot.json"
