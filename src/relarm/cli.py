@@ -69,11 +69,15 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _fit(args):
-    """Fit on ``--data`` with the config; returns (config, outputs).  A
-    fit that stopped at the Lloyd cap is reported on stderr."""
+    """Fit on ``--data`` with the config; returns (config, outputs).  An
+    error of the fit names the data file, and a fit that stopped at the
+    Lloyd cap is reported on stderr."""
     cfg = load_config(args.config)
     dataset = load_dataset(args.data, cfg.indicators)
-    outputs = run_pipeline(cfg, dataset)
+    try:
+        outputs = run_pipeline(cfg, dataset)
+    except ValidationError as exc:  # the fit rejects the data
+        raise ValidationError(f"{args.data}: {exc}") from None
     if not outputs.clusters.converged:
         print(
             f"warning: k-means stopped at max_iterations={cfg.max_iterations} "

@@ -183,15 +183,11 @@ def parse_indicator_specs(obj) -> tuple[IndicatorSpec, ...]:
                 f"indicator {entry['name']!r}: direction must be "
                 f"'positive' or 'negative'"
             ) from None
-        specs.append(
-            IndicatorSpec(
-                name=typed(entry, "name", str, label=f"indicators[{i}].name"),
-                direction=direction,
-                pre_normalized=typed(
-                    entry, "pre_normalized", bool, False, f"indicators[{i}].pre_normalized"
-                ),
-            )
-        )
+        name = typed(entry, "name", str, label=f"indicators[{i}].name")
+        if name in (s.name for s in specs):
+            raise ValidationError(f"'indicators[{i}].name' repeats {name!r}")
+        flag = typed(entry, "pre_normalized", bool, False, f"indicators[{i}].pre_normalized")
+        specs.append(IndicatorSpec(name, direction, flag))
     return tuple(specs)
 
 
@@ -203,12 +199,12 @@ def load_dataset(path, spec) -> RawDataset:
     indicator names and one object id in the first column of each row.
     Columns are reordered to the spec's order.
 
-    A plain table (no quotes, no blank lines, every row as wide as the
-    header, header names exactly the spec's) is parsed by numpy's C
-    parser; anything else, and any value that parser rejects or reads as
-    non-finite, goes through ``csv`` and per-cell ``float()``, which gives
-    the same values and names the offending cell, by file line, in its
-    errors.
+    The header must name each declared indicator exactly once.  A plain
+    table (no quotes, no blank lines, every row as wide as the header) is
+    parsed by numpy's C parser; anything else, and any value that parser
+    rejects or reads as non-finite, goes through ``csv`` and per-cell
+    ``float()``, which gives the same values and names the offending cell,
+    by file line, in its errors.
     """
     if isinstance(spec, (str, os.PathLike)):
         declared = read_json(spec)
@@ -218,16 +214,15 @@ def load_dataset(path, spec) -> RawDataset:
             raise ValidationError(f"{spec}: {exc}") from None
     else:
         specs = tuple(spec)
-    source = str(path)
     text = _read_text(path)
-    table = _parse_plain(text, specs)
-    if table is None:
-        table = _parse_rows(list(csv.reader(io.StringIO(text, newline=""))), specs, source)
-    objects, values = table
     try:
+        table = _parse_plain(text, specs)
+        if table is None:
+            table = _parse_rows(list(csv.reader(io.StringIO(text, newline=""))), specs)
+        objects, values = table
         return RawDataset(objects=tuple(objects), indicators=specs, values=values)
     except ValidationError as exc:
-        raise ValidationError(f"{source}: {exc}") from None
+        raise ValidationError(f"{path}: {exc}") from None
 
 
 def read_json(path):
@@ -258,7 +253,8 @@ def _parse_plain(
     text: str, specs: tuple[IndicatorSpec, ...]
 ) -> tuple[list[str], np.ndarray] | None:
     """Ids and values of a plain table by numpy's C parser, or None when
-    the text needs the per-cell path (see :func:`load_dataset`).
+    the text needs the per-cell path (see :func:`load_dataset`); a bad
+    header raises here, as it would there.
 
     Lines end as ``csv`` ends them: at ``\\r\\n``, ``\\r`` or ``\\n``.
     """
@@ -271,11 +267,9 @@ def _parse_plain(
         lines.pop()
     if len(lines) < 2:
         return None
-    data_names = [c.strip() for c in lines[0].split(",")][1:]
-    spec_names = [s.name for s in specs]
-    commas = len(data_names)
-    if sorted(data_names) != sorted(spec_names) or len(set(data_names)) != commas:
-        return None
+    header = [c.strip() for c in lines[0].split(",")]
+    usecols = _columns(header, specs)
+    commas = len(header) - 1
     data = lines[1:]
     # loadtxt reads every column up to the last, and raises on a row
     # narrower than that, so when the total matches, every row has exactly
@@ -287,7 +281,7 @@ def _parse_plain(
             data,
             delimiter=",",
             comments=None,
-            usecols=[data_names.index(n) + 1 for n in spec_names],
+            usecols=usecols,
             dtype=np.float64,
             ndmin=2,
         )
@@ -300,48 +294,53 @@ def _parse_plain(
     return [line.partition(",")[0].strip() for line in data], values
 
 
+def _columns(header: list[str], specs: tuple[IndicatorSpec, ...]) -> list[int]:
+    """The column of each declared indicator in ``header``, the stripped
+    first row; a header with no data column, or a missing, undeclared or
+    repeated name, is a ``ValidationError``."""
+    if len(header) < 2:
+        raise ValidationError("header must have an id column plus data")
+    data_names = header[1:]
+    column_of = {n: c for c, n in enumerate(data_names, start=1)}
+    declared = {s.name for s in specs}
+    missing = [s.name for s in specs if s.name not in column_of]
+    extra = [n for n in data_names if n not in declared]
+    if missing:
+        raise ValidationError(f"columns declared but absent: {missing}")
+    if extra:
+        raise ValidationError(f"columns present but undeclared: {extra}")
+    if len(column_of) != len(data_names):
+        raise ValidationError(f"columns repeated in the header: {_duplicates(data_names)}")
+    return [column_of[s.name] for s in specs]
+
+
 def _parse_rows(
-    rows: list[list[str]],
-    specs: tuple[IndicatorSpec, ...],
-    source: str,
+    rows: list[list[str]], specs: tuple[IndicatorSpec, ...]
 ) -> tuple[list[str], np.ndarray]:
     """Ids and values of CSV rows, cell by cell."""
     if not rows:
-        raise ValidationError(f"{source}: empty file")
-    header = [c.strip() for c in rows[0]]
-    if len(header) < 2:
-        raise ValidationError(f"{source}: header must have an id column plus data")
-    data_names = header[1:]
-    spec_names = [s.name for s in specs]
-    missing = [n for n in spec_names if n not in data_names]
-    extra = [n for n in data_names if n not in spec_names]
-    if missing:
-        raise ValidationError(f"{source}: columns declared but absent: {missing}")
-    if extra:
-        raise ValidationError(f"{source}: columns present but undeclared: {extra}")
-    col_of = {n: data_names.index(n) + 1 for n in spec_names}
-
+        raise ValidationError("empty file")
+    width = len(rows[0])
+    columns = list(zip(_columns([c.strip() for c in rows[0]], specs), specs))
     objects: list[str] = []
     values = np.empty((len(rows) - 1, len(specs)), dtype=np.float64)
     for r, row in enumerate(rows[1:], start=2):
-        if len(row) != len(header):
-            raise ValidationError(
-                f"{source}: row {r} has {len(row)} cells, expected {len(header)}"
-            )
+        if len(row) != width:
+            raise ValidationError(f"row {r} has {len(row)} cells, expected {width}")
         objects.append(row[0].strip())
-        for j, name in enumerate(spec_names):
-            cell = row[col_of[name]].strip()
+        for j, (c, spec) in enumerate(columns):
+            cell = row[c].strip()
             if not cell:
-                raise ValidationError(f"{source}: row {r}, column {name!r}: missing value")
+                raise ValidationError(f"row {r}, column {spec.name!r}: missing value")
             try:
                 value = float(cell)
             except ValueError:
                 raise ValidationError(
-                    f"{source}: row {r}, column {name!r}: non-numeric value {cell!r}"
+                    f"row {r}, column {spec.name!r}: non-numeric value {cell!r}"
                 ) from None
             if not math.isfinite(value):
                 raise ValidationError(
-                    f"{source}: row {r}, column {name!r}: non-finite value {cell!r}"
+                    f"row {r}, column {spec.name!r}: non-finite value {cell!r}"
                 )
             values[r - 2, j] = value
     return objects, values

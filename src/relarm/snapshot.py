@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -83,7 +84,8 @@ _SECTIONS = {
 def load_snapshot(path) -> Snapshot:
     """Read a snapshot written by :func:`save_snapshot`, in format 3 or in
     format 2 or 1, whose extra keys are ignored; a missing key, an array of
-    the wrong shape or with a non-finite entry, or a derived fact that
+    the wrong shape or with a non-finite entry, a column range whose minimum
+    exceeds its maximum or whose width overflows, or a derived fact that
     disagrees with the fit it derives from (``Lambda``, the projections,
     the categories) is a ``ValidationError`` naming the file and the key."""
     doc = read_json(path)
@@ -158,10 +160,23 @@ def _snapshot_from_doc(doc) -> Snapshot:
             f"stored cluster categories {stored} disagree with "
             f"{bound}, the labels bound by descending projection"
         )
+    column_min = _array(doc, "normalization", "column_min", (n,))
+    column_max = _array(doc, "normalization", "column_max", (n,))
+    for spec, lo, hi in zip(config.indicators, column_min.tolist(), column_max.tolist()):
+        if not lo <= hi:
+            raise ValidationError(
+                f"'normalization.column_min' {lo!r} exceeds 'normalization.column_max' "
+                f"{hi!r} for indicator {spec.name!r}"
+            )
+        if not math.isfinite(hi - lo):  # Python floats overflow to inf silently
+            raise ValidationError(
+                f"'normalization.column_max' - 'normalization.column_min' for indicator "
+                f"{spec.name!r} is not a finite number: [{lo!r}, {hi!r}]"
+            )
     return Snapshot(
         config=config,
-        column_min=_array(doc, "normalization", "column_min", (n,)),
-        column_max=_array(doc, "normalization", "column_max", (n,)),
+        column_min=column_min,
+        column_max=column_max,
         model=model,
         centers=centers,
         per_cluster=per_cluster,

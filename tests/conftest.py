@@ -4,12 +4,18 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from relarm.config import load_config
 from relarm.dataset import load_dataset
 from relarm.pipeline import run_pipeline
 
 DATA = Path(__file__).resolve().parents[1] / "src" / "relarm" / "data"
+
+# ``pytest --hypothesis-profile=ci``: no per-example deadline on a shared
+# runner, and a failing example printed as a blob that
+# ``@reproduce_failure`` replays
+settings.register_profile("ci", deadline=None, print_blob=True)
 
 
 @pytest.fixture(autouse=True)

@@ -10,10 +10,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from relarm import io
 from relarm.cli import main
 from relarm.config import config_from_dict, load_config
+from relarm.dataset import _parse_plain, load_dataset
 from relarm.errors import ValidationError
 from relarm.normalize import normalize_dataset
+from relarm.snapshot import load_snapshot, save_snapshot
 
 ROOT = Path(__file__).resolve().parents[1]
 GEN = ROOT / "perfbench" / "gen.py"
@@ -396,11 +399,14 @@ def _edit_config(workdir, edit):
     (lambda c: c["indicators"][1].__setitem__("pre_normalised", True),
      "unknown key 'indicators[1].pre_normalised'"),
     (lambda c: c.__setitem__("variance_threshold", 10**400), "'variance_threshold'"),
+    (lambda c: c["indicators"][5].__setitem__("name", "gdp_growth"),
+     "'indicators[5].name' repeats 'gdp_growth'"),
 ], ids=["indicator-without-name", "indicator-is-string", "k-not-integer", "labels-null",
         "k-fraction", "k-string", "seed-bool", "restarts-float", "max-iterations-string",
         "threshold-string", "center-string", "pre-normalized-string", "label-number",
         "distance-list", "indicator-name-number", "collapse-value-number", "center-false",
-        "distance-manhattan", "unknown-key", "unknown-indicator-key", "threshold-huge"])
+        "distance-manhattan", "unknown-key", "unknown-indicator-key", "threshold-huge",
+        "repeated-indicator-name"])
 def test_bad_config_field_names_file_and_field(workdir, capsys, edit, field):
     config = _edit_config(workdir, edit)
     code = run_cli(
@@ -444,18 +450,69 @@ def test_edited_config_loads_or_is_a_validation_error(in_indicator, key, value):
     assert known, f"unknown key {key!r} was accepted"
 
 
+# bytes that are syntax in CSV or JSON, numbers a reader must reject, and a
+# lead and a lone continuation byte that break UTF-8
+_TOKENS = [b",", b'"', b"\n", b"\r", b" ", b"-", b".", b"0", b"9", b"1e999", b"nan",
+           b"x", b"{", b"}", b"[", b"]", b":", b"null", b"true", b"\xc3", b"\xa9"]
+
+
+@pytest.fixture(scope="session")
+def bundled_inputs(tmp_path_factory, data_dir, country_config, country_run):
+    """For each reader: itself, the bytes of a valid input and a path in a
+    fresh directory to write a mutant of them to."""
+    work = tmp_path_factory.mktemp("mutants")
+    save_snapshot(country_run.snapshot, work / "snapshot.json")
+    readers = {
+        "config": (load_config, data_dir / "country_config.json"),
+        "data": (lambda p: load_dataset(p, country_config.indicators),
+                 data_dir / "country_raw.csv"),
+        "snapshot": (load_snapshot, work / "snapshot.json"),
+        "ratings": (io.read_ratings_csv, data_dir / "table8_model_categories.csv"),
+        "reference": (io.read_reference_csv, data_dir / "table8_reference.csv"),
+    }
+    return {
+        kind: (read, path.read_bytes(), work / f"mutant-{path.name}")
+        for kind, (read, path) in readers.items()
+    }
+
+
+@pytest.mark.parametrize("kind", ["config", "data", "snapshot", "ratings", "reference"])
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_mutated_input_loads_or_names_its_file(bundled_inputs, kind, data):
+    """A bundled input with one slice deleted or one token inserted: its
+    reader returns, or raises a ``ValidationError`` that starts with the
+    file's path."""
+    read, original, path = bundled_inputs[kind]
+    i = data.draw(st.integers(0, len(original)), label="at")
+    if data.draw(st.booleans(), label="delete"):
+        mutant = original[:i] + original[i + data.draw(st.integers(1, 64), label="n"):]
+    else:
+        mutant = original[:i] + data.draw(st.sampled_from(_TOKENS), label="token") + original[i:]
+    path.write_bytes(mutant)
+    try:
+        read(path)
+    except ValidationError as exc:
+        assert str(exc).startswith(f"{path}: "), exc
+
+
 def test_benchmark_configs_load(tmp_path):
-    """Every config ``perfbench/gen.py`` writes loads, so a change to the
-    config contract that would break the benchmark fails here first.  The
-    generator runs from its source text, so nothing is written beside it;
-    assign_bulk writes no config of its own (it uses fit_tall's)."""
+    """Every config ``perfbench/gen.py`` writes loads, and every data file
+    it writes takes the plain-table parse under its config, so a change to
+    the config contract or to that parse's gate that would break or slow
+    the benchmark fails here first.  The generator runs from its source
+    text, so nothing is written beside it; assign_bulk writes no config of
+    its own (it uses fit_tall's)."""
     gen = types.ModuleType("perfbench_gen")
     exec(compile(GEN.read_text(encoding="utf-8"), str(GEN), "exec"), gen.__dict__)
-    gen.generate(0, tmp_path, workloads=("fit_tall", "fit_wide"))
+    gen.generate(0, tmp_path, workloads=gen.WORKLOADS)
     configs = sorted(tmp_path.glob("*/config.json"))
     assert [p.parent.name for p in configs] == ["fit_tall", "fit_wide"]
-    for path in configs:
-        load_config(path)
+    for workload, config in [("fit_tall", "fit_tall"), ("fit_wide", "fit_wide"),
+                             ("assign_bulk", "fit_tall")]:
+        specs = load_config(tmp_path / config / "config.json").indicators
+        text = (tmp_path / workload / "data.csv").read_text(encoding="utf-8")
+        assert _parse_plain(text, specs) is not None, workload
 
 
 def test_non_utf8_data_names_file_and_line(workdir, capsys):
@@ -622,7 +679,7 @@ def test_repeated_indicator_names_the_data_file(workdir, capsys):
     )
     assert code == 1
     assert capsys.readouterr().err == (
-        f"error: {workdir / 'data.csv'}: duplicate indicator names: ['gdp_growth']\n"
+        f"error: {config}: 'indicators[9].name' repeats 'gdp_growth'\n"
     )
 
 
@@ -641,7 +698,7 @@ def test_range_too_wide_names_column(workdir, capsys):
     assert code == 1
     err = capsys.readouterr().err
     assert err == (
-        "error: column 'inflation': the width hi - lo of its range "
+        f"error: {data}: column 'inflation': the width hi - lo of its range "
         "[-1e+308, 1e+308] is not a finite number\n"
     ), err
 
@@ -686,12 +743,46 @@ def test_assign_scores_one_object(workdir):
 
 @pytest.mark.parametrize("command", ["run", "fit"])
 def test_one_object_has_no_ranges(workdir, capsys, command):
+    data = _first_rows(workdir, 1)
     code = run_cli(
-        command, "--config", workdir / "config.json", "--data", _first_rows(workdir, 1),
+        command, "--config", workdir / "config.json", "--data", data,
         "--out-dir", workdir / "out",
     )
     assert code == 1
     assert capsys.readouterr().err == (
-        "error: need at least 2 rating objects to take column ranges, got 1\n"
+        f"error: {data}: need at least 2 rating objects to take column ranges, got 1\n"
+    )
+    assert not (workdir / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["run", "fit"])
+def test_zero_variance_names_the_data_file(workdir, capsys, command):
+    # every object a copy of the first: each column constant, nothing to fit
+    header, first = (workdir / "data.csv").read_text().splitlines()[:2]
+    values = first.partition(",")[2]
+    data = workdir / "same.csv"
+    data.write_text(header + "\n" + "".join(f"copy{r},{values}\n" for r in range(4)))
+    code = run_cli(
+        command, "--config", workdir / "config.json", "--data", data,
+        "--out-dir", workdir / "out",
+    )
+    assert code == 1
+    assert capsys.readouterr().err == "".join(
+        f"warning: column {name!r} is constant; mapped to 0.5\n" for name in NAMES
+    ) + f"error: {data}: data has zero total variance; cannot fit\n"
+    assert not (workdir / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["run", "fit"])
+def test_k_above_distinct_objects_names_the_data_file(workdir, capsys, command):
+    # the config's k=7 over 3 objects
+    data = _first_rows(workdir, 3)
+    code = run_cli(
+        command, "--config", workdir / "config.json", "--data", data,
+        "--out-dir", workdir / "out",
+    )
+    assert code == 1
+    assert capsys.readouterr().err == (
+        f"error: {data}: k=7 exceeds the number of distinct points (3)\n"
     )
     assert not (workdir / "out").exists()

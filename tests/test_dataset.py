@@ -96,6 +96,15 @@ def test_undeclared_and_missing_columns(tmp_path):
         load_dataset(tmp_path / "d.csv", tmp_path / "spec2.json")
 
 
+def test_repeated_spec_name_names_the_spec_file(tmp_path):
+    write_spec(tmp_path / "spec.json", ["x", "y", "x"])
+    (tmp_path / "d.csv").write_text("object,x,y\na,1,2\nb,3,4\n")
+    with pytest.raises(ValidationError, match=(
+        rf"^{re.escape(str(tmp_path / 'spec.json'))}: 'indicators\[2\].name' repeats 'x'$"
+    )):
+        load_dataset(tmp_path / "d.csv", tmp_path / "spec.json")
+
+
 def test_columns_reordered_to_spec_order(tmp_path):
     write_spec(tmp_path / "spec.json", ["y", "x"])
     (tmp_path / "d.csv").write_text("object,x,y\na,1,2\nb,3,4\n")
@@ -217,7 +226,7 @@ def tables(draw):
 
 def _per_cell(text, specs):
     try:
-        return _parse_rows(list(csv.reader(io.StringIO(text, newline=""))), specs, "t")
+        return _parse_rows(list(csv.reader(io.StringIO(text, newline=""))), specs)
     except ValidationError:
         return None
 
@@ -239,8 +248,8 @@ def test_plain_parse_equals_per_cell_parse(table):
         assert_same_table(fast, _per_cell(text, specs))
     if defect == "non-finite":  # declined, so that the per-cell path names the cell
         assert fast is None
-        with pytest.raises(ValidationError, match=r"^t: row \d+, column .*: non-finite"):
-            _parse_rows(list(csv.reader(io.StringIO(text, newline=""))), specs, "t")
+        with pytest.raises(ValidationError, match=r"^row \d+, column .*: non-finite"):
+            _parse_rows(list(csv.reader(io.StringIO(text, newline=""))), specs)
 
 
 SPECS_XY = (IndicatorSpec("y", Direction.POSITIVE), IndicatorSpec("x", Direction.NEGATIVE))
@@ -267,7 +276,6 @@ def test_plain_parse_taken(text):
     "object,x,y\na,1,2,3\nb,3\n",  # ragged rows whose commas add up
     "object,x,y\na,1,2\n \nb,3,4\n",  # whitespace-only line
     "object,x,y\na,1,2,3,4\n\nb,3,4\n",  # blank line beside a wide row
-    "object,x,z\na,1,2\nb,3,4\n",  # names differ from the spec
     "object,x,y\na,,2\nb,3,4\n",  # missing value
     "object,x,y\na,nan,2\nb,3,-inf\n",  # non-finite values, which the per-cell path names
 ])
@@ -275,10 +283,17 @@ def test_plain_parse_declined(text):
     assert _parse_plain(text, SPECS_XY) is None
 
 
-def test_plain_parse_declines_repeated_header_names():
-    # loadtxt would read column 1 twice and never see the rows' widths
-    specs = (IndicatorSpec("x", Direction.POSITIVE),) * 2
-    assert _parse_plain("object,x,x\na,1\nb,3,4,5\n", specs) is None
+@pytest.mark.parametrize("text, specs, message", [
+    ("object,x,z\na,1,2\nb,3,4\n", SPECS_XY, r"columns declared but absent: \['y'\]"),
+    ("object,x,x\na,1\nb,3,4,5\n", (IndicatorSpec("x", Direction.POSITIVE),) * 2,
+     r"columns repeated in the header: \['x'\]"),
+], ids=["names-differ", "repeated-names"])
+def test_plain_parse_header_errors(text, specs, message):
+    # raised where the plain path finds them, as the per-cell path raises them
+    rows = list(csv.reader(io.StringIO(text, newline="")))
+    for parse in (lambda: _parse_plain(text, specs), lambda: _parse_rows(rows, specs)):
+        with pytest.raises(ValidationError, match=rf"^{message}$"):
+            parse()
 
 
 @pytest.mark.parametrize("text, outcome", [
@@ -307,7 +322,12 @@ def test_declined_tables_keep_per_cell_results(tmp_path, text, outcome):
      r"row 2, column 'x': non-finite value 'nan'"),
     ("object,x\na,1\nb,2\n", (IndicatorSpec("x", Direction.POSITIVE),) * 2,
      r"duplicate indicator names: \['x'\]"),
-], ids=["header-only", "repeated-row", "nan-cell", "repeated-indicator"])
+    # a repeated column on each path: the quoted id sends the second table per cell
+    ("object,x,x,y\na,1,9,2\nb,3,8,4\n", SPECS_XY, r"columns repeated in the header: \['x'\]"),
+    ('object,x,x,y\n"a",1,9,2\nb,3,8,4\n', SPECS_XY,
+     r"columns repeated in the header: \['x'\]"),
+], ids=["header-only", "repeated-row", "nan-cell", "repeated-indicator", "repeated-column",
+        "repeated-column-quoted-id"])
 def test_dataset_errors_name_the_file(tmp_path, text, specs, message):
     path = tmp_path / "d.csv"
     path.write_text(text)

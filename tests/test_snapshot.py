@@ -216,6 +216,17 @@ def _scale(section, key, factor):
     section[key] = [factor * x for x in section[key]]
 
 
+def _swap_ranges(doc):
+    ranges = doc["normalization"]
+    ranges["column_min"], ranges["column_max"] = ranges["column_max"], ranges["column_min"]
+
+
+def _overflow_range(doc):
+    j = [s["name"] for s in doc["config"]["indicators"]].index("inflation")
+    doc["normalization"]["column_min"][j] = -1e308
+    doc["normalization"]["column_max"][j] = 1e308
+
+
 @pytest.mark.parametrize("edit, key", [
     (lambda doc: _drop_last(doc["clusters"]["centers"][2]), "'clusters.centers'"),
     (lambda doc: _drop_last(doc["model"]["W"][4]), "'model.W'"),
@@ -228,6 +239,8 @@ def _scale(section, key, factor):
     (lambda doc: doc["config"].__setitem__("center", "false"), "'center'"),
     (lambda doc: doc["config"]["indicators"][0].__setitem__("pre_normalized", 0),
      "'indicators[0].pre_normalized'"),
+    (lambda doc: doc["config"]["indicators"][1].__setitem__("name", "gdp_growth"),
+     "'config': 'indicators[1].name' repeats 'gdp_growth'"),
     (lambda doc: doc["clusters"]["centers"][0].__setitem__(0, float("nan")),
      "'clusters.centers'"),
     (lambda doc: doc["normalization"]["column_max"].__setitem__(1, float("inf")),
@@ -235,11 +248,15 @@ def _scale(section, key, factor):
     (lambda doc: doc.__setitem__("format_version", 4), "unsupported snapshot format 4"),
     (lambda doc: _scale(doc["model"], "Lambda", 3), "'model.Lambda'"),
     (lambda doc: _scale(doc["clusters"], "projections", 7), "'clusters.projections'"),
+    (_swap_ranges, "'normalization.column_min' 6.9 exceeds 'normalization.column_max' "
+     "-0.7 for indicator 'gdp_growth'"),
+    (_overflow_range, "'normalization.column_max' - 'normalization.column_min' for "
+     "indicator 'inflation' is not a finite number: [-1e+308, 1e+308]"),
 ], ids=["ragged-center", "ragged-W", "no-clusters", "no-Lambda", "center-missing",
         "W-not-numbers", "config-k", "config-k-float", "config-center-string",
-        "config-pre-normalized-int", "center-nan",
+        "config-pre-normalized-int", "config-repeated-name", "center-nan",
         "column-max-infinite", "format-version-4", "Lambda-tripled",
-        "projections-times-7"])
+        "projections-times-7", "ranges-swapped", "range-overflows"])
 def test_load_rejects_malformed_snapshot(tmp_path, country_run, edit, key):
     path = tmp_path / "snapshot.json"
     save_snapshot(country_run.snapshot, path)
