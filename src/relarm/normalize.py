@@ -15,6 +15,18 @@ class ConstantColumnWarning(UserWarning):
     """A column carried no information; all its entries were mapped to 0.5."""
 
 
+def range_width(lo, hi, name: str) -> float:
+    """The width ``hi - lo`` of column ``name``'s range, taken on Python
+    floats; a width that is not finite is a ``ValidationError``."""
+    width = float(hi) - float(lo)  # Python floats overflow to inf silently
+    if not math.isfinite(width):
+        raise ValidationError(
+            f"column {name!r}: the width hi - lo of its range "
+            f"[{float(lo)!r}, {float(hi)!r}] is not a finite number"
+        )
+    return width
+
+
 def scale_column(col: np.ndarray, lo, hi, spec: IndicatorSpec) -> np.ndarray:
     """Min-max scale one column onto [0, 1] over the range [lo, hi].
 
@@ -28,12 +40,7 @@ def scale_column(col: np.ndarray, lo, hi, spec: IndicatorSpec) -> np.ndarray:
         return col
     if lo == hi:
         return np.full(col.shape, 0.5)
-    width = float(hi) - float(lo)  # Python floats overflow to inf silently
-    if not math.isfinite(width):
-        raise ValidationError(
-            f"column {spec.name!r}: the width hi - lo of its range "
-            f"[{float(lo)!r}, {float(hi)!r}] is not a finite number"
-        )
+    width = range_width(lo, hi, spec.name)
     # a value far outside the range may overflow to inf, which clips exactly
     with np.errstate(over="ignore"):
         if spec.direction is Direction.POSITIVE:

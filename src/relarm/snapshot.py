@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -13,7 +12,7 @@ from .config import PipelineConfig, config_from_dict, config_to_dict
 from .dataset import RawDataset, _freeze, check_indicators, read_json
 from .errors import ValidationError
 from .io import atomic_write
-from .normalize import scale_dataset
+from .normalize import range_width, scale_dataset
 from .pca import PcaModel
 from .rating import (
     ClusterRating,
@@ -168,11 +167,10 @@ def _snapshot_from_doc(doc) -> Snapshot:
                 f"'normalization.column_min' {lo!r} exceeds 'normalization.column_max' "
                 f"{hi!r} for indicator {spec.name!r}"
             )
-        if not math.isfinite(hi - lo):  # Python floats overflow to inf silently
-            raise ValidationError(
-                f"'normalization.column_max' - 'normalization.column_min' for indicator "
-                f"{spec.name!r} is not a finite number: [{lo!r}, {hi!r}]"
-            )
+        try:
+            range_width(lo, hi, spec.name)
+        except ValidationError as exc:
+            raise ValidationError(f"'normalization': {exc}") from None
     return Snapshot(
         config=config,
         column_min=column_min,

@@ -12,10 +12,11 @@ from relarm.pipeline import run_pipeline
 
 DATA = Path(__file__).resolve().parents[1] / "src" / "relarm" / "data"
 
-# ``pytest --hypothesis-profile=ci``: no per-example deadline on a shared
-# runner, and a failing example printed as a blob that
+# every run: no per-example deadline, since a busy machine's pauses are
+# not failures, and a failing example printed as a blob that
 # ``@reproduce_failure`` replays
-settings.register_profile("ci", deadline=None, print_blob=True)
+settings.register_profile("relarm", deadline=None, print_blob=True)
+settings.load_profile("relarm")
 
 
 @pytest.fixture(autouse=True)

@@ -190,20 +190,29 @@ QUOTED_ID = st.text(alphabet="ab, #", min_size=0, max_size=4).map(lambda s: f'"{
 @st.composite
 def tables(draw):
     """CSV text with a spec that names its columns in another order, and at
-    most one defect that sends the text to the per-cell path; returns the
-    text, the spec and the defect."""
+    most one defect: one that sends the text to the per-cell path, or a
+    header that renames, drops or repeats one name; returns the text, the
+    spec and the defect."""
     names = draw(st.lists(st.sampled_from(["a", "b", "c", "d#", "e f"]),
                           min_size=1, max_size=4, unique=True))
     spec_order = draw(st.permutations(names))
     specs = tuple(IndicatorSpec(n, Direction.POSITIVE) for n in spec_order)
     defect = draw(st.sampled_from(
         [None, None, None, "blank", "quote", "cell", "non-finite", "header", "ragged",
-         "space"]
+         "space", "rename", "drop", "repeat"]
     ))
+    header = list(names)
+    i = draw(st.integers(0, len(names) - 1))
+    if defect == "rename":
+        header[i] = "z"
+    elif defect == "drop":
+        del header[i]
+    elif defect == "repeat":
+        header.insert(draw(st.integers(0, len(header))), names[i])
     pad = lambda s: draw(PAD) + s + draw(PAD)  # noqa: E731
-    rows = [[pad("object")] + [pad(n) for n in names]]
+    rows = [[pad("object")] + [pad(n) for n in header]]
     for _ in range(0 if defect == "header" else draw(st.integers(1, 6))):
-        rows.append([pad(draw(ID))] + [pad(draw(NUMBER)) for _ in names])
+        rows.append([pad(draw(ID))] + [pad(draw(NUMBER)) for _ in header])
     if defect == "ragged":  # one row a cell wider, another a cell narrower
         rows.append([pad(draw(ID))] + [pad(draw(NUMBER)) for _ in names])
         wide, narrow = draw(st.permutations(range(1, len(rows))))[:2]
@@ -224,6 +233,12 @@ def tables(draw):
     return text, specs, defect
 
 
+def _error(parse):
+    with pytest.raises(ValidationError) as info:
+        parse()
+    return str(info.value)
+
+
 def _per_cell(text, specs):
     try:
         return _parse_rows(list(csv.reader(io.StringIO(text, newline=""))), specs)
@@ -242,6 +257,12 @@ def assert_same_table(fast, slow):
 @given(tables())
 def test_plain_parse_equals_per_cell_parse(table):
     text, specs, defect = table
+    if defect in ("rename", "drop", "repeat"):  # the same header error from both
+        rows = list(csv.reader(io.StringIO(text, newline="")))
+        assert _error(lambda: _parse_plain(text, specs)) == _error(
+            lambda: _parse_rows(rows, specs)
+        )
+        return
     fast = _parse_plain(text, specs)
     event("plain parse" if fast is not None else "declined")
     if fast is not None:

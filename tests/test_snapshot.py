@@ -250,8 +250,8 @@ def _overflow_range(doc):
     (lambda doc: _scale(doc["clusters"], "projections", 7), "'clusters.projections'"),
     (_swap_ranges, "'normalization.column_min' 6.9 exceeds 'normalization.column_max' "
      "-0.7 for indicator 'gdp_growth'"),
-    (_overflow_range, "'normalization.column_max' - 'normalization.column_min' for "
-     "indicator 'inflation' is not a finite number: [-1e+308, 1e+308]"),
+    (_overflow_range, "'normalization': column 'inflation': the width hi - lo of its "
+     "range [-1e+308, 1e+308] is not a finite number"),
 ], ids=["ragged-center", "ragged-W", "no-clusters", "no-Lambda", "center-missing",
         "W-not-numbers", "config-k", "config-k-float", "config-center-string",
         "config-pre-normalized-int", "config-repeated-name", "center-nan",
