@@ -114,44 +114,46 @@ def _cmd_run(args) -> int:
         )
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    save_snapshot(outputs.snapshot, out_dir / "snapshot.json")
-    io.write_ratings_csv(out_dir / "ratings.csv", outputs.ratings)
-    if report is not None:
-        io.write_agreement_json(out_dir / "agreement.json", report)
-        frac = report.fraction
-        print(
-            "agreement: "
-            + (f"{frac:.4f}" if frac is not None else "no comparable objects")
-        )
-    if args.dump_intermediates:
-        objects = outputs.ratings.objects
-        io.write_matrix_csv(
-            out_dir / "normalized.csv",
-            outputs.normalized,
-            ["object"] + [s.name for s in cfg.indicators],
-            row_ids=objects,
-        )
-        model = outputs.snapshot.model
-        pc_names = [f"PC{p + 1}" for p in range(model.d)]
-        io.write_matrix_csv(
-            out_dir / "w_matrix.csv",
-            model.W,
-            ["indicator"] + pc_names,
-            row_ids=[s.name for s in cfg.indicators],
-        )
-        io.write_matrix_csv(out_dir / "lambda.csv", model.Lambda.reshape(1, -1), pc_names)
-        io.write_matrix_csv(
-            out_dir / "features.csv",
-            outputs.features,
-            ["object"] + pc_names,
-            row_ids=objects,
-        )
-        io.write_matrix_csv(
-            out_dir / "centers.csv",
-            outputs.clusters.centers,
-            ["cluster"] + pc_names,
-            row_ids=[str(q + 1) for q in range(outputs.clusters.k)],
-        )
+    # every file replaces its old copy only once all are written
+    with io.written_together(out_dir) as stage:
+        save_snapshot(outputs.snapshot, stage / "snapshot.json")
+        io.write_ratings_csv(stage / "ratings.csv", outputs.ratings)
+        if report is not None:
+            io.write_agreement_json(stage / "agreement.json", report)
+            frac = report.fraction
+            print(
+                "agreement: "
+                + (f"{frac:.4f}" if frac is not None else "no comparable objects")
+            )
+        if args.dump_intermediates:
+            objects = outputs.ratings.objects
+            io.write_matrix_csv(
+                stage / "normalized.csv",
+                outputs.normalized,
+                ["object"] + [s.name for s in cfg.indicators],
+                row_ids=objects,
+            )
+            model = outputs.snapshot.model
+            pc_names = [f"PC{p + 1}" for p in range(model.d)]
+            io.write_matrix_csv(
+                stage / "w_matrix.csv",
+                model.W,
+                ["indicator"] + pc_names,
+                row_ids=[s.name for s in cfg.indicators],
+            )
+            io.write_matrix_csv(stage / "lambda.csv", model.Lambda.reshape(1, -1), pc_names)
+            io.write_matrix_csv(
+                stage / "features.csv",
+                outputs.features,
+                ["object"] + pc_names,
+                row_ids=objects,
+            )
+            io.write_matrix_csv(
+                stage / "centers.csv",
+                outputs.clusters.centers,
+                ["cluster"] + pc_names,
+                row_ids=[str(q + 1) for q in range(outputs.clusters.k)],
+            )
     print(f"rated {len(outputs.ratings.objects)} objects into {cfg.k} categories")
     print(REPORT_FOOTER)
     return EXIT_OK

@@ -2,13 +2,11 @@
 
 from __future__ import annotations
 
-import os
-import pickle
-import threading
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import _fork
 from .dataset import _freeze
 from .errors import ValidationError
 
@@ -233,7 +231,10 @@ def kmeans(
         raise ValidationError(f"restarts must be >= 1, got {restarts}")
 
     workers = _workers(restarts, x.shape[0], k)
-    shares = _run_shares(x, k, seed, restarts, max_iterations, workers)
+    shares = _fork.fork_map(
+        lambda share: _share_best(x, k, seed, restarts, max_iterations, share, workers),
+        range(workers),
+    )
     sse, _, assign, centers, history = min(shares, key=_rank)
     return ClusteringResult(
         assignments=tuple(int(a) + 1 for a in assign),
@@ -249,12 +250,10 @@ def kmeans(
 def _workers(restarts: int, m: int, k: int) -> int:
     """How many processes run the restarts: one per usable CPU, at most
     one per restart, when forking is possible and the work pays for it
-    (see :data:`FORK_MIN_WORK`); otherwise 1."""
-    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
+    (see :data:`FORK_MIN_WORK` and :func:`relarm._fork.cpus`); otherwise 1."""
+    if restarts * m * k < FORK_MIN_WORK:
         return 1
-    if restarts * m * k < FORK_MIN_WORK or threading.active_count() != 1:
-        return 1
-    return min(restarts, len(os.sched_getaffinity(0)))
+    return min(restarts, _fork.cpus())
 
 
 def _rank(result) -> tuple[float, int]:
@@ -276,67 +275,3 @@ def _share_best(x, k, seed, restarts, max_iterations, share, workers):
         _restart(x, k, seed, r, max_iterations) for r in range(share, restarts, workers)
     )
     return min(results, key=_rank)
-
-
-def _run_shares(x, k, seed, restarts, max_iterations, workers) -> list:
-    """The best result of each of ``workers`` restart shares.  Shares 1..
-    run in forked children that pickle their best into a pipe; share 0,
-    and any share whose fork or child failed, runs in this process.  Every
-    child is reaped before this returns or raises."""
-    args = (x, k, seed, restarts, max_iterations)
-    children = []  # [pid, read end of its pipe, share]; None once reaped/closed
-    try:
-        for share in range(1, workers):
-            rfd, wfd = os.pipe()
-            try:
-                pid = os.fork()
-            except OSError:  # no process to spare: the share runs here
-                os.close(rfd)
-                os.close(wfd)
-                children.append([None, None, share])
-                continue
-            if pid == 0:
-                read_ends = [rfd] + [c[1] for c in children if c[1] is not None]
-                _serve_share(args, share, workers, wfd, read_ends)
-            os.close(wfd)
-            children.append([pid, rfd, share])
-        bests = [_share_best(*args, 0, workers)]
-        for child in children:
-            best = None
-            if child[0] is not None:
-                # read to EOF before reaping: a payload can outgrow the pipe
-                with open(child[1], "rb") as pipe:
-                    child[1] = None  # closed by the with
-                    payload = pipe.read()
-                _, status = os.waitpid(child[0], 0)
-                child[0] = None
-                try:
-                    best = pickle.loads(payload) if status == 0 else None
-                except (pickle.UnpicklingError, EOFError):
-                    best = None  # a short pipe
-            bests.append(best or _share_best(*args, child[2], workers))
-        return bests
-    finally:
-        for pid, rfd, _ in children:
-            if rfd is not None:
-                os.close(rfd)  # a child still writing gets EPIPE and exits
-            if pid is not None:
-                os.waitpid(pid, 0)
-
-
-def _serve_share(args, share, workers, wfd, read_ends) -> None:
-    """The whole life of a forked child: pickle its share's best into the
-    pipe ``wfd`` and exit, with status 0 only if all of it was written.  It
-    first closes every read end it inherited (``read_ends``), so that a
-    parent that stops reading leaves no writer blocked."""
-    code = 1
-    try:
-        for fd in read_ends:
-            os.close(fd)
-        payload = pickle.dumps(_share_best(*args, share, workers), pickle.HIGHEST_PROTOCOL)
-        with open(wfd, "wb") as pipe:
-            pipe.write(payload)
-        code = 0
-    finally:
-        os._exit(code)
-

@@ -11,6 +11,8 @@ import csv
 import json
 import math
 import os
+import shutil
+import tempfile
 from io import StringIO
 from pathlib import Path
 
@@ -41,6 +43,22 @@ def atomic_write(path, newline=None):
     except BaseException:
         os.unlink(tmp)
         raise
+
+
+@contextlib.contextmanager
+def written_together(out_dir):
+    """A directory to write several outputs into.  It is a temporary
+    directory in ``out_dir`` whose files replace those of the same names in
+    ``out_dir`` when the block ends, so a failed write leaves every earlier
+    output as it was, not those of two runs; when the block raises, it is
+    removed with all it holds."""
+    stage = Path(tempfile.mkdtemp(prefix=".staged-", dir=out_dir))
+    try:
+        yield stage
+        for name in sorted(os.listdir(stage)):
+            os.replace(stage / name, Path(out_dir) / name)
+    finally:
+        shutil.rmtree(stage)
 
 
 def _csv_line(cells) -> str:

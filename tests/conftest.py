@@ -1,5 +1,6 @@
 import csv
 import os
+import signal
 from pathlib import Path
 
 import numpy as np
@@ -33,6 +34,40 @@ def no_child_process_left():
     if pid == 0:
         pytest.fail("the test left a child process running")
     pytest.fail(f"the test left child process {pid} unreaped (status {status})")
+
+
+FORK_CPUS = 4  # the usable CPUs that ``fork_calls`` reports
+
+
+@pytest.fixture
+def fork_calls(monkeypatch):
+    """Let ``relarm._fork`` see :data:`FORK_CPUS` usable CPUs, so forked
+    shares run on any POSIX host, and count ``os.fork`` calls: the list
+    gets one entry per fork.  A hung fork path fails its test after 60 s
+    instead of stalling the suite, and a test that leaves a file
+    descriptor open fails."""
+    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
+        pytest.skip("no os.fork")
+
+    def expire(signum, frame):
+        raise TimeoutError("a forked call did not return within 60 s")
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(FORK_CPUS)))
+    calls = []
+    real_fork = os.fork
+
+    def fork():
+        calls.append(None)
+        return real_fork()
+
+    monkeypatch.setattr(os, "fork", fork)
+    fds = sorted(os.listdir("/dev/fd"))
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(60)
+    yield calls
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, previous)
+    assert sorted(os.listdir("/dev/fd")) == fds, "a file descriptor was left open"
 
 
 @pytest.fixture(scope="session")

@@ -84,6 +84,32 @@ def test_run_byte_deterministic(workdir):
         assert (workdir / "a" / name).read_bytes() == (workdir / "b" / name).read_bytes()
 
 
+def test_failed_ratings_write_leaves_the_old_snapshot(workdir, monkeypatch, capsys):
+    """``run`` replaces its outputs only once all are written: a ratings
+    write that fails leaves the previous run's snapshot byte for byte, and
+    no temporary file or directory."""
+    out = workdir / "out"
+    args = ("run", "--config", workdir / "config.json", "--data", workdir / "data.csv",
+            "--out-dir", out)
+    assert run_cli(*args) == 0
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    cfg = json.loads((workdir / "config.json").read_text())
+    cfg["seed"] += 1  # a snapshot that differs from the first
+    (workdir / "config.json").write_text(json.dumps(cfg))
+
+    def fail(path, ratings):
+        raise OSError(28, "No space left on device", str(path))
+
+    monkeypatch.setattr(io, "write_ratings_csv", fail)
+    capsys.readouterr()
+    assert run_cli(*args) == 1
+    assert "No space left on device" in capsys.readouterr().err
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+    monkeypatch.undo()
+    assert run_cli(*args) == 0
+    assert (out / "snapshot.json").read_bytes() != before["snapshot.json"]
+
+
 def test_dump_intermediates(workdir, country_dataset, country_run):
     out = workdir / "out"
     run_cli(
@@ -496,23 +522,27 @@ def test_mutated_input_loads_or_names_its_file(bundled_inputs, kind, data):
         assert str(exc).startswith(f"{path}: "), exc
 
 
-def test_benchmark_configs_load(tmp_path):
+def test_benchmark_configs_load(tmp_path, fork_calls):
     """Every config ``perfbench/gen.py`` writes loads, and every data file
     it writes takes the plain-table parse under its config, so a change to
     the config contract or to that parse's gate that would break or slow
-    the benchmark fails here first.  The generator runs from its source
-    text, so nothing is written beside it; assign_bulk writes no config of
-    its own (it uses fit_tall's)."""
+    the benchmark fails here first.  With more than one usable CPU, only
+    assign_bulk's parse is large enough to fork.  The generator runs from
+    its source text, so nothing is written beside it; assign_bulk writes no
+    config of its own (it uses fit_tall's)."""
     gen = types.ModuleType("perfbench_gen")
     exec(compile(GEN.read_text(encoding="utf-8"), str(GEN), "exec"), gen.__dict__)
     gen.generate(0, tmp_path, workloads=gen.WORKLOADS)
     configs = sorted(tmp_path.glob("*/config.json"))
     assert [p.parent.name for p in configs] == ["fit_tall", "fit_wide"]
-    for workload, config in [("fit_tall", "fit_tall"), ("fit_wide", "fit_wide"),
-                             ("assign_bulk", "fit_tall")]:
+    for workload, config, forks in [("fit_tall", "fit_tall", False),
+                                    ("fit_wide", "fit_wide", False),
+                                    ("assign_bulk", "fit_tall", True)]:
         specs = load_config(tmp_path / config / "config.json").indicators
         text = (tmp_path / workload / "data.csv").read_text(encoding="utf-8")
+        fork_calls.clear()
         assert _parse_plain(text, specs) is not None, workload
+        assert bool(fork_calls) == forks, workload
 
 
 def test_non_utf8_data_names_file_and_line(workdir, capsys):

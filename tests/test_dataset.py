@@ -1,14 +1,16 @@
 import csv
 import io
 import json
+import os
 import re
 import time
 
 import numpy as np
 import pytest
-from hypothesis import event, given, settings
+from hypothesis import HealthCheck, event, given, settings
 from hypothesis import strategies as st
 
+from relarm import _fork, dataset
 from relarm.dataset import (
     Direction,
     IndicatorSpec,
@@ -308,7 +310,10 @@ def test_plain_parse_declined(text):
     ("object,x,z\na,1,2\nb,3,4\n", SPECS_XY, r"columns declared but absent: \['y'\]"),
     ("object,x,x\na,1\nb,3,4,5\n", (IndicatorSpec("x", Direction.POSITIVE),) * 2,
      r"columns repeated in the header: \['x'\]"),
-], ids=["names-differ", "repeated-names"])
+    # no data line: still the header's error, not a decline
+    ("object,x,z\n", SPECS_XY, r"columns declared but absent: \['y'\]"),
+    ("object\n", SPECS_XY, "header must have an id column plus data"),
+], ids=["names-differ", "repeated-names", "header-only", "no-data-column"])
 def test_plain_parse_header_errors(text, specs, message):
     # raised where the plain path finds them, as the per-cell path raises them
     rows = list(csv.reader(io.StringIO(text, newline="")))
@@ -361,3 +366,98 @@ def test_non_utf8_data_names_file_and_line(tmp_path):
     path.write_bytes(b"object,x,y\na,1,2\nb\xe9,3,4\n")
     with pytest.raises(ValidationError, match=rf"{path}: line 3: byte 0xe9"):
         load_dataset(path, SPECS_XY)
+
+
+# --- the plain parse forked, one share per process, against one process -----
+
+
+@pytest.fixture
+def forked_parse(fork_calls, monkeypatch):
+    """Every plain parse forks, one share per reported CPU; the list
+    collects one entry per fork."""
+    monkeypatch.setattr(dataset, "FORK_MIN_BYTES", 0)
+    return fork_calls
+
+
+def serial_parse(text, specs):
+    """``_parse_plain`` with the fork gated off."""
+    saved = dataset.FORK_MIN_BYTES
+    dataset.FORK_MIN_BYTES = float("inf")
+    try:
+        return _parse_plain(text, specs)
+    finally:
+        dataset.FORK_MIN_BYTES = saved
+
+
+def outcome(parse):
+    """What a parse gave, comparable with ``==``: its ids, value shape and
+    value bytes, None, or its error text."""
+    try:
+        table = parse()
+    except ValidationError as exc:
+        return "error", str(exc)
+    if table is None:
+        return None
+    return table[0], table[1].shape, table[1].tobytes()
+
+
+@settings(max_examples=200, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(tables())
+def test_forked_plain_parse_equals_serial(forked_parse, table):
+    text, specs, _ = table
+    before = len(forked_parse)
+    got = outcome(lambda: _parse_plain(text, specs))
+    event("forked" if len(forked_parse) > before else "one share")
+    assert got == outcome(lambda: serial_parse(text, specs))
+
+
+@pytest.mark.parametrize("text, forks", [
+    ("object,x,y\na,1,2\n", 0),
+    ("object,x,y\na,1,2\nb,3,4\n", 1),
+    ("object,x,y\na,1,2\nb,3,4\nc,5,6\n", 2),
+    ("object,x,y\r\na,1,2\r\nb,3,4\r\nc,5,6\r\n", 2),
+    ("object,x,y\ra,1,2\rb,3,4\rc,5,6\r", 2),
+    ("object,x,y\na,1,2\nb,3,4\nc,5,6", 2),  # no newline at the end
+], ids=["1-row", "2-rows", "3-rows", "crlf", "cr", "no-final-newline"])
+def test_forked_plain_parse_of_few_rows(forked_parse, text, forks):
+    got = outcome(lambda: _parse_plain(text, SPECS_XY))
+    assert got is not None and got[0] == ["a", "b", "c"][: len(got[0])]
+    assert len(forked_parse) == forks
+    assert got == outcome(lambda: serial_parse(text, SPECS_XY))
+
+
+def test_blank_line_at_a_share_boundary(forked_parse, monkeypatch):
+    """A blank line ends one share or starts the next: the share that holds
+    it declines, and so the whole parse does."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    real_map, cuts = _fork.fork_map, []
+
+    def fork_map(fn, shares):
+        cuts.append(shares[1][0])
+        return real_map(fn, shares)
+
+    monkeypatch.setattr(_fork, "fork_map", fork_map)
+    rows = [f"{i},{i},{i}\n" for i in range(6)]  # one width, so the cut is known
+    placed = set()
+    for i in range(1, len(rows)):
+        text = "object,x,y\n" + "".join(rows[:i]) + "\n" + "".join(rows[i:])
+        blank = text.index("\n\n") + 1
+        assert _parse_plain(text, SPECS_XY) is None
+        placed.add({cuts[-1]: "first", cuts[-1] - 1: "last"}.get(blank))
+    assert {"first", "last"} <= placed
+
+
+@pytest.mark.parametrize("cell, message", [
+    ("oops", "non-numeric value 'oops'"),
+    ("inf", "non-finite value 'inf'"),
+])
+def test_bad_cell_in_a_child_share_names_its_file_line(forked_parse, tmp_path, cell, message):
+    rows = [f"o{i},{i},{i}" for i in range(8)]
+    rows[6] = f"o6,{cell},6"  # file line 8, in the last share
+    path = tmp_path / "d.csv"
+    path.write_text("object,x,y\n" + "\n".join(rows) + "\n")
+    with pytest.raises(ValidationError, match=(
+        rf"^{re.escape(str(path))}: row 8, column 'x': {message}$"
+    )):
+        load_dataset(path, SPECS_XY)
+    assert len(forked_parse) == 3

@@ -1,17 +1,17 @@
 """k-means restarts spread over forked workers give the serial result.
 
 The fork path is forced by setting the work gate to 0 and reporting four
-usable CPUs, so these tests fork on any POSIX host, whatever its CPU count.
+usable CPUs (the ``fork_calls`` fixture of ``conftest.py``), so these tests
+fork on any POSIX host, whatever its CPU count.
 """
 
 import os
-import signal
 import threading
 
 import numpy as np
 import pytest
 
-from relarm import clustering
+from relarm import _fork, clustering
 from relarm.clustering import (
     Xorshift64Star,
     _coords,
@@ -21,42 +21,18 @@ from relarm.clustering import (
     kmeans,
     nearest_center,
 )
+from conftest import FORK_CPUS as CPUS
 
 pytestmark = pytest.mark.skipif(
     not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")), reason="no os.fork"
 )
 
-CPUS = 4
-
-
-@pytest.fixture(autouse=True)
-def deadline():
-    """A hung fork path fails its test instead of stalling the suite."""
-
-    def expire(signum, frame):
-        raise TimeoutError("kmeans did not return within 60 s")
-
-    previous = signal.signal(signal.SIGALRM, expire)
-    signal.alarm(60)
-    yield
-    signal.alarm(0)
-    signal.signal(signal.SIGALRM, previous)
-
 
 @pytest.fixture
-def forks(monkeypatch):
+def forks(fork_calls, monkeypatch):
     """Force the fork path; the list collects one entry per fork."""
     monkeypatch.setattr(clustering, "FORK_MIN_WORK", 0)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(CPUS)))
-    calls = []
-    real_fork = os.fork
-
-    def fork():
-        calls.append(None)
-        return real_fork()
-
-    monkeypatch.setattr(os, "fork", fork)
-    return calls
+    return fork_calls
 
 
 def serial(*args, **kwargs):
@@ -84,10 +60,6 @@ def assert_same(got, want):
 def assert_no_children():
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
-
-
-def open_fds():
-    return sorted(os.listdir("/dev/fd"))
 
 
 @pytest.mark.parametrize("restarts", [1, 2, 3, CPUS + 3, 3 * CPUS])
@@ -162,7 +134,7 @@ def test_payload_larger_than_a_pipe_buffer(forks):
 @pytest.mark.parametrize("fault", ["raise", "short", "empty"])
 def test_failed_child_share_runs_in_process(forks, monkeypatch, fault):
     parent = os.getpid()
-    real_share, real_dumps = clustering._share_best, clustering.pickle.dumps
+    real_share, real_dumps = clustering._share_best, _fork.pickle.dumps
 
     def share_best(*args):
         if os.getpid() != parent and fault == "raise":
@@ -177,14 +149,12 @@ def test_failed_child_share_runs_in_process(forks, monkeypatch, fault):
 
     monkeypatch.setattr(clustering, "_share_best", share_best)
     if fault == "short":
-        monkeypatch.setattr(clustering.pickle, "dumps", dumps)
+        monkeypatch.setattr(_fork.pickle, "dumps", dumps)
     pts = np.random.default_rng(3).normal(size=(120, 2))
     want = serial(pts, 4, seed=9, restarts=10)
-    fds = open_fds()
     assert_same(kmeans(pts, 4, seed=9, restarts=10), want)
     assert len(forks) == CPUS - 1
     assert_no_children()
-    assert open_fds() == fds
 
 
 def test_failed_fork_runs_the_share_in_process(forks, monkeypatch):
@@ -213,12 +183,10 @@ def test_failed_fork_runs_the_share_in_process(forks, monkeypatch):
     pts = np.random.default_rng(8).normal(size=(120, 2))
     want = serial(pts, 4, seed=2, restarts=10)
     here.clear()
-    fds = open_fds()
     assert_same(kmeans(pts, 4, seed=2, restarts=10), want)
     assert len(forks) == CPUS - 1
     assert here == [0, 2]  # share 1 and 3 came from their children
     assert_no_children()
-    assert open_fds() == fds
 
 
 def test_parent_share_raising_reaps_every_child(forks, monkeypatch):
@@ -234,12 +202,10 @@ def test_parent_share_raising_reaps_every_child(forks, monkeypatch):
 
     monkeypatch.setattr(clustering, "_share_best", share_best)
     pts = np.random.default_rng(4).normal(size=(10_000, 2))
-    fds = open_fds()
     with pytest.raises(RuntimeError, match="parent fault"):
         kmeans(pts, 3, seed=0, restarts=4, max_iterations=2)
     assert len(forks) == 3
     assert_no_children()
-    assert open_fds() == fds
 
 
 def test_gate_keeps_small_fits_serial(country_config, country_dataset):
