@@ -14,9 +14,12 @@ _MASK64 = (1 << 64) - 1
 
 # Serial restart work (restarts x points x k) from which ``kmeans`` forks
 # workers.  Each child adds a fixed cost (fork, copy-on-write page faults,
-# exit and reap): a fit of 10 restarts x 2000 points x k=5 ran no faster
-# forked, while 50 x 5000 x 7 spent ~1.7x less time in k-means on 2 CPUs.
-FORK_MIN_WORK = 500_000
+# exit and reap): 50 x 5000 x 7 spends ~1.7x less time in k-means on
+# 2 CPUs, and 10 x 2000 x 5 a few ms less.  On 2 CPUs, in 8 interleaved
+# ``perfbench/run.py --workload fit_wide`` runs each (its parse forked in
+# both), a fit of 10 x 2000 x 5 took a median 0.1215 s with its restarts
+# forked against 0.1265 s in one process, and was faster in 6 of 8 pairs.
+FORK_MIN_WORK = 50_000
 
 
 class Xorshift64Star:

@@ -526,8 +526,9 @@ def test_benchmark_configs_load(tmp_path, fork_calls):
     """Every config ``perfbench/gen.py`` writes loads, and every data file
     it writes takes the plain-table parse under its config, so a change to
     the config contract or to that parse's gate that would break or slow
-    the benchmark fails here first.  With more than one usable CPU, only
-    assign_bulk's parse is large enough to fork.  The generator runs from
+    the benchmark fails here first.  With more than one usable CPU, the
+    parses of assign_bulk (many narrow rows) and fit_wide (few wide ones)
+    fork, and fit_tall's stays in one process.  The generator runs from
     its source text, so nothing is written beside it; assign_bulk writes no
     config of its own (it uses fit_tall's)."""
     gen = types.ModuleType("perfbench_gen")
@@ -536,7 +537,7 @@ def test_benchmark_configs_load(tmp_path, fork_calls):
     configs = sorted(tmp_path.glob("*/config.json"))
     assert [p.parent.name for p in configs] == ["fit_tall", "fit_wide"]
     for workload, config, forks in [("fit_tall", "fit_tall", False),
-                                    ("fit_wide", "fit_wide", False),
+                                    ("fit_wide", "fit_wide", True),
                                     ("assign_bulk", "fit_tall", True)]:
         specs = load_config(tmp_path / config / "config.json").indicators
         text = (tmp_path / workload / "data.csv").read_text(encoding="utf-8")

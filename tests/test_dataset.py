@@ -21,6 +21,7 @@ from relarm.dataset import (
 )
 from relarm.errors import ValidationError
 from relarm.normalize import normalize_dataset
+from conftest import FORK_CPUS
 
 
 def write_spec(path, names, directions=None):
@@ -235,6 +236,30 @@ def tables(draw):
     return text, specs, defect
 
 
+@st.composite
+def wide_tables(draw):
+    """A table of 50 to 80 columns and 1 to 4 rows, the shape whose rows
+    are few and long, in the form :func:`tables` returns, with at most one
+    defect: a blank line, a bad or non-finite cell, or a short row."""
+    n = draw(st.integers(50, 80))
+    names = [f"c{j}" for j in range(n)]
+    specs = tuple(IndicatorSpec(c, Direction.POSITIVE) for c in draw(st.permutations(names)))
+    defect = draw(st.sampled_from([None, None, "blank", "cell", "non-finite", "ragged"]))
+    rows = [["object"] + names]
+    for _ in range(draw(st.integers(1, 4))):
+        rows.append([draw(ID)] + draw(st.lists(NUMBER, min_size=n, max_size=n)))
+    r = draw(st.integers(1, len(rows) - 1))
+    if defect in ("cell", "non-finite"):
+        rows[r][draw(st.integers(1, n))] = draw(ODD_CELL if defect == "cell" else NON_FINITE)
+    elif defect == "ragged":
+        rows[r].pop()
+    lines = [",".join(row) for row in rows]
+    if defect == "blank":
+        lines.insert(draw(st.integers(1, len(lines))), "")
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    return end.join(lines) + end, specs, defect
+
+
 def _error(parse):
     with pytest.raises(ValidationError) as info:
         parse()
@@ -373,14 +398,15 @@ def test_non_utf8_data_names_file_and_line(tmp_path):
 
 @pytest.fixture
 def forked_parse(fork_calls, monkeypatch):
-    """Every plain parse forks, one share per reported CPU; the list
+    """Every plain parse forks, one share per reported CPU, even that of a
+    narrow table whose bytes less its rows' charge are negative; the list
     collects one entry per fork."""
-    monkeypatch.setattr(dataset, "FORK_MIN_BYTES", 0)
+    monkeypatch.setattr(dataset, "FORK_MIN_BYTES", float("-inf"))
     return fork_calls
 
 
 def serial_parse(text, specs):
-    """``_parse_plain`` with the fork gated off."""
+    """``_parse_plain`` with the fork gated off for every table."""
     saved = dataset.FORK_MIN_BYTES
     dataset.FORK_MIN_BYTES = float("inf")
     try:
@@ -402,7 +428,7 @@ def outcome(parse):
 
 
 @settings(max_examples=200, suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(tables())
+@given(st.one_of(tables(), wide_tables()))
 def test_forked_plain_parse_equals_serial(forked_parse, table):
     text, specs, _ = table
     before = len(forked_parse)
@@ -411,19 +437,44 @@ def test_forked_plain_parse_equals_serial(forked_parse, table):
     assert got == outcome(lambda: serial_parse(text, specs))
 
 
-@pytest.mark.parametrize("text, forks", [
-    ("object,x,y\na,1,2\n", 0),
-    ("object,x,y\na,1,2\nb,3,4\n", 1),
-    ("object,x,y\na,1,2\nb,3,4\nc,5,6\n", 2),
-    ("object,x,y\r\na,1,2\r\nb,3,4\r\nc,5,6\r\n", 2),
-    ("object,x,y\ra,1,2\rb,3,4\rc,5,6\r", 2),
-    ("object,x,y\na,1,2\nb,3,4\nc,5,6", 2),  # no newline at the end
-], ids=["1-row", "2-rows", "3-rows", "crlf", "cr", "no-final-newline"])
-def test_forked_plain_parse_of_few_rows(forked_parse, text, forks):
+@pytest.mark.parametrize("text, ids", [
+    ("object,x,y\na,1,2\n", ["a"]),
+    ("object,x,y\na,1,2\nb,3,4\n", ["a", "b"]),
+    ("object,x,y\na,1,2\nb,3,4\nc,5,6\n", ["a", "b", "c"]),
+    ("object,x,y\r\na,1,2\r\nb,3,4\r\nc,5,6\r\n", ["a", "b", "c"]),
+    ("object,x,y\ra,1,2\rb,3,4\rc,5,6\r", ["a", "b", "c"]),
+    ("object,x,y\na,1,2\nb,3,4\nc,5,6", ["a", "b", "c"]),  # no newline at the end
+    ("object,x,y\n,1,2\n", [""]),
+    ("object,x,y\na,1,2\n,3,4\n", ["a", ""]),
+], ids=["1-row", "2-rows", "3-rows", "crlf", "cr", "no-final-newline", "1-empty-id",
+        "child-empty-id"])
+def test_forked_plain_parse_of_few_rows(forked_parse, text, ids):
+    """With more CPUs than rows, each row is a share of its own and the
+    CPUs left over get none.  A share sends its ids back joined by newlines:
+    a share of one row gives back one id, even an empty one."""
     got = outcome(lambda: _parse_plain(text, SPECS_XY))
-    assert got is not None and got[0] == ["a", "b", "c"][: len(got[0])]
-    assert len(forked_parse) == forks
+    assert got is not None and got[0] == ids
+    assert len(forked_parse) == len(ids) - 1
     assert got == outcome(lambda: serial_parse(text, SPECS_XY))
+
+
+@pytest.mark.parametrize("columns, rows, forks", [
+    (9, 5_000, False),  # fit_tall
+    (9, 25_000, False),
+    (9, 38_000, False),
+    (9, 50_000, True),
+    (9, 100_000, True),  # assign_bulk
+    (120, 2_000, True),  # fit_wide
+])
+def test_parse_fork_gate_at_the_measured_points(fork_calls, columns, rows, forks):
+    """The gate charges each row :data:`dataset.ROW_BYTES`: tables of
+    ~180 B rows that ran no faster forked stay in one process, and a
+    4.6 MB table of ~2300 B rows forks.  The rows are as long as the
+    benchmark's: 181 B at 9 columns, 2290 B at 120."""
+    cell = "-1234.567890123456"  # the benchmark's cells are 18 B on average
+    header = "object," + ",".join(f"c{j}" for j in range(columns)) + "\n"
+    text = header + ("obj000001," + ",".join([cell] * columns) + "\n") * rows
+    assert dataset._parse_workers(text, len(header)) == (FORK_CPUS if forks else 1)
 
 
 def test_blank_line_at_a_share_boundary(forked_parse, monkeypatch):

@@ -177,7 +177,7 @@ def test_unpinned_assign_forks_to_the_serial_bytes(tmp_path, data_dir):
     src = str(Path(_fork.__file__).parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     ratings = {}
-    for gate in ("0", "inf"):
+    for gate in ("-inf", "inf"):
         out = tmp_path / gate
         proc = subprocess.run(
             [sys.executable, "-c", ASSIGN, gate, "assign",
@@ -187,6 +187,6 @@ def test_unpinned_assign_forks_to_the_serial_bytes(tmp_path, data_dir):
         )
         assert proc.returncode == 0, proc.stderr
         report = json.loads(proc.stdout.splitlines()[-1])
-        assert report == {"code": 0, "forks": 1 if gate == "0" else 0, "child_left": False}
+        assert report == {"code": 0, "forks": 1 if gate == "-inf" else 0, "child_left": False}
         ratings[gate] = (out / "ratings.csv").read_bytes()
-    assert ratings["0"] == ratings["inf"]
+    assert ratings["-inf"] == ratings["inf"]
