@@ -31,10 +31,17 @@ def fork_map(fn, shares) -> list:
     """``[fn(s) for s in shares]``.  Shares 1.. run in forked children that
     pickle their result into a pipe; share 0, and any share whose fork or
     child failed, runs in this process.  Every child is reaped before this
-    returns or raises."""
+    returns or raises.
+
+    Share *i* is pinned to the *i*-th CPU of the calling thread's affinity
+    mask, share 0 in the calling thread, whose mask is restored before this
+    returns or raises.  Unpinned, a child forked by a fresh process starts
+    on its parent's CPU and tends to stay there, so the shares would take
+    turns instead of running side by side."""
+    mask = sorted(os.sched_getaffinity(0)) if len(shares) > 1 else []
     children = []  # [pid, read end of its pipe, share]; None once reaped/closed
     try:
-        for share in shares[1:]:
+        for i, share in enumerate(shares[1:], start=1):
             rfd, wfd = os.pipe()
             try:
                 pid = os.fork()
@@ -45,9 +52,11 @@ def fork_map(fn, shares) -> list:
                 continue
             if pid == 0:
                 read_ends = [rfd] + [c[1] for c in children if c[1] is not None]
-                _serve(fn, share, wfd, read_ends)
+                _serve(fn, share, wfd, read_ends, mask[i : i + 1])
             os.close(wfd)
             children.append([pid, rfd, share])
+        if mask:
+            _run_on(mask[:1])
         results = [fn(shares[0])]
         for child in children:
             result = _FAILED
@@ -65,6 +74,8 @@ def fork_map(fn, shares) -> list:
             results.append(fn(child[2]) if result is _FAILED else result)
         return results
     finally:
+        if mask:
+            _run_on(mask)
         for pid, rfd, _ in children:
             if rfd is not None:
                 os.close(rfd)  # a child still writing gets EPIPE and exits
@@ -72,15 +83,27 @@ def fork_map(fn, shares) -> list:
                 os.waitpid(pid, 0)
 
 
-def _serve(fn, share, wfd, read_ends) -> None:
+def _run_on(cpus) -> None:
+    """Let the calling thread run only on ``cpus``.  A set it may not use
+    (none of it in the thread's cpuset, or empty) leaves the thread where it
+    is: placement sets only the speed of a share, never its result."""
+    try:
+        os.sched_setaffinity(0, cpus)
+    except OSError:
+        pass
+
+
+def _serve(fn, share, wfd, read_ends, cpus) -> None:
     """The whole life of a forked child: pickle ``fn(share)`` into the pipe
     ``wfd`` and exit, with status 0 only if all of it was written.  It
     first closes every read end it inherited (``read_ends``), so that a
-    parent that stops reading leaves no writer blocked."""
+    parent that stops reading leaves no writer blocked, and moves to
+    ``cpus``."""
     code = 1
     try:
         for fd in read_ends:
             os.close(fd)
+        _run_on(cpus)
         payload = pickle.dumps(fn(share), pickle.HIGHEST_PROTOCOL)
         with open(wfd, "wb") as pipe:
             pipe.write(payload)

@@ -12,15 +12,6 @@ from .errors import ValidationError
 
 _MASK64 = (1 << 64) - 1
 
-# Serial restart work (restarts x points x k) from which ``kmeans`` forks
-# workers.  Each child adds a fixed cost (fork, copy-on-write page faults,
-# exit and reap): 50 x 5000 x 7 spends ~1.7x less time in k-means on
-# 2 CPUs, and 10 x 2000 x 5 a few ms less.  On 2 CPUs, in 8 interleaved
-# ``perfbench/run.py --workload fit_wide`` runs each (its parse forked in
-# both), a fit of 10 x 2000 x 5 took a median 0.1215 s with its restarts
-# forked against 0.1265 s in one process, and was faster in 6 of 8 pairs.
-FORK_MIN_WORK = 50_000
-
 
 class Xorshift64Star:
     """Deterministic 64-bit generator, identical on every platform.
@@ -215,10 +206,10 @@ def kmeans(
     (seed, restart index), so results are independent of execution order.
     Ties on the final sum of squared errors go to the earliest restart.
 
-    Where ``os.fork`` exists (Linux), more than one CPU is usable, no
-    other Python thread runs and ``restarts * M * k`` reaches
-    :data:`FORK_MIN_WORK`, the restarts run in up to one process per
-    usable CPU; the result is byte-identical to running them in order.
+    Where ``os.fork`` exists (Linux), more than one CPU is usable and no
+    other Python thread runs, the restarts run in up to one process per
+    usable CPU (:func:`relarm._fork.cpus`); the result is byte-identical to
+    running them in order.
     """
     x = np.array(points, dtype=np.float64)
     if x.ndim != 2 or x.shape[0] < 1:
@@ -233,7 +224,7 @@ def kmeans(
     if restarts < 1:
         raise ValidationError(f"restarts must be >= 1, got {restarts}")
 
-    workers = _workers(restarts, x.shape[0], k)
+    workers = min(restarts, _fork.cpus())
     shares = _fork.fork_map(
         lambda share: _share_best(x, k, seed, restarts, max_iterations, share, workers),
         range(workers),
@@ -248,15 +239,6 @@ def kmeans(
         sse_history=tuple(history),
         converged=_is_fixed_point(x, assign, centers),
     )
-
-
-def _workers(restarts: int, m: int, k: int) -> int:
-    """How many processes run the restarts: one per usable CPU, at most
-    one per restart, when forking is possible and the work pays for it
-    (see :data:`FORK_MIN_WORK` and :func:`relarm._fork.cpus`); otherwise 1."""
-    if restarts * m * k < FORK_MIN_WORK:
-        return 1
-    return min(restarts, _fork.cpus())
 
 
 def _rank(result) -> tuple[float, int]:

@@ -17,19 +17,13 @@ import numpy as np
 from . import _fork
 from .errors import ValidationError
 
-# ``_parse_plain`` forks, one share per usable CPU, when
-# ``len(text) - ROW_BYTES * rows >= FORK_MIN_BYTES``, ``rows`` estimated
-# from the first data line.  Each child adds a fixed cost (fork,
-# copy-on-write page faults, exit and reap) and a cost per row it returns
-# (a line string, an id and its share of the joined ids), so a table of
-# many short rows gains less per byte than one of few long rows.  On
-# 2 CPUs, in alternating pairs of ``relarm assign`` on the first rows of a
-# 100k x 9 table (~180 B a row), forked was faster in 0 of 16 pairs at
-# 4.5 MB, 1 of 16 at 6.9 MB and 11 of 16 at 9.0 MB; in pairs of
-# ``load_dataset`` on the first rows of a 2000 x 120 table (~2300 B a
-# row), in 24 of 24 at each of 1, 2 and 4.5 MB.  These values fork the
-# 4.6 MB wide table and narrow ones from ~8 MB.
-ROW_BYTES = 100
+# ``_parse_plain`` forks, one share per usable CPU, when the text reaches
+# this size.  Each child adds a fixed cost (fork, copy-on-write page
+# faults, exit and reap) and a cost per row it hands back.  On 2 CPUs,
+# with each share pinned to its own CPU, a fresh process's first
+# ``relarm assign`` of the first 25k rows of a 100k x 9 table (4.5 MB,
+# the smallest measured table that forks) took a median 100 ms forked
+# against 137 ms in one process, and was faster in 22 of 24 runs.
 FORK_MIN_BYTES = 3_500_000
 
 
@@ -273,8 +267,8 @@ def _parse_plain(
     header raises here, as it would there.
 
     Lines end as ``csv`` ends them: at ``\\r\\n``, ``\\r`` or ``\\n``.  A
-    text large enough (:func:`_parse_workers`) is cut at line ends into one
-    share per usable CPU, parsed in forked processes and joined in order.
+    text of :data:`FORK_MIN_BYTES` or more is cut at line ends into one share
+    per usable CPU, parsed in forked processes and joined in order.
     """
     if '"' in text or not text:
         return None
@@ -285,7 +279,7 @@ def _parse_plain(
     usecols = _columns(header, specs)
     if start == len(text):  # no data line
         return None
-    workers = _parse_workers(text, start)
+    workers = _fork.cpus() if len(text) >= FORK_MIN_BYTES else 1
     size = len(text) - start
     cuts = {text.find("\n", start + size * i // workers) + 1 for i in range(1, workers)}
     bounds = sorted(cuts - {0} | {start, len(text)})  # find gives -1 past the last end
@@ -299,19 +293,6 @@ def _parse_plain(
     ids = "\n".join(ids for ids, _ in parts).split("\n")
     values = parts[0][1] if len(parts) == 1 else np.concatenate([v for _, v in parts])
     return ids, values
-
-
-def _parse_workers(text: str, start: int) -> int:
-    """How many processes parse the data lines ``text[start:]``: one per
-    usable CPU when the text, less :data:`ROW_BYTES` for each row it
-    holds, reaches :data:`FORK_MIN_BYTES`; otherwise 1.  The row count is
-    estimated from the first data line's length; it decides only the
-    speed of the parse, never its result."""
-    first = text.find("\n", start) + 1 or len(text)
-    rows = (len(text) - start) // (first - start)
-    if len(text) - ROW_BYTES * rows < FORK_MIN_BYTES:
-        return 1
-    return _fork.cpus()
 
 
 def _parse_share(

@@ -1,4 +1,5 @@
 import csv
+import errno
 import os
 import signal
 from pathlib import Path
@@ -36,23 +37,58 @@ def no_child_process_left():
     pytest.fail(f"the test left child process {pid} unreaped (status {status})")
 
 
+AFFINITY = getattr(os, "sched_getaffinity", None)  # the real one, never a fake
+
+
+@pytest.fixture(autouse=True)
+def cpu_affinity_unchanged():
+    """Fail a test that leaves this process's CPU affinity changed, as a
+    ``fork_map`` that kept its caller pinned to one CPU would."""
+    if AFFINITY is None:
+        yield
+        return
+    before = AFFINITY(0)
+    yield
+    if AFFINITY(0) != before:
+        pytest.fail(f"the test changed the CPU affinity from {before} to {AFFINITY(0)}")
+
+
 FORK_CPUS = 4  # the usable CPUs that ``fork_calls`` reports
 
 
 @pytest.fixture
-def fork_calls(monkeypatch):
-    """Let ``relarm._fork`` see :data:`FORK_CPUS` usable CPUs, so forked
-    shares run on any POSIX host, and count ``os.fork`` calls: the list
-    gets one entry per fork.  A hung fork path fails its test after 60 s
-    instead of stalling the suite, and a test that leaves a file
-    descriptor open fails."""
+def fork_calls(forks_counted, monkeypatch):
+    """:func:`forks_counted`, with :data:`FORK_CPUS` usable CPUs reported
+    to ``relarm._fork``, so forked shares run on any POSIX host.  A pin
+    keeps the CPUs of its mask that this process may really use, and
+    fails with ``EINVAL`` when it names none of them, as the kernel does
+    for CPUs that are not there.  So a pin to a faked CPU fails, and
+    restoring the faked mask restores the real one."""
+    real = os.sched_getaffinity(0)
+    real_pin = os.sched_setaffinity
+
+    def pin(pid, cpus):
+        usable = set(cpus) & real
+        if not usable:
+            raise OSError(errno.EINVAL, "no usable CPU in the mask")
+        real_pin(pid, usable)
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(FORK_CPUS)))
+    monkeypatch.setattr(os, "sched_setaffinity", pin)
+    return forks_counted
+
+
+@pytest.fixture
+def forks_counted(monkeypatch):
+    """Count ``os.fork`` calls: the list gets one entry per fork.  A hung
+    fork path fails its test after 60 s instead of stalling the suite, and
+    a test that leaves a file descriptor open fails."""
     if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
         pytest.skip("no os.fork")
 
     def expire(signum, frame):
         raise TimeoutError("a forked call did not return within 60 s")
 
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(FORK_CPUS)))
     calls = []
     real_fork = os.fork
 

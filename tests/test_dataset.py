@@ -460,21 +460,30 @@ def test_forked_plain_parse_of_few_rows(forked_parse, text, ids):
 
 @pytest.mark.parametrize("columns, rows, forks", [
     (9, 5_000, False),  # fit_tall
-    (9, 25_000, False),
-    (9, 38_000, False),
+    (9, 25_000, True),
+    (9, 38_000, True),
     (9, 50_000, True),
     (9, 100_000, True),  # assign_bulk
     (120, 2_000, True),  # fit_wide
 ])
-def test_parse_fork_gate_at_the_measured_points(fork_calls, columns, rows, forks):
-    """The gate charges each row :data:`dataset.ROW_BYTES`: tables of
-    ~180 B rows that ran no faster forked stay in one process, and a
-    4.6 MB table of ~2300 B rows forks.  The rows are as long as the
-    benchmark's: 181 B at 9 columns, 2290 B at 120."""
+def test_parse_fork_gate_at_the_measured_points(fork_calls, monkeypatch, columns, rows, forks):
+    """The parse forks when its text reaches :data:`dataset.FORK_MIN_BYTES`,
+    however long its rows.  The rows are as long as the benchmark's: 181 B
+    at 9 columns, 2290 B at 120.  With each share pinned to its own CPU,
+    the first ``relarm assign`` of a fresh process on 2 CPUs was faster
+    forked than in one process at every forked point measured: the first
+    25k rows of the benchmark's 100k x 9 table (4.5 MB) in 22 of 24 runs
+    (median 100 against 137 ms), 38k rows in 20 of 24 (160 against
+    197 ms) and all 100k in 23 of 24; ``relarm run`` of the 2000 x 120
+    table, its restarts forked too, in 18 of 24."""
     cell = "-1234.567890123456"  # the benchmark's cells are 18 B on average
     header = "object," + ",".join(f"c{j}" for j in range(columns)) + "\n"
     text = header + ("obj000001," + ",".join([cell] * columns) + "\n") * rows
-    assert dataset._parse_workers(text, len(header)) == (FORK_CPUS if forks else 1)
+    specs = tuple(IndicatorSpec(f"c{j}", Direction.POSITIVE) for j in range(columns))
+    shares = []
+    monkeypatch.setattr(_fork, "fork_map", lambda fn, s: shares.append(len(s)) or [None])
+    assert _parse_plain(text, specs) is None  # the faked map declines every share
+    assert shares == [FORK_CPUS if forks else 1]
 
 
 def test_blank_line_at_a_share_boundary(forked_parse, monkeypatch):

@@ -3,7 +3,8 @@ fails along the way, and leaves no child process or file descriptor.
 
 The ``fork_calls`` fixture of ``conftest.py`` reports four usable CPUs,
 counts the forks and fails a test that leaves a descriptor open; the
-autouse fixture there fails a test that leaves a child.
+autouse fixtures there fail a test that leaves a child or a changed CPU
+affinity.
 """
 
 import json
@@ -120,6 +121,59 @@ def test_parent_share_raising_reaps_every_child(fork_calls):
     with pytest.raises(RuntimeError, match="parent fault"):
         _fork.fork_map(fn, range(FORK_CPUS))
     assert len(fork_calls) == FORK_CPUS - 1
+
+
+@pytest.fixture
+def real_cpus(forks_counted):
+    """The CPUs of this process's real affinity mask, in order, at most 8
+    so that a large host forks no more; the test is skipped with fewer
+    than 2."""
+    cpus = sorted(os.sched_getaffinity(0))
+    if len(cpus) < 2:
+        pytest.skip("fewer than 2 usable CPUs")
+    return cpus[:8]
+
+
+def placement(share):
+    return share, in_child(), os.sched_getaffinity(0)
+
+
+def test_each_share_runs_alone_on_its_own_cpu(real_cpus):
+    before = os.sched_getaffinity(0)
+    got = _fork.fork_map(placement, range(len(real_cpus)))
+    assert got == [(s, s > 0, {cpu}) for s, cpu in enumerate(real_cpus)]
+    assert os.sched_getaffinity(0) == before
+
+
+def test_callers_mask_is_restored_when_its_share_raises(real_cpus):
+    before = os.sched_getaffinity(0)
+
+    def fn(share):
+        if not in_child():
+            assert os.sched_getaffinity(0) == {real_cpus[0]}
+            raise RuntimeError("parent fault")
+        return share
+
+    with pytest.raises(RuntimeError, match="parent fault"):
+        _fork.fork_map(fn, range(len(real_cpus)))
+    assert os.sched_getaffinity(0) == before
+
+
+def test_a_failed_pin_changes_no_result(fork_calls, monkeypatch):
+    """A CPU the kernel will not pin to (outside the cpuset, or faked)
+    leaves the share where it is: every result, and which process computed
+    it, is as with every pin granted."""
+    pins = []
+
+    def refuse(pid, cpus):
+        pins.append(set(cpus))
+        raise OSError(22, "Invalid argument")
+
+    monkeypatch.setattr(os, "sched_setaffinity", refuse)
+    got = _fork.fork_map(square_row, range(FORK_CPUS))
+    assert got == [(s, s * s, s > 0) for s in range(FORK_CPUS)]
+    assert len(fork_calls) == FORK_CPUS - 1
+    assert pins == [{0}, set(range(FORK_CPUS))]  # this process's; the children's are not seen
 
 
 def test_cpus_counts_usable_cpus(fork_calls):

@@ -1,8 +1,8 @@
 """k-means restarts spread over forked workers give the serial result.
 
-The fork path is forced by setting the work gate to 0 and reporting four
-usable CPUs (the ``fork_calls`` fixture of ``conftest.py``), so these tests
-fork on any POSIX host, whatever its CPU count.
+The fork path is forced by reporting four usable CPUs (the ``fork_calls``
+fixture of ``conftest.py``), so these tests fork on any POSIX host,
+whatever its CPU count; ``serial`` reports one.
 """
 
 import os
@@ -17,7 +17,6 @@ from relarm.clustering import (
     _coords,
     _kmeanspp_init,
     _splitmix64,
-    _workers,
     kmeans,
     nearest_center,
 )
@@ -29,20 +28,19 @@ pytestmark = pytest.mark.skipif(
 
 
 @pytest.fixture
-def forks(fork_calls, monkeypatch):
+def forks(fork_calls):
     """Force the fork path; the list collects one entry per fork."""
-    monkeypatch.setattr(clustering, "FORK_MIN_WORK", 0)
     return fork_calls
 
 
 def serial(*args, **kwargs):
-    """``kmeans`` with the fork path gated off."""
-    saved = clustering.FORK_MIN_WORK
-    clustering.FORK_MIN_WORK = float("inf")
+    """``kmeans`` with one usable CPU reported, so in one process."""
+    saved = _fork.cpus
+    _fork.cpus = lambda: 1
     try:
         return kmeans(*args, **kwargs)
     finally:
-        clustering.FORK_MIN_WORK = saved
+        _fork.cpus = saved
 
 
 def assert_same(got, want):
@@ -208,21 +206,29 @@ def test_parent_share_raising_reaps_every_child(forks, monkeypatch):
     assert_no_children()
 
 
-def test_gate_keeps_small_fits_serial(country_config, country_dataset):
-    cfg = country_config
-    assert _workers(cfg.restarts, country_dataset.n_objects, cfg.k) == 1
+def test_country_sample_restarts_fork(forks_counted, country_config, country_run):
+    """The smallest real fit forks its restarts, one process per usable
+    CPU: no size gate keeps a fit in one process."""
     cpus = len(os.sched_getaffinity(0))
-    assert _workers(10, 2000, 5) == min(10, cpus)  # the fit_wide benchmark workload
-    assert _workers(50, 5000, 7) == min(50, cpus)  # fit_tall
-    assert _workers(1, 10**9, 7) == 1
+    if cpus < 2:
+        pytest.skip("one usable CPU")
+    cfg, pts = country_config, country_run.features
+    got = kmeans(pts, cfg.k, seed=cfg.seed, restarts=cfg.restarts)
+    assert len(forks_counted) == min(cfg.restarts, cpus) - 1
+    assert_same(got, serial(pts, cfg.k, seed=cfg.seed, restarts=cfg.restarts))
 
 
-def test_gate_keeps_threaded_callers_serial():
+def test_gate_keeps_threaded_callers_serial(forks_counted, country_config, country_run):
+    """While another Python thread runs, which a forked child would not
+    inherit, the country sample's restarts stay in one process."""
+    cfg = country_config
     stop = threading.Event()
     thread = threading.Thread(target=stop.wait)
     thread.start()
     try:
-        assert _workers(50, 5000, 7) == 1
+        kmeans(country_run.features, cfg.k, seed=cfg.seed, restarts=cfg.restarts)
     finally:
         stop.set()
-        thread.join()
+        thread.join(timeout=10)
+    assert not thread.is_alive()
+    assert forks_counted == []
