@@ -33,12 +33,11 @@ def fork_map(fn, shares) -> list:
     child failed, runs in this process.  Every child is reaped before this
     returns or raises.
 
-    Share *i* is pinned to the *i*-th CPU of the calling thread's affinity
-    mask, share 0 in the calling thread, whose mask is restored before this
-    returns or raises.  Unpinned, a child forked by a fresh process starts
-    on its parent's CPU and tends to stay there, so the shares would take
-    turns instead of running side by side."""
-    mask = sorted(os.sched_getaffinity(0)) if len(shares) > 1 else []
+    Each share is pinned to a CPU of its own (:func:`_cpu_order`), share 0
+    in the calling thread, whose mask is restored before this returns or
+    raises: unpinned, a child forked by a fresh process stays on its
+    parent's CPU, and the shares take turns instead of running together."""
+    order = _cpu_order(os.sched_getaffinity(0)) if len(shares) > 1 else []
     children = []  # [pid, read end of its pipe, share]; None once reaped/closed
     try:
         for i, share in enumerate(shares[1:], start=1):
@@ -52,11 +51,11 @@ def fork_map(fn, shares) -> list:
                 continue
             if pid == 0:
                 read_ends = [rfd] + [c[1] for c in children if c[1] is not None]
-                _serve(fn, share, wfd, read_ends, mask[i : i + 1])
+                _serve(fn, share, wfd, read_ends, order[i : i + 1])
             os.close(wfd)
             children.append([pid, rfd, share])
-        if mask:
-            _run_on(mask[:1])
+        if order:
+            _run_on(order[:1])
         results = [fn(shares[0])]
         for child in children:
             result = _FAILED
@@ -74,13 +73,27 @@ def fork_map(fn, shares) -> list:
             results.append(fn(child[2]) if result is _FAILED else result)
         return results
     finally:
-        if mask:
-            _run_on(mask)
+        if order:
+            _run_on(order)  # the caller's whole mask again
         for pid, rfd, _ in children:
             if rfd is not None:
                 os.close(rfd)  # a child still writing gets EPIPE and exits
             if pid is not None:
                 os.waitpid(pid, 0)
+
+
+def _cpu_order(mask) -> list:
+    """The CPUs of ``mask`` from the one the calling thread last ran on
+    (field 39 of its Linux ``/proc`` stat line), else from the lowest.
+    Share *i* goes to the *i*-th, so callers on different CPUs, such as
+    concurrent ``relarm`` processes, pin their shares to different ones."""
+    cpus = sorted(mask)
+    try:
+        with open("/proc/thread-self/stat", "rb") as stat:
+            start = cpus.index(int(stat.read().rsplit(b")", 1)[1].split()[36]))
+    except (OSError, ValueError, IndexError):  # unreadable, or not in mask
+        start = 0
+    return cpus[start:] + cpus[:start]
 
 
 def _run_on(cpus) -> None:

@@ -18,12 +18,12 @@ from . import _fork
 from .errors import ValidationError
 
 # ``_parse_plain`` forks, one share per usable CPU, when the text reaches
-# this size.  Each child adds a fixed cost (fork, copy-on-write page
-# faults, exit and reap) and a cost per row it hands back.  On 2 CPUs,
-# with each share pinned to its own CPU, a fresh process's first
-# ``relarm assign`` of the first 25k rows of a 100k x 9 table (4.5 MB,
-# the smallest measured table that forks) took a median 100 ms forked
-# against 137 ms in one process, and was faster in 22 of 24 runs.
+# this size; each child adds a fixed cost (fork, copy-on-write page
+# faults, exit and reap) and a cost per row it hands back.  The value is
+# carried over from unpinned shares: pinned, nothing between 0.9 MB (one
+# process) and 4.5 MB was measured.  At 4.5 MB (the first 25k rows of a
+# 100k x 9 table), a fresh process's first ``relarm assign`` on 2 CPUs took
+# a median 100 ms forked against 137 ms in one process, faster in 22 of 24.
 FORK_MIN_BYTES = 3_500_000
 
 

@@ -56,25 +56,31 @@ def cpu_affinity_unchanged():
 FORK_CPUS = 4  # the usable CPUs that ``fork_calls`` reports
 
 
-@pytest.fixture
-def fork_calls(forks_counted, monkeypatch):
-    """:func:`forks_counted`, with :data:`FORK_CPUS` usable CPUs reported
-    to ``relarm._fork``, so forked shares run on any POSIX host.  A pin
-    keeps the CPUs of its mask that this process may really use, and
-    fails with ``EINVAL`` when it names none of them, as the kernel does
-    for CPUs that are not there.  So a pin to a faked CPU fails, and
-    restoring the faked mask restores the real one."""
-    real = os.sched_getaffinity(0)
-    real_pin = os.sched_setaffinity
+def fake_cpus(monkeypatch, real, real_pin):
+    """Report :data:`FORK_CPUS` usable CPUs to ``relarm._fork``, over a
+    process whose real affinity mask is ``real``, set by ``real_pin``.  A
+    pin to the mask that ``os.sched_getaffinity`` reports, as ``fork_map``
+    restores it, sets ``real``, even where a test reports a mask of its
+    own.  Any other pin keeps the CPUs of its mask that are in ``real``,
+    and fails with ``EINVAL`` when it names none of them, as the kernel
+    does for CPUs that are not there."""
 
     def pin(pid, cpus):
-        usable = set(cpus) & real
+        usable = real if set(cpus) == os.sched_getaffinity(pid) else set(cpus) & real
         if not usable:
             raise OSError(errno.EINVAL, "no usable CPU in the mask")
         real_pin(pid, usable)
 
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(FORK_CPUS)))
     monkeypatch.setattr(os, "sched_setaffinity", pin)
+
+
+@pytest.fixture
+def fork_calls(forks_counted, monkeypatch):
+    """:func:`forks_counted`, with :data:`FORK_CPUS` usable CPUs reported
+    to ``relarm._fork`` (:func:`fake_cpus`), so forked shares run on any
+    POSIX host."""
+    fake_cpus(monkeypatch, os.sched_getaffinity(0), os.sched_setaffinity)
     return forks_counted
 
 

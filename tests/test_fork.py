@@ -17,7 +17,7 @@ from pathlib import Path
 import pytest
 
 from relarm import _fork
-from conftest import FORK_CPUS
+from conftest import FORK_CPUS, fake_cpus
 
 pytestmark = pytest.mark.skipif(
     not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")), reason="no os.fork"
@@ -141,7 +141,9 @@ def placement(share):
 def test_each_share_runs_alone_on_its_own_cpu(real_cpus):
     before = os.sched_getaffinity(0)
     got = _fork.fork_map(placement, range(len(real_cpus)))
-    assert got == [(s, s > 0, {cpu}) for s, cpu in enumerate(real_cpus)]
+    assert [g[:2] for g in got] == [(s, s > 0) for s in range(len(real_cpus))]
+    assert all(len(g[2]) == 1 for g in got)
+    assert len(set().union(*(g[2] for g in got))) == len(real_cpus)
     assert os.sched_getaffinity(0) == before
 
 
@@ -150,13 +152,36 @@ def test_callers_mask_is_restored_when_its_share_raises(real_cpus):
 
     def fn(share):
         if not in_child():
-            assert os.sched_getaffinity(0) == {real_cpus[0]}
+            assert len(os.sched_getaffinity(0)) == 1
             raise RuntimeError("parent fault")
         return share
 
     with pytest.raises(RuntimeError, match="parent fault"):
         _fork.fork_map(fn, range(len(real_cpus)))
     assert os.sched_getaffinity(0) == before
+
+
+def test_shares_are_placed_from_the_callers_cpu(real_cpus):
+    """Share 0 stays on the caller's CPU and share *i* goes *i* CPUs on,
+    so callers on different CPUs pin their shares to different ones; from
+    the lowest CPU when the caller's is not in the mask."""
+    before = os.sched_getaffinity(0)
+    top = max(real_cpus) + 2
+    try:
+        for cpu in real_cpus[:2]:
+            os.sched_setaffinity(0, {cpu})
+            assert _fork._cpu_order(range(top)) == [*range(cpu, top), *range(cpu)]
+            assert _fork._cpu_order({top, cpu + 1}) == [cpu + 1, top]
+    finally:
+        os.sched_setaffinity(0, before)
+
+
+def test_shares_are_placed_from_the_lowest_cpu_without_proc(monkeypatch):
+    def no_proc(*args):
+        raise FileNotFoundError("/proc/thread-self/stat")
+
+    monkeypatch.setattr(_fork, "open", no_proc, raising=False)
+    assert _fork._cpu_order({7, 3, 5}) == [3, 5, 7]
 
 
 def test_a_failed_pin_changes_no_result(fork_calls, monkeypatch):
@@ -173,7 +198,22 @@ def test_a_failed_pin_changes_no_result(fork_calls, monkeypatch):
     got = _fork.fork_map(square_row, range(FORK_CPUS))
     assert got == [(s, s * s, s > 0) for s in range(FORK_CPUS)]
     assert len(fork_calls) == FORK_CPUS - 1
-    assert pins == [{0}, set(range(FORK_CPUS))]  # this process's; the children's are not seen
+    # this process's pins, to its share's CPU and back; the children's are not seen
+    assert len(pins[0]) == 1 and pins[1:] == [set(range(FORK_CPUS))]
+
+
+@pytest.mark.parametrize("real", [set(range(8)), {0, 1}, {5}])
+def test_faked_cpus_restore_the_real_mask(forks_counted, monkeypatch, real):
+    """``fake_cpus`` of ``conftest.py`` maps ``fork_map``'s restore of the
+    four faked CPUs onto the real mask, whether that has more CPUs than
+    four, fewer, or none of them; so ``fork_calls`` tests leave this
+    process's affinity as it was on any host."""
+    pins = []
+    fake_cpus(monkeypatch, real, lambda pid, cpus: pins.append(set(cpus)))
+    assert _fork.fork_map(square_row, range(FORK_CPUS)) == [
+        (s, s * s, s > 0) for s in range(FORK_CPUS)
+    ]
+    assert pins[-1] == real
 
 
 def test_cpus_counts_usable_cpus(fork_calls):
