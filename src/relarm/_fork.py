@@ -44,10 +44,12 @@ def fork_map(fn, shares) -> list:
             rfd, wfd = os.pipe()
             try:
                 pid = os.fork()
-            except OSError:  # no process to spare: the share runs here
+            except BaseException as exc:
                 os.close(rfd)
                 os.close(wfd)
-                children.append([None, None, share])
+                if not isinstance(exc, OSError):  # e.g. refused by an audit hook
+                    raise
+                children.append([None, None, share])  # no process to spare: runs here
                 continue
             if pid == 0:
                 read_ends = [rfd] + [c[1] for c in children if c[1] is not None]

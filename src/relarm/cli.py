@@ -13,7 +13,7 @@ from pathlib import Path
 from . import io
 from .config import load_config
 from .dataset import load_dataset
-from .errors import NumericalError, ValidationError
+from .errors import NumericalError, ValidationError, naming
 from .normalize import ConstantColumnWarning
 from .pipeline import run_pipeline
 from .rating import REPORT_FOOTER, score_agreement
@@ -74,10 +74,8 @@ def _fit(args):
     Lloyd cap is reported on stderr."""
     cfg = load_config(args.config)
     dataset = load_dataset(args.data, cfg.indicators)
-    try:
+    with naming(args.data):  # the fit rejects the data
         outputs = run_pipeline(cfg, dataset)
-    except ValidationError as exc:  # the fit rejects the data
-        raise ValidationError(f"{args.data}: {exc}") from None
     if not outputs.clusters.converged:
         print(
             f"warning: k-means stopped at max_iterations={cfg.max_iterations} "
@@ -91,12 +89,10 @@ def _agreement(args, ratings, reference, scale, collapse_table):
     """Score ``ratings`` against ``reference``, read from ``--reference``;
     a category that collapses to no label is an error naming that file,
     and each reference object absent from the ratings a stderr warning."""
-    try:
+    with naming(args.reference):
         report = score_agreement(
             ratings, reference, scale=scale, collapse_table=collapse_table
         )
-    except ValidationError as exc:
-        raise ValidationError(f"{args.reference}: {exc}") from None
     for obj in report.skipped:
         print(f"warning: reference object {obj!r} absent from results; skipped",
               file=sys.stderr)

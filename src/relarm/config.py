@@ -6,7 +6,7 @@ import json
 from dataclasses import dataclass, field
 
 from .dataset import IndicatorSpec, checked, parse_indicator_specs, read_json, typed
-from .errors import ValidationError
+from .errors import ValidationError, naming
 from .rating import RatingScale
 
 DEFAULT_VARIANCE_THRESHOLD = 0.95
@@ -39,6 +39,12 @@ class PipelineConfig:
         RatingScale(self.labels)  # uniqueness check
         if self.restarts < 1 or self.max_iterations < 1:
             raise ValidationError("restarts and max_iterations must be >= 1")
+        for fine, coarse in self.collapse_table.items():
+            if coarse not in self.labels:
+                raise ValidationError(
+                    f"'collapse_table.{fine}' must be one of the labels "
+                    f"{list(self.labels)}, got {coarse!r}"
+                )
 
     @property
     def scale(self) -> RatingScale:
@@ -93,13 +99,11 @@ def config_from_dict(raw: dict) -> PipelineConfig:
 
 
 def load_config(path) -> PipelineConfig:
-    raw = read_json(path)
-    if not isinstance(raw, dict):
-        raise ValidationError(f"{path}: config must be a JSON object")
-    try:
+    with naming(path):
+        raw = read_json(path)
+        if not isinstance(raw, dict):
+            raise ValidationError("config must be a JSON object")
         return config_from_dict(raw)
-    except ValidationError as exc:
-        raise ValidationError(f"{path}: {exc}") from None
 
 
 def config_to_dict(cfg: PipelineConfig) -> dict:

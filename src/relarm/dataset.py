@@ -15,7 +15,7 @@ from itertools import zip_longest
 import numpy as np
 
 from . import _fork
-from .errors import ValidationError
+from .errors import ValidationError, naming
 
 # ``_parse_plain`` forks, one share per usable CPU, when the text reaches
 # this size; each child adds a fixed cost (fork, copy-on-write page
@@ -217,36 +217,33 @@ def load_dataset(path, spec) -> RawDataset:
     by file line, in its errors.
     """
     if isinstance(spec, (str, os.PathLike)):
-        declared = read_json(spec)
-        try:
-            specs = parse_indicator_specs(declared)
-        except ValidationError as exc:
-            raise ValidationError(f"{spec}: {exc}") from None
+        with naming(spec):
+            specs = parse_indicator_specs(read_json(spec))
     else:
         specs = tuple(spec)
-    text = _read_text(path)
-    try:
+    with naming(path):
+        text = _read_text(path)
         table = _parse_plain(text, specs)
         if table is None:
             table = _parse_rows(list(csv.reader(io.StringIO(text, newline=""))), specs)
         objects, values = table
         return RawDataset(objects=tuple(objects), indicators=specs, values=values)
-    except ValidationError as exc:
-        raise ValidationError(f"{path}: {exc}") from None
 
 
 def read_json(path):
-    """Decode a JSON file; a file that is not UTF-8 JSON is a
-    ``ValidationError`` naming it."""
+    """Decode a JSON file; a file that is not UTF-8 JSON, or that ``json``
+    cannot decode (nested past the recursion limit, an integer past the
+    digit limit), is a ``ValidationError``."""
+    text = _read_text(path)
     try:
-        return json.loads(_read_text(path))
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"{path}: invalid JSON: {exc}") from None
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        raise ValidationError(f"invalid JSON: {exc}") from None
 
 
 def _read_text(path) -> str:
     """The file decoded as UTF-8; an undecodable byte is a
-    ``ValidationError`` naming the file, line and offset."""
+    ``ValidationError`` naming the line and offset."""
     with open(path, "rb") as fh:
         data = fh.read()
     try:
@@ -254,7 +251,7 @@ def _read_text(path) -> str:
     except UnicodeDecodeError as exc:
         line = data.count(b"\n", 0, exc.start) + 1
         raise ValidationError(
-            f"{path}: line {line}: byte {data[exc.start]:#04x} at offset "
+            f"line {line}: byte {data[exc.start]:#04x} at offset "
             f"{exc.start} is not UTF-8 text"
         ) from None
 

@@ -1,5 +1,8 @@
 """Exception hierarchy shared across the pipeline."""
 
+import contextlib
+import csv
+
 
 class RelarmError(Exception):
     """Base class for all pipeline errors."""
@@ -11,3 +14,14 @@ class ValidationError(RelarmError, ValueError):
 
 class NumericalError(RelarmError, ArithmeticError):
     """Numerical failure, e.g. the eigensolver hit its iteration cap."""
+
+
+@contextlib.contextmanager
+def naming(where):
+    """A block whose ``ValidationError``, or ``csv.Error`` from a CSV it
+    reads, is raised again as a ``ValidationError`` that starts with
+    ``where``: the file, or the section of one, that is at fault."""
+    try:
+        yield
+    except (ValidationError, csv.Error) as exc:
+        raise ValidationError(f"{where}: {exc}") from None

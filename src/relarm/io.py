@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .dataset import _read_text
-from .errors import ValidationError
+from .errors import ValidationError, naming
 from .rating import AgreementReport, ClusterRating, RatingResult
 
 
@@ -103,16 +103,16 @@ def write_ratings_csv(path, ratings: RatingResult) -> None:
             w.writerows((obj, *cells[c]) for obj, c in zip(ratings.objects, ratings.clusters))
 
 
-def _cell(path, r: int, row: dict, column: str, kind):
+def _cell(r: int, row: dict, column: str, kind):
     """``row[column]`` parsed as ``kind`` (an int, or a finite float);
-    anything else is a ``ValidationError`` naming the file, row and column."""
+    anything else is a ``ValidationError`` naming the row and column."""
     try:
         value = kind(row[column])
     except ValueError:
         value = None
     if value is None or (kind is float and not math.isfinite(value)):
         raise ValidationError(
-            f"{path}: row {r}, column {column!r}: {row[column]!r} is not "
+            f"row {r}, column {column!r}: {row[column]!r} is not "
             f"{'an integer' if kind is int else 'a finite number'}"
         )
     return value
@@ -123,33 +123,35 @@ def read_ratings_csv(path) -> RatingResult:
     every row of a cluster must give the projection and category of its
     first row.  Rows are numbered by the line they end on, the header being
     row 1."""
-    reader = csv.DictReader(StringIO(_read_text(path), newline=""))
-    rows = [(reader.line_num, row) for row in reader]
-    if not rows:
-        raise ValidationError(f"{path}: empty ratings file")
-    needed = ("object", "cluster", "projection", "category")
-    if not set(needed).issubset(rows[0][1]):
-        raise ValidationError(f"{path}: ratings file must have columns {sorted(needed)}")
-    row_of: dict[str, int] = {}  # object -> row
-    clusters = []
-    first: dict[int, tuple[int, float, str]] = {}  # cluster -> (row, projection, category)
-    for r, row in rows:
-        if None in (row[c] for c in needed):
-            raise ValidationError(f"{path}: row {r} has fewer cells than the header")
-        if row_of.setdefault(row["object"], r) != r:
-            raise ValidationError(
-                f"{path}: row {r}: object {row['object']!r} is already rated "
-                f"at row {row_of[row['object']]}"
-            )
-        q = _cell(path, r, row, "cluster", int)
-        p = _cell(path, r, row, "projection", float)
-        r0, p0, c0 = first.setdefault(q, (r, p, row["category"]))
-        if (p0, c0) != (p, row["category"]):
-            raise ValidationError(
-                f"{path}: row {r}: cluster {q} has projection {p!r} and category "
-                f"{row['category']!r}, but row {r0} gave it {p0!r} and {c0!r}"
-            )
-        clusters.append(q)
+    with naming(path):
+        reader = csv.DictReader(StringIO(_read_text(path), newline=""))
+        rows = [(reader.line_num, row) for row in reader]
+        if not rows:
+            raise ValidationError("empty ratings file")
+        needed = ("object", "cluster", "projection", "category")
+        if not set(needed).issubset(rows[0][1]):
+            raise ValidationError(f"ratings file must have columns {sorted(needed)}")
+        row_of: dict[str, int] = {}  # object -> row
+        clusters = []
+        # cluster -> (row, projection, category) of its first row
+        first: dict[int, tuple[int, float, str]] = {}
+        for r, row in rows:
+            if None in (row[c] for c in needed):
+                raise ValidationError(f"row {r} has fewer cells than the header")
+            if row_of.setdefault(row["object"], r) != r:
+                raise ValidationError(
+                    f"row {r}: object {row['object']!r} is already rated "
+                    f"at row {row_of[row['object']]}"
+                )
+            q = _cell(r, row, "cluster", int)
+            p = _cell(r, row, "projection", float)
+            r0, p0, c0 = first.setdefault(q, (r, p, row["category"]))
+            if (p0, c0) != (p, row["category"]):
+                raise ValidationError(
+                    f"row {r}: cluster {q} has projection {p!r} and category "
+                    f"{row['category']!r}, but row {r0} gave it {p0!r} and {c0!r}"
+                )
+            clusters.append(q)
     # best first: descending projection, equal projections lower id first
     ranked = sorted(first.items(), key=lambda item: (-item[1][1], item[0]))
     per_cluster = tuple(
@@ -161,29 +163,28 @@ def read_ratings_csv(path) -> RatingResult:
 def read_reference_csv(path) -> dict[str, dict[str, str]]:
     """Reference agency ratings: columns object, agency, category, one row
     per (object, agency) pair."""
-    reader = csv.DictReader(StringIO(_read_text(path), newline=""))
-    if reader.fieldnames is None or not {"object", "agency", "category"}.issubset(
-        reader.fieldnames
-    ):
-        raise ValidationError(
-            f"{path}: reference file must have columns object, agency, category"
-        )
-    out: dict[str, dict[str, str]] = {}
-    row_of: dict[tuple[str, str], int] = {}  # (object, agency) -> row
-    for row in reader:
-        r = reader.line_num
-        obj, agency, cat = row["object"], row["agency"], row["category"]
-        if None in (obj, agency, cat):
-            raise ValidationError(f"{path}: row {r} has fewer cells than the header")
-        if row_of.setdefault((obj, agency), r) != r:
+    with naming(path):
+        reader = csv.DictReader(StringIO(_read_text(path), newline=""))
+        if not {"object", "agency", "category"}.issubset(reader.fieldnames or ()):
             raise ValidationError(
-                f"{path}: row {r}: object {obj!r} is already rated by agency "
-                f"{agency!r} at row {row_of[obj, agency]}"
+                "reference file must have columns object, agency, category"
             )
-        cat = cat.strip()
-        if not cat or cat.lower() == "not rated":
-            continue
-        out.setdefault(obj, {})[agency] = cat
+        out: dict[str, dict[str, str]] = {}
+        row_of: dict[tuple[str, str], int] = {}  # (object, agency) -> row
+        for row in reader:
+            r = reader.line_num
+            obj, agency, cat = row["object"], row["agency"], row["category"]
+            if None in (obj, agency, cat):
+                raise ValidationError(f"row {r} has fewer cells than the header")
+            if row_of.setdefault((obj, agency), r) != r:
+                raise ValidationError(
+                    f"row {r}: object {obj!r} is already rated by agency "
+                    f"{agency!r} at row {row_of[obj, agency]}"
+                )
+            cat = cat.strip()
+            if not cat or cat.lower() == "not rated":
+                continue
+            out.setdefault(obj, {})[agency] = cat
     return out
 
 

@@ -10,7 +10,7 @@ import numpy as np
 from .attributes import map_to_feature_space
 from .config import PipelineConfig, config_from_dict, config_to_dict
 from .dataset import RawDataset, _freeze, check_indicators, read_json
-from .errors import ValidationError
+from .errors import ValidationError, naming
 from .io import atomic_write
 from .normalize import range_width, scale_dataset
 from .pca import PcaModel
@@ -87,16 +87,17 @@ def load_snapshot(path) -> Snapshot:
     exceeds its maximum or whose width overflows, or a derived fact that
     disagrees with the fit it derives from (``Lambda``, the projections,
     the categories) is a ``ValidationError`` naming the file and the key."""
-    doc = read_json(path)
-    try:
-        return _snapshot_from_doc(doc)
-    except ValidationError as exc:
-        raise ValidationError(f"{path}: {exc}") from None
+    with naming(path):
+        return _snapshot_from_doc(read_json(path))
 
 
 def _array(doc: dict, section: str, key: str, shape: tuple[int, ...]) -> np.ndarray:
     try:
         a = np.array(doc[section][key], dtype=np.float64)
+    except OverflowError:  # an integer beyond the float range
+        raise ValidationError(
+            f"'{section}.{key}' has an entry beyond the float range"
+        ) from None
     except (TypeError, ValueError):
         a = None
     if a is None or a.shape != shape:
@@ -121,10 +122,8 @@ def _snapshot_from_doc(doc) -> Snapshot:
         for key in keys:
             if key not in doc[section]:
                 raise ValidationError(f"missing key '{section}.{key}'")
-    try:
+    with naming("'config'"):
         config = config_from_dict(doc["config"])
-    except ValidationError as exc:
-        raise ValidationError(f"'config': {exc}") from None
     n, k = len(config.indicators), config.k
     d = doc["model"]["d"]
     if type(d) is not int or not 1 <= d <= n:
@@ -167,10 +166,8 @@ def _snapshot_from_doc(doc) -> Snapshot:
                 f"'normalization.column_min' {lo!r} exceeds 'normalization.column_max' "
                 f"{hi!r} for indicator {spec.name!r}"
             )
-        try:
+        with naming("'normalization'"):
             range_width(lo, hi, spec.name)
-        except ValidationError as exc:
-            raise ValidationError(f"'normalization': {exc}") from None
     return Snapshot(
         config=config,
         column_min=column_min,

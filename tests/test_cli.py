@@ -476,10 +476,12 @@ def test_edited_config_loads_or_is_a_validation_error(in_indicator, key, value):
     assert known, f"unknown key {key!r} was accepted"
 
 
-# bytes that are syntax in CSV or JSON, numbers a reader must reject, and a
-# lead and a lone continuation byte that break UTF-8
+# bytes that are syntax in CSV or JSON, numbers a reader must reject, a
+# lead and a lone continuation byte that break UTF-8, and runs past the
+# decoders' limits: a CSV field, JSON nesting, an integer's digits
 _TOKENS = [b",", b'"', b"\n", b"\r", b" ", b"-", b".", b"0", b"9", b"1e999", b"nan",
-           b"x", b"{", b"}", b"[", b"]", b":", b"null", b"true", b"\xc3", b"\xa9"]
+           b"x", b"{", b"}", b"[", b"]", b":", b"null", b"true", b"\xc3", b"\xa9",
+           b"x" * 200_000, b"[" * 100_000, b"9" * 5000]
 
 
 @pytest.fixture(scope="session")
@@ -520,6 +522,111 @@ def test_mutated_input_loads_or_names_its_file(bundled_inputs, kind, data):
         read(path)
     except ValidationError as exc:
         assert str(exc).startswith(f"{path}: "), exc
+
+
+_NESTED = "[" * 100_000  # past the recursion limit of the JSON decoder
+_DIGITS = "9" * 5000  # past the int-digit limit of the JSON decoder
+_HUGE = "1" + "0" * 400  # an integer beyond the float range
+
+
+def _json_with(text, keys, literal):
+    """The JSON ``text`` with ``literal`` written as the value at the key
+    path ``keys``."""
+    doc = json.loads(text)
+    *parents, last = keys
+    target = doc
+    for key in parents:
+        target = target[key]
+    target[last] = "@literal@"
+    return json.dumps(doc).replace('"@literal@"', literal)
+
+
+def _long_first_cell(text):
+    """The CSV ``text`` with its first data row's first cell a quoted field
+    of 200,000 characters, past ``csv.field_size_limit()``."""
+    header, first, rest = text.split("\n", 2)
+    return "\n".join([header, '"' + "x" * 200_000 + '"' + first[first.index(","):], rest])
+
+
+# the reader, the file it reads, that file's hostile text made from its
+# valid one, and what the error says after the file's path; the 5,000-digit
+# literals sit where a value that large is rejected even by an interpreter
+# without an int-digit limit (``k`` disagrees with the labels, a name must
+# be a string)
+_HOSTILE = {
+    "config-nested": ("config", "config.json", lambda t: _NESTED, "invalid JSON: "),
+    "config-digits": ("config", "config.json", lambda t: _json_with(t, ["k"], _DIGITS), ""),
+    "spec-nested": ("spec", "spec.json", lambda t: _NESTED, "invalid JSON: "),
+    "spec-digits": ("spec", "spec.json",
+                    lambda t: _json_with(t, ["indicators", 0, "name"], _DIGITS), ""),
+    "snapshot-nested": ("snapshot", "snapshot.json", lambda t: _NESTED, "invalid JSON: "),
+    "snapshot-digits": ("snapshot", "snapshot.json",
+                        lambda t: _json_with(t, ["config", "k"], _DIGITS), ""),
+    "snapshot-huge-center": (
+        "snapshot", "snapshot.json",
+        lambda t: _json_with(t, ["clusters", "centers", 0, 0], _HUGE),
+        "'clusters.centers' has an entry beyond the float range",
+    ),
+    "snapshot-huge-min": (
+        "snapshot", "snapshot.json",
+        lambda t: _json_with(t, ["normalization", "column_min", 0], _HUGE),
+        "'normalization.column_min' has an entry beyond the float range",
+    ),
+    "data-long-id": ("data", "data.csv", _long_first_cell, "field larger than field limit"),
+    "ratings-long-object": ("ratings", "ratings.csv", _long_first_cell,
+                            "field larger than field limit"),
+    "reference-long-object": ("reference", "reference.csv", _long_first_cell,
+                              "field larger than field limit"),
+}
+
+
+@pytest.mark.parametrize("case", list(_HOSTILE))
+def test_input_past_a_decoder_limit_names_its_file(workdir, data_dir, country_run, capsys,
+                                                   case):
+    """A file past a limit of the CSV or JSON decoder, or with an array
+    entry beyond the float range, is one ``ValidationError`` that starts
+    with its path: exit 1 and one stderr line from the CLI, no traceback."""
+    reader, name, hostile, problem = _HOSTILE[case]
+    shutil.copy(workdir / "config.json", workdir / "spec.json")
+    shutil.copy(data_dir / "table8_model_categories.csv", workdir / "ratings.csv")
+    save_snapshot(country_run.snapshot, workdir / "snapshot.json")
+    path = workdir / name
+    path.write_text(hostile(path.read_text(encoding="utf-8")), encoding="utf-8")
+    config, data, snapshot, ratings, reference = (workdir / f for f in (
+        "config.json", "data.csv", "snapshot.json", "ratings.csv", "reference.csv"))
+    if reader == "spec":  # the CLI reads indicators only from the config
+        with pytest.raises(ValidationError) as info:
+            load_dataset(data, path)
+        err = f"error: {info.value}\n"
+    else:
+        fit = ["run", "--config", config, "--data", data]
+        score = ["score", "--ratings", ratings, "--reference", reference]
+        argv = {"config": fit, "data": fit, "ratings": score, "reference": score,
+                "snapshot": ["assign", "--snapshot", snapshot, "--data", data]}[reader]
+        assert run_cli(*argv, "--out-dir", workdir / "out") == 1
+        err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: {problem}"), err[:300]
+    assert err.count("\n") == 1 and "Traceback" not in err, err[:300]
+    assert not (workdir / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["run", "score"])
+def test_collapse_target_outside_the_labels_names_the_config(workdir, data_dir, capsys,
+                                                             command):
+    """A collapse table that maps to no label is the config's fault: ``score``
+    blames the config, not the reference, and ``run`` writes nothing."""
+    config = _edit_config(workdir, lambda c: c.__setitem__("collapse_table", {"AA+": "ZZ"}))
+    argv = {
+        "run": ["run", "--config", config, "--data", workdir / "data.csv"],
+        "score": ["score", "--ratings", data_dir / "table8_model_categories.csv",
+                  "--reference", workdir / "reference.csv", "--config", config],
+    }[command]
+    assert run_cli(*argv, "--out-dir", workdir / "out") == 1
+    assert capsys.readouterr().err == (
+        f"error: {config}: 'collapse_table.AA+' must be one of the labels "
+        "['AAA', 'AA', 'A', 'BBB', 'BB', 'B', 'CCC'], got 'ZZ'\n"
+    )
+    assert not (workdir / "out").exists()
 
 
 def test_benchmark_configs_load(tmp_path, fork_calls):

@@ -98,6 +98,28 @@ def test_failed_fork_runs_the_share_in_process(fork_calls, monkeypatch):
     assert len(fork_calls) == FORK_CPUS - 1
 
 
+def test_fork_raising_past_oserror_closes_its_pipe(fork_calls, monkeypatch):
+    """The second fork raises an error that is not ``OSError`` (as one an
+    audit hook refuses, or one in a subinterpreter, does): it propagates,
+    the pipe made for that fork is closed and the child forked first is
+    reaped."""
+    counting_fork = os.fork
+
+    def fork():
+        if len(fork_calls) == 1:
+            raise RuntimeError("fork refused")
+        return counting_fork()
+
+    monkeypatch.setattr(os, "fork", fork)
+    fds = len(os.listdir("/dev/fd"))
+    with pytest.raises(RuntimeError, match="fork refused"):
+        _fork.fork_map(square_row, range(FORK_CPUS))
+    assert len(os.listdir("/dev/fd")) == fds
+    with pytest.raises(ChildProcessError):  # no child left, running or unreaped
+        os.waitpid(-1, os.WNOHANG)
+    assert len(fork_calls) == 1
+
+
 def big(share):
     """A result whose pickle outgrows a 64 KiB pipe buffer."""
     return bytes([share]) * (1 << 20)
