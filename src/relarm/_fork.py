@@ -15,6 +15,11 @@ import threading
 
 _FAILED = object()  # a child's result that did not arrive
 
+# A job forks once the bytes it sweeps reach this: a parse its text, k-means
+# its restarts' float64 k x M distance blocks; both cost ~20-38 ns of serial
+# CPU a byte, against a fixed cost per child (fork, page faults, exit, reap).
+FORK_MIN_BYTES = 3_500_000
+
 
 def cpus() -> int:
     """How many processes may share a job: one per usable CPU when
@@ -25,6 +30,12 @@ def cpus() -> int:
     if threading.active_count() != 1:
         return 1
     return len(os.sched_getaffinity(0))
+
+
+def processes(nbytes: int) -> int:
+    """Processes for a job sweeping ``nbytes``: :func:`cpus` from
+    :data:`FORK_MIN_BYTES` on, else 1 (the caller)."""
+    return cpus() if nbytes >= FORK_MIN_BYTES else 1
 
 
 def fork_map(fn, shares) -> list:

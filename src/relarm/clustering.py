@@ -206,10 +206,9 @@ def kmeans(
     (seed, restart index), so results are independent of execution order.
     Ties on the final sum of squared errors go to the earliest restart.
 
-    Where ``os.fork`` exists (Linux), more than one CPU is usable and no
-    other Python thread runs, the restarts run in up to one process per
-    usable CPU (:func:`relarm._fork.cpus`); the result is byte-identical to
-    running them in order.
+    The restarts' k x M distance blocks, ``8 * k * M * restarts`` bytes,
+    set their processes (:func:`relarm._fork.processes`, at most one per
+    restart); the result is byte-identical to running them in order.
     """
     x = np.array(points, dtype=np.float64)
     if x.ndim != 2 or x.shape[0] < 1:
@@ -224,7 +223,7 @@ def kmeans(
     if restarts < 1:
         raise ValidationError(f"restarts must be >= 1, got {restarts}")
 
-    workers = min(restarts, _fork.cpus())
+    workers = min(restarts, _fork.processes(8 * k * x.shape[0] * restarts))
     shares = _fork.fork_map(
         lambda share: _share_best(x, k, seed, restarts, max_iterations, share, workers),
         range(workers),

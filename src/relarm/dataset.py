@@ -15,16 +15,7 @@ from itertools import zip_longest
 import numpy as np
 
 from . import _fork
-from .errors import ValidationError, naming
-
-# ``_parse_plain`` forks, one share per usable CPU, when the text reaches
-# this size; each child adds a fixed cost (fork, copy-on-write page
-# faults, exit and reap) and a cost per row it hands back.  The value is
-# carried over from unpinned shares: pinned, nothing between 0.9 MB (one
-# process) and 4.5 MB was measured.  At 4.5 MB (the first 25k rows of a
-# 100k x 9 table), a fresh process's first ``relarm assign`` on 2 CPUs took
-# a median 100 ms forked against 137 ms in one process, faster in 22 of 24.
-FORK_MIN_BYTES = 3_500_000
+from .errors import ValidationError, naming, shown
 
 
 class Direction(enum.Enum):
@@ -158,11 +149,11 @@ def checked(value, kind, label: str):
     else:
         ok = isinstance(value, kind)
     if not ok:
-        raise ValidationError(f"'{label}' must be {_KINDS[kind]}, got {value!r}")
+        raise ValidationError(f"'{label}' must be {_KINDS[kind]}, got {shown(value)}")
     try:
         return kind(value)
     except OverflowError:  # an integer beyond the float range
-        raise ValidationError(f"'{label}' is too large, got {value!r}") from None
+        raise ValidationError(f"'{label}' is too large, got {shown(value)}") from None
 
 
 def parse_indicator_specs(obj) -> tuple[IndicatorSpec, ...]:
@@ -263,9 +254,8 @@ def _parse_plain(
     the text needs the per-cell path (see :func:`load_dataset`); a bad
     header raises here, as it would there.
 
-    Lines end as ``csv`` ends them: at ``\\r\\n``, ``\\r`` or ``\\n``.  A
-    text of :data:`FORK_MIN_BYTES` or more is cut at line ends into one share
-    per usable CPU, parsed in forked processes and joined in order.
+    Lines end as ``csv`` ends them: at ``\\r\\n``, ``\\r`` or ``\\n``.  The
+    text is cut at line ends into ``_fork.processes(len(text))`` shares.
     """
     if '"' in text or not text:
         return None
@@ -276,7 +266,7 @@ def _parse_plain(
     usecols = _columns(header, specs)
     if start == len(text):  # no data line
         return None
-    workers = _fork.cpus() if len(text) >= FORK_MIN_BYTES else 1
+    workers = _fork.processes(len(text))
     size = len(text) - start
     cuts = {text.find("\n", start + size * i // workers) + 1 for i in range(1, workers)}
     bounds = sorted(cuts - {0} | {start, len(text)})  # find gives -1 past the last end
@@ -366,11 +356,11 @@ def _parse_rows(
                 value = float(cell)
             except ValueError:
                 raise ValidationError(
-                    f"row {r}, column {spec.name!r}: non-numeric value {cell!r}"
+                    f"row {r}, column {spec.name!r}: non-numeric value {shown(cell)}"
                 ) from None
             if not math.isfinite(value):
                 raise ValidationError(
-                    f"row {r}, column {spec.name!r}: non-finite value {cell!r}"
+                    f"row {r}, column {spec.name!r}: non-finite value {shown(cell)}"
                 )
             values[r - 2, j] = value
     return objects, values

@@ -25,3 +25,10 @@ def naming(where):
         yield
     except (ValidationError, csv.Error) as exc:
         raise ValidationError(f"{where}: {exc}") from None
+
+
+def shown(value) -> str:
+    """``repr(value)`` for an error message; past 60 characters, its first
+    60, ``…`` and its length, so a huge value still gives a short line."""
+    text = repr(value)
+    return text if len(text) <= 60 else f"{text[:60]}… ({len(text)} characters)"

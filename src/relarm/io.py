@@ -14,12 +14,13 @@ import os
 import shutil
 import tempfile
 from io import StringIO
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
 
 from .dataset import _read_text
-from .errors import ValidationError, naming
+from .errors import ValidationError, naming, shown
 from .rating import AgreementReport, ClusterRating, RatingResult
 
 
@@ -96,9 +97,8 @@ def write_ratings_csv(path, ratings: RatingResult) -> None:
         w.writerow(["object", "cluster", "projection", "category"])
         if plain:
             suffix = {c: "," + _csv_line(row) for c, row in cells.items()}
-            fh.write(
-                "".join(obj + suffix[c] for obj, c in zip(ratings.objects, ratings.clusters))
-            )
+            rows = zip(ratings.objects, map(suffix.__getitem__, ratings.clusters))
+            fh.write("".join(chain.from_iterable(rows)))
         else:
             w.writerows((obj, *cells[c]) for obj, c in zip(ratings.objects, ratings.clusters))
 
@@ -112,7 +112,7 @@ def _cell(r: int, row: dict, column: str, kind):
         value = None
     if value is None or (kind is float and not math.isfinite(value)):
         raise ValidationError(
-            f"row {r}, column {column!r}: {row[column]!r} is not "
+            f"row {r}, column {column!r}: {shown(row[column])} is not "
             f"{'an integer' if kind is int else 'a finite number'}"
         )
     return value

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
+from relarm import _fork
 from relarm.config import load_config
 from relarm.dataset import load_dataset
 from relarm.pipeline import run_pipeline
@@ -73,6 +74,22 @@ def fake_cpus(monkeypatch, real, real_pin):
 
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(FORK_CPUS)))
     monkeypatch.setattr(os, "sched_setaffinity", pin)
+
+
+class ForkDecided(Exception):
+    """Raised, with the number of shares, by a ``fork_map`` that
+    :func:`decide_only` put in place."""
+
+
+def decide_only(monkeypatch):
+    """Make ``relarm._fork.fork_map`` run no share: it raises
+    :class:`ForkDecided` with the number of shares it was asked for, so a
+    test reads a job's fork decision without running the job."""
+
+    def fork_map(fn, shares):
+        raise ForkDecided(len(shares))
+
+    monkeypatch.setattr(_fork, "fork_map", fork_map)
 
 
 @pytest.fixture

@@ -12,11 +12,13 @@ from hypothesis import strategies as st
 
 from relarm import io
 from relarm.cli import main
+from relarm.clustering import kmeans
 from relarm.config import config_from_dict, load_config
 from relarm.dataset import _parse_plain, load_dataset
 from relarm.errors import ValidationError
 from relarm.normalize import normalize_dataset
 from relarm.snapshot import load_snapshot, save_snapshot
+from conftest import FORK_CPUS, ForkDecided, decide_only
 
 ROOT = Path(__file__).resolve().parents[1]
 GEN = ROOT / "perfbench" / "gen.py"
@@ -610,6 +612,39 @@ def test_input_past_a_decoder_limit_names_its_file(workdir, data_dir, country_ru
     assert not (workdir / "out").exists()
 
 
+@pytest.mark.parametrize("name, where", [
+    ("data.csv", "row 2, column 'gdp_growth': non-numeric value 'xxx"),
+    ("config.json", "'k' must be an integer, got 'xxx"),
+    ("ratings.csv", "row 2, column 'projection': 'xxx"),
+], ids=["data", "config", "ratings"])
+def test_a_huge_value_gives_a_short_error_line(workdir, data_dir, capsys, monkeypatch,
+                                               name, where):
+    """A 100,000-character value is echoed by its head and its length: the
+    error is one line under 200 characters that still names the file and
+    the row and column, or the key."""
+    monkeypatch.chdir(workdir)
+    shutil.copy(data_dir / "table8_model_categories.csv", "ratings.csv")
+    huge = "x" * 100_000
+    if name == "config.json":
+        Path(name).write_text(json.dumps({**BUNDLED_CONFIG, "k": huge}), encoding="utf-8")
+    else:  # the first data row's second cell
+        text = Path(name).read_text(encoding="utf-8")
+        header, first, rest = text.split("\n", 2)
+        cells = first.split(",")
+        cells[1 if name == "data.csv" else 2] = huge
+        Path(name).write_text("\n".join([header, ",".join(cells), rest]), encoding="utf-8")
+    argv = {
+        "data.csv": ["run", "--config", "config.json", "--data", "data.csv"],
+        "config.json": ["run", "--config", "config.json", "--data", "data.csv"],
+        "ratings.csv": ["score", "--ratings", "ratings.csv", "--reference", "reference.csv"],
+    }[name]
+    assert run_cli(*argv, "--out-dir", "out") == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {name}: {where}"), err[:300]
+    assert "x… (100002 characters)" in err, err[:300]
+    assert err.count("\n") == 1 and len(err) < 200, err[:300]
+
+
 @pytest.mark.parametrize("command", ["run", "score"])
 def test_collapse_target_outside_the_labels_names_the_config(workdir, data_dir, capsys,
                                                              command):
@@ -629,28 +664,41 @@ def test_collapse_target_outside_the_labels_names_the_config(workdir, data_dir, 
     assert not (workdir / "out").exists()
 
 
-def test_benchmark_configs_load(tmp_path, fork_calls):
+def test_benchmark_configs_load(tmp_path, fork_calls, monkeypatch):
     """Every config ``perfbench/gen.py`` writes loads, and every data file
     it writes takes the plain-table parse under its config, so a change to
-    the config contract or to that parse's gate that would break or slow
-    the benchmark fails here first.  With more than one usable CPU, the
+    the config contract or to the fork rule that would break or slow the
+    benchmark fails here first.  With more than one usable CPU, the
     parses of assign_bulk (many narrow rows) and fit_wide (few wide ones)
-    fork, and fit_tall's stays in one process.  The generator runs from
-    its source text, so nothing is written beside it; assign_bulk writes no
-    config of its own (it uses fit_tall's)."""
+    fork, and fit_tall's stays in one process; fit_tall's restarts fork
+    (14 MB of distance blocks) and fit_wide's stay in one process
+    (0.8 MB).  The generator runs from its source text, so nothing is
+    written beside it; assign_bulk writes no config of its own (it uses
+    fit_tall's)."""
     gen = types.ModuleType("perfbench_gen")
     exec(compile(GEN.read_text(encoding="utf-8"), str(GEN), "exec"), gen.__dict__)
     gen.generate(0, tmp_path, workloads=gen.WORKLOADS)
     configs = sorted(tmp_path.glob("*/config.json"))
     assert [p.parent.name for p in configs] == ["fit_tall", "fit_wide"]
+    values = {}
     for workload, config, forks in [("fit_tall", "fit_tall", False),
                                     ("fit_wide", "fit_wide", True),
                                     ("assign_bulk", "fit_tall", True)]:
         specs = load_config(tmp_path / config / "config.json").indicators
         text = (tmp_path / workload / "data.csv").read_text(encoding="utf-8")
         fork_calls.clear()
-        assert _parse_plain(text, specs) is not None, workload
+        table = _parse_plain(text, specs)
+        assert table is not None, workload
         assert bool(fork_calls) == forks, workload
+        values[workload] = table[1]
+    # the rule reads k, the number of points and the restarts, so the raw
+    # values stand in for the features the fit would cluster
+    decide_only(monkeypatch)
+    for workload, forks in [("fit_tall", True), ("fit_wide", False)]:
+        cfg = load_config(tmp_path / workload / "config.json")
+        with pytest.raises(ForkDecided) as decided:
+            kmeans(values[workload], cfg.k, cfg.seed, cfg.restarts)
+        assert decided.value.args == (FORK_CPUS if forks else 1,), workload
 
 
 def test_non_utf8_data_names_file_and_line(workdir, capsys):

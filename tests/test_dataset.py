@@ -10,7 +10,7 @@ import pytest
 from hypothesis import HealthCheck, event, given, settings
 from hypothesis import strategies as st
 
-from relarm import _fork, dataset
+from relarm import _fork
 from relarm.dataset import (
     Direction,
     IndicatorSpec,
@@ -21,7 +21,7 @@ from relarm.dataset import (
 )
 from relarm.errors import ValidationError
 from relarm.normalize import normalize_dataset
-from conftest import FORK_CPUS
+from conftest import FORK_CPUS, ForkDecided, decide_only
 
 
 def write_spec(path, names, directions=None):
@@ -398,21 +398,20 @@ def test_non_utf8_data_names_file_and_line(tmp_path):
 
 @pytest.fixture
 def forked_parse(fork_calls, monkeypatch):
-    """Every plain parse forks, one share per reported CPU, even that of a
-    narrow table whose bytes less its rows' charge are negative; the list
-    collects one entry per fork."""
-    monkeypatch.setattr(dataset, "FORK_MIN_BYTES", float("-inf"))
+    """Every plain parse forks, one share per reported CPU, however short
+    its text; the list collects one entry per fork."""
+    monkeypatch.setattr(_fork, "FORK_MIN_BYTES", 0)
     return fork_calls
 
 
 def serial_parse(text, specs):
     """``_parse_plain`` with the fork gated off for every table."""
-    saved = dataset.FORK_MIN_BYTES
-    dataset.FORK_MIN_BYTES = float("inf")
+    saved = _fork.FORK_MIN_BYTES
+    _fork.FORK_MIN_BYTES = float("inf")
     try:
         return _parse_plain(text, specs)
     finally:
-        dataset.FORK_MIN_BYTES = saved
+        _fork.FORK_MIN_BYTES = saved
 
 
 def outcome(parse):
@@ -467,7 +466,7 @@ def test_forked_plain_parse_of_few_rows(forked_parse, text, ids):
     (120, 2_000, True),  # fit_wide
 ])
 def test_parse_fork_gate_at_the_measured_points(fork_calls, monkeypatch, columns, rows, forks):
-    """The parse forks when its text reaches :data:`dataset.FORK_MIN_BYTES`,
+    """The parse forks when its text reaches :data:`_fork.FORK_MIN_BYTES`,
     however long its rows.  The rows are as long as the benchmark's: 181 B
     at 9 columns, 2290 B at 120.  With each share pinned to its own CPU,
     the first ``relarm assign`` of a fresh process on 2 CPUs was faster
@@ -480,10 +479,10 @@ def test_parse_fork_gate_at_the_measured_points(fork_calls, monkeypatch, columns
     header = "object," + ",".join(f"c{j}" for j in range(columns)) + "\n"
     text = header + ("obj000001," + ",".join([cell] * columns) + "\n") * rows
     specs = tuple(IndicatorSpec(f"c{j}", Direction.POSITIVE) for j in range(columns))
-    shares = []
-    monkeypatch.setattr(_fork, "fork_map", lambda fn, s: shares.append(len(s)) or [None])
-    assert _parse_plain(text, specs) is None  # the faked map declines every share
-    assert shares == [FORK_CPUS if forks else 1]
+    decide_only(monkeypatch)
+    with pytest.raises(ForkDecided) as decided:
+        _parse_plain(text, specs)
+    assert decided.value.args == (FORK_CPUS if forks else 1,)
 
 
 def test_blank_line_at_a_share_boundary(forked_parse, monkeypatch):

@@ -14,10 +14,13 @@ import sys
 import threading
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from relarm import _fork
-from conftest import FORK_CPUS, fake_cpus
+from relarm.clustering import kmeans
+from relarm.dataset import Direction, IndicatorSpec, _parse_plain
+from conftest import FORK_CPUS, ForkDecided, decide_only, fake_cpus
 
 pytestmark = pytest.mark.skipif(
     not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")), reason="no os.fork"
@@ -259,12 +262,43 @@ def test_cpus_is_one_without_os_fork(fork_calls, monkeypatch):
     assert _fork.cpus() == 1
 
 
+def parse_job(nbytes):
+    """A plain-table parse of ``nbytes`` of text."""
+    size = nbytes - len("object,x\n") - len("o,1\n")
+    text = "object,x\n" + "o" + "x" * (size % 4) + ",1\n" + "o,1\n" * (size // 4)
+    assert len(text) == nbytes
+    _parse_plain(text, (IndicatorSpec("x", Direction.POSITIVE),))
+
+
+def restarts_job(nbytes):
+    """k-means restarts whose distance blocks, 8 * k * M * restarts bytes,
+    come to ``nbytes``."""
+    k, restarts = 7, 50
+    m = nbytes // (8 * k * restarts)
+    assert 8 * k * m * restarts == nbytes
+    kmeans(np.random.default_rng(0).normal(size=(m, 2)), k, seed=0, restarts=restarts)
+
+
+@pytest.mark.parametrize("job", [parse_job, restarts_job], ids=["parse", "restarts"])
+@pytest.mark.parametrize("short", [0, 1], ids=["at-the-gate", "one-byte-below"])
+def test_a_job_forks_once_its_bytes_reach_the_gate(fork_calls, monkeypatch, job, short):
+    """One rule for both jobs: a job that sweeps ``FORK_MIN_BYTES`` runs in
+    one process per usable CPU; one byte short of it, which for the
+    restarts means the gate raised by a byte, it runs in the caller."""
+    nbytes = _fork.FORK_MIN_BYTES
+    decide_only(monkeypatch)
+    monkeypatch.setattr(_fork, "FORK_MIN_BYTES", nbytes + short)
+    with pytest.raises(ForkDecided) as decided:
+        job(nbytes)
+    assert decided.value.args == (1 if short else FORK_CPUS,)
+
+
 ASSIGN = """
 import json, os, sys
 import relarm.cli
-from relarm import dataset
+from relarm import _fork
 
-dataset.FORK_MIN_BYTES = float(sys.argv[1])
+_fork.FORK_MIN_BYTES = float(sys.argv[1])
 os.sched_getaffinity = lambda pid: {0, 1}
 forks = []
 real_fork = os.fork

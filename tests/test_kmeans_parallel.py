@@ -1,8 +1,9 @@
 """k-means restarts spread over forked workers give the serial result.
 
 The fork path is forced by reporting four usable CPUs (the ``fork_calls``
-fixture of ``conftest.py``), so these tests fork on any POSIX host,
-whatever its CPU count; ``serial`` reports one.
+fixture of ``conftest.py``) and opening the size gate, so these tests fork
+on any POSIX host, whatever its CPU count and however small the fit;
+``serial`` reports one CPU.
 """
 
 import os
@@ -28,8 +29,10 @@ pytestmark = pytest.mark.skipif(
 
 
 @pytest.fixture
-def forks(fork_calls):
-    """Force the fork path; the list collects one entry per fork."""
+def forks(fork_calls, monkeypatch):
+    """Force the fork path, for fits of any size; the list collects one
+    entry per fork."""
+    monkeypatch.setattr(_fork, "FORK_MIN_BYTES", 0)
     return fork_calls
 
 
@@ -206,21 +209,24 @@ def test_parent_share_raising_reaps_every_child(forks, monkeypatch):
     assert_no_children()
 
 
-def test_country_sample_restarts_fork(forks_counted, country_config, country_run):
-    """The smallest real fit forks its restarts, one process per usable
-    CPU: no size gate keeps a fit in one process."""
-    cpus = len(os.sched_getaffinity(0))
-    if cpus < 2:
-        pytest.skip("one usable CPU")
+def test_country_sample_restarts_stay_in_one_process(fork_calls, monkeypatch,
+                                                     country_config, country_run):
+    """The country sample's restarts sweep 8 * 7 * 30 * 50 bytes, 84 kB,
+    well below the size gate, so they run in one process; with the gate
+    opened they fork, one process per usable CPU, to the same result."""
     cfg, pts = country_config, country_run.features
-    got = kmeans(pts, cfg.k, seed=cfg.seed, restarts=cfg.restarts)
-    assert len(forks_counted) == min(cfg.restarts, cpus) - 1
-    assert_same(got, serial(pts, cfg.k, seed=cfg.seed, restarts=cfg.restarts))
+    fit = lambda: kmeans(pts, cfg.k, seed=cfg.seed, restarts=cfg.restarts)
+    alone = fit()
+    assert fork_calls == []
+    monkeypatch.setattr(_fork, "FORK_MIN_BYTES", 0)
+    assert_same(fit(), alone)
+    assert len(fork_calls) == CPUS - 1
 
 
-def test_gate_keeps_threaded_callers_serial(forks_counted, country_config, country_run):
+def test_gate_keeps_threaded_callers_serial(forks, country_config, country_run):
     """While another Python thread runs, which a forked child would not
-    inherit, the country sample's restarts stay in one process."""
+    inherit, the country sample's restarts stay in one process, even with
+    the size gate open."""
     cfg = country_config
     stop = threading.Event()
     thread = threading.Thread(target=stop.wait)
@@ -231,4 +237,4 @@ def test_gate_keeps_threaded_callers_serial(forks_counted, country_config, count
         stop.set()
         thread.join(timeout=10)
     assert not thread.is_alive()
-    assert forks_counted == []
+    assert forks == []
