@@ -283,8 +283,9 @@ def restarts_job(nbytes):
 @pytest.mark.parametrize("short", [0, 1], ids=["at-the-gate", "one-byte-below"])
 def test_a_job_forks_once_its_bytes_reach_the_gate(fork_calls, monkeypatch, job, short):
     """One rule for both jobs: a job that sweeps ``FORK_MIN_BYTES`` runs in
-    one process per usable CPU; one byte short of it, which for the
-    restarts means the gate raised by a byte, it runs in the caller."""
+    one process per usable CPU; one byte short of the gate, it runs in the
+    caller.  The gate is raised by a byte rather than the job shrunk,
+    since the restarts' size is a multiple of 8."""
     nbytes = _fork.FORK_MIN_BYTES
     decide_only(monkeypatch)
     monkeypatch.setattr(_fork, "FORK_MIN_BYTES", nbytes + short)
