@@ -1,10 +1,14 @@
 """Run shares of one job in forked processes, one share per process.
 
 Used by ``clustering.kmeans`` (its restarts) and ``dataset._parse_plain``
-(its lines).  A forked child has only the thread that forked, so a share
-must call no BLAS routine, whose thread pool the child would lack (OpenBLAS
-registers a ``pthread_atfork`` handler for it); neither caller's share
-calls one.
+(its lines).  Results come back in share order, share 0's first, from the
+calling process; a caller may take each one as it arrives, while the
+children still run their shares (``fork_map``'s ``each``), as
+``relarm assign`` rates the rows of each parsed share.  A forked child has
+only the thread that forked, so a share must call no BLAS routine, whose
+thread pool the child would lack (OpenBLAS registers a ``pthread_atfork``
+handler for it); neither caller's share calls one, and ``each`` runs in
+the calling process, where BLAS may run.
 """
 
 from __future__ import annotations
@@ -38,11 +42,14 @@ def processes(nbytes: int) -> int:
     return cpus() if nbytes >= FORK_MIN_BYTES else 1
 
 
-def fork_map(fn, shares) -> list:
-    """``[fn(s) for s in shares]``.  Shares 1.. run in forked children that
-    pickle their result into a pipe; share 0, and any share whose fork or
-    child failed, runs in this process.  Every child is reaped before this
-    returns or raises.
+def fork_map(fn, shares, each=None) -> list:
+    """``[fn(s) for s in shares]``, or with ``each``,
+    ``[each(i, fn(s)) for i, s in enumerate(shares)]``.  Shares 1.. run in
+    forked children that pickle their result into a pipe; share 0, and any
+    share whose fork or child failed, runs in this process.  ``each`` runs
+    in this process, in share order, on each result as soon as it is in:
+    on share 0's while the children still run theirs.  Every child is
+    reaped before this returns or raises.
 
     Each share is pinned to a CPU of its own (:func:`_cpu_order`), share 0
     in the calling thread, whose mask is restored before this returns or
@@ -69,21 +76,15 @@ def fork_map(fn, shares) -> list:
             children.append([pid, rfd, share])
         if order:
             _run_on(order[:1])
-        results = [fn(shares[0])]
+        results = []
+
+        def keep(result):
+            results.append(result if each is None else each(len(results), result))
+
+        keep(fn(shares[0]))
         for child in children:
-            result = _FAILED
-            if child[0] is not None:
-                # read to EOF before reaping: a payload can outgrow the pipe
-                with open(child[1], "rb") as pipe:
-                    child[1] = None  # closed by the with
-                    payload = pipe.read()
-                _, status = os.waitpid(child[0], 0)
-                child[0] = None
-                try:
-                    result = pickle.loads(payload) if status == 0 else _FAILED
-                except (pickle.UnpicklingError, EOFError):
-                    pass  # a short pipe
-            results.append(fn(child[2]) if result is _FAILED else result)
+            result = _FAILED if child[0] is None else _received(child)
+            keep(fn(child[2]) if result is _FAILED else result)
         return results
     finally:
         if order:
@@ -93,6 +94,23 @@ def fork_map(fn, shares) -> list:
                 os.close(rfd)  # a child still writing gets EPIPE and exits
             if pid is not None:
                 os.waitpid(pid, 0)
+
+
+def _received(child):
+    """The result that a forked ``child`` (``[pid, read end of its pipe,
+    share]``) sent, or ``_FAILED``; the pipe is closed and the child
+    reaped, each entry set to None once it is.  Its pickle is dropped on
+    return, before the caller takes the result on."""
+    # read to EOF before reaping: a payload can outgrow the pipe
+    with open(child[1], "rb") as pipe:
+        child[1] = None  # closed by the with
+        payload = pipe.read()
+    _, status = os.waitpid(child[0], 0)
+    child[0] = None
+    try:
+        return pickle.loads(payload) if status == 0 else _FAILED
+    except (pickle.UnpicklingError, EOFError):  # a short pipe
+        return _FAILED
 
 
 def _cpu_order(mask) -> list:

@@ -10,6 +10,8 @@ import sys
 import warnings
 from pathlib import Path
 
+import numpy as np
+
 from . import io
 from .config import load_config
 from .dataset import load_dataset
@@ -17,7 +19,7 @@ from .errors import NumericalError, ValidationError, naming
 from .normalize import ConstantColumnWarning
 from .pipeline import run_pipeline
 from .rating import REPORT_FOOTER, score_agreement
-from .snapshot import load_snapshot, save_snapshot, score_with_snapshot
+from .snapshot import load_snapshot, save_snapshot, score_rows
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -166,11 +168,18 @@ def _cmd_fit(args) -> int:
 
 def _cmd_assign(args) -> int:
     snapshot = load_snapshot(args.snapshot)
-    dataset = load_dataset(args.data, snapshot.config.indicators)
-    result = score_with_snapshot(snapshot, dataset)
+    blocks = []  # the rows of ratings.csv, share by share
+
+    def rate(ids, values):
+        # rows that the whole table's check then rejects are rated for
+        # nothing: no numpy warning of theirs may print before its error
+        with np.errstate(over="ignore", invalid="ignore"):
+            blocks.append(io.rating_rows(score_rows(snapshot, ids, values)))
+
+    load_dataset(args.data, snapshot.config.indicators, rate)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    io.write_ratings_csv(out_dir / "ratings.csv", result)
+    io.write_rating_rows(out_dir / "ratings.csv", blocks)
     print(f"wrote {out_dir / 'ratings.csv'}")
     print(REPORT_FOOTER)
     return EXIT_OK

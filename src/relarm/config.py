@@ -6,7 +6,7 @@ import json
 from dataclasses import dataclass, field
 
 from .dataset import IndicatorSpec, checked, parse_indicator_specs, read_json, typed
-from .errors import ValidationError, naming
+from .errors import ValidationError, naming, shown
 from .rating import RatingScale
 
 DEFAULT_VARIANCE_THRESHOLD = 0.95
@@ -43,7 +43,7 @@ class PipelineConfig:
             if coarse not in self.labels:
                 raise ValidationError(
                     f"'collapse_table.{fine}' must be one of the labels "
-                    f"{list(self.labels)}, got {coarse!r}"
+                    f"{list(self.labels)}, got {shown(coarse)}"
                 )
 
     @property
@@ -64,10 +64,10 @@ def config_from_dict(raw: dict) -> PipelineConfig:
             fixed = _FIXED[key]
             if type(value) is not type(fixed) or value != fixed:
                 raise ValidationError(
-                    f"'{key}' must be {json.dumps(fixed)}, got {value!r}"
+                    f"'{key}' must be {json.dumps(fixed)}, got {shown(value)}"
                 )
         elif key not in _KEYS:
-            raise ValidationError(f"unknown key {key!r}")
+            raise ValidationError(f"unknown key {shown(key)}")
     if "indicators" not in raw:
         raise ValidationError("config is missing the 'indicators' key")
     if "k" not in raw:
@@ -75,11 +75,11 @@ def config_from_dict(raw: dict) -> PipelineConfig:
     if "labels" not in raw:
         raise ValidationError("config is missing the 'labels' key")
     if not isinstance(raw["labels"], (list, tuple)):
-        raise ValidationError(f"'labels' must be a list, got {raw['labels']!r}")
+        raise ValidationError(f"'labels' must be a list, got {shown(raw['labels'])}")
     collapse_table = raw.get("collapse_table", {})
     if not isinstance(collapse_table, dict):
         raise ValidationError(
-            f"'collapse_table' must be an object, got {collapse_table!r}"
+            f"'collapse_table' must be an object, got {shown(collapse_table)}"
         )
     for fine, coarse in collapse_table.items():
         checked(fine, str, "collapse_table key")

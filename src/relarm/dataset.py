@@ -10,7 +10,7 @@ import math
 import os
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import zip_longest
+from itertools import chain, zip_longest
 
 import numpy as np
 
@@ -172,7 +172,7 @@ def parse_indicator_specs(obj) -> tuple[IndicatorSpec, ...]:
     for i, entry in enumerate(obj):
         if not isinstance(entry, dict) or "name" not in entry:
             raise ValidationError(
-                f"indicators[{i}] must be an object with a 'name', got {entry!r}"
+                f"indicators[{i}] must be an object with a 'name', got {shown(entry)}"
             )
         for key in entry:
             if key not in ("name", "direction", "pre_normalized"):
@@ -181,18 +181,18 @@ def parse_indicator_specs(obj) -> tuple[IndicatorSpec, ...]:
             direction = Direction(str(entry["direction"]).lower())
         except (KeyError, ValueError):
             raise ValidationError(
-                f"indicator {entry['name']!r}: direction must be "
+                f"indicator {shown(entry['name'])}: direction must be "
                 f"'positive' or 'negative'"
             ) from None
         name = typed(entry, "name", str, label=f"indicators[{i}].name")
         if name in (s.name for s in specs):
-            raise ValidationError(f"'indicators[{i}].name' repeats {name!r}")
+            raise ValidationError(f"'indicators[{i}].name' repeats {shown(name)}")
         flag = typed(entry, "pre_normalized", bool, False, f"indicators[{i}].pre_normalized")
         specs.append(IndicatorSpec(name, direction, flag))
     return tuple(specs)
 
 
-def load_dataset(path, spec) -> RawDataset:
+def load_dataset(path, spec, each=None) -> RawDataset:
     """Read a CSV data table against its indicator declarations.
 
     ``spec`` is either the declarations themselves or a JSON file holding
@@ -206,6 +206,13 @@ def load_dataset(path, spec) -> RawDataset:
     rejects or reads as non-finite, goes through ``csv`` and per-cell
     ``float()``, which gives the same values and names the offending cell,
     by file line, in its errors.
+
+    With ``each``, ``each(ids, values)`` is called in this process on the
+    rows of every share of the parse (see :func:`_parse_plain`), in file
+    order, as soon as the share is parsed: a list of ids and their
+    read-only values, columns in the spec's order.  The table is checked
+    as a whole only after the last share, so ``each`` may see rows that
+    the check then rejects.
     """
     if isinstance(spec, (str, os.PathLike)):
         with naming(spec):
@@ -213,10 +220,16 @@ def load_dataset(path, spec) -> RawDataset:
     else:
         specs = tuple(spec)
     with naming(path):
-        text = _read_text(path)
-        table = _parse_plain(text, specs)
+        with open(path, "rb") as fh:
+            data = fh.read()
+        if not data.isascii():
+            _decoded(data)  # an undecodable byte is reported before any other fault
+        table = _parse_plain(data, specs, each)
         if table is None:
-            table = _parse_rows(list(csv.reader(io.StringIO(text, newline=""))), specs)
+            rows = list(csv.reader(io.StringIO(data.decode("utf-8"), newline="")))
+            table = _parse_rows(rows, specs)
+            if each is not None:
+                each(table[0], _freeze(table[1]))
         objects, values = table
         return RawDataset(objects=tuple(objects), indicators=specs, values=values)
 
@@ -233,10 +246,14 @@ def read_json(path):
 
 
 def _read_text(path) -> str:
-    """The file decoded as UTF-8; an undecodable byte is a
-    ``ValidationError`` naming the line and offset."""
+    """The file decoded by :func:`_decoded`."""
     with open(path, "rb") as fh:
-        data = fh.read()
+        return _decoded(fh.read())
+
+
+def _decoded(data: bytes) -> str:
+    """``data`` decoded as UTF-8; an undecodable byte is a
+    ``ValidationError`` naming the line and offset."""
     try:
         return data.decode("utf-8")
     except UnicodeDecodeError as exc:
@@ -248,53 +265,78 @@ def _read_text(path) -> str:
 
 
 def _parse_plain(
-    text: str, specs: tuple[IndicatorSpec, ...]
+    data: bytes | str, specs: tuple[IndicatorSpec, ...], each=None
 ) -> tuple[list[str], np.ndarray] | None:
     """Ids and values of a plain table by numpy's C parser, or None when
     the text needs the per-cell path (see :func:`load_dataset`); a bad
-    header raises here, as it would there.
+    header raises here, as it would there.  ``data`` is UTF-8 text, as
+    bytes or as a ``str``.
 
     Lines end as ``csv`` ends them: at ``\\r\\n``, ``\\r`` or ``\\n``.  The
-    text is cut at line ends into ``_fork.processes(len(text))`` shares.
+    bytes are cut at line ends into ``_fork.processes(len(data))`` shares,
+    each of which decodes its own.
+
+    With ``each``, a share that the C parser declines is parsed on its own
+    by the per-cell path, which names a bad cell by its file row, so only a
+    text with a quote or no data line is declined; and ``each(ids, values)``
+    gets each share's rows in file order as soon as they are parsed, while
+    the later shares are still parsing (:func:`_fork.fork_map`).
     """
-    if '"' in text or not text:
+    if isinstance(data, str):
+        data = data.encode("utf-8")
+    if b'"' in data or not data:
         return None
-    if "\r" in text:
-        text = text.replace("\r\n", "\n").replace("\r", "\n")
-    start = text.find("\n") + 1 or len(text)
-    header = [c.strip() for c in text[:start].split(",")]
+    if b"\r" in data:
+        data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    start = data.find(b"\n") + 1 or len(data)
+    header = [c.strip() for c in data[:start].decode("utf-8").split(",")]
     usecols = _columns(header, specs)
-    if start == len(text):  # no data line
+    if start == len(data):  # no data line
         return None
-    workers = _fork.processes(len(text))
-    size = len(text) - start
-    cuts = {text.find("\n", start + size * i // workers) + 1 for i in range(1, workers)}
-    bounds = sorted(cuts - {0} | {start, len(text)})  # find gives -1 past the last end
+    workers = _fork.processes(len(data))
+    size = len(data) - start
+    cuts = {data.find(b"\n", start + size * i // workers) + 1 for i in range(1, workers)}
+    bounds = sorted(cuts - {0} | {start, len(data)})  # find gives -1 past the last end
     shares = list(zip(bounds, bounds[1:]))
-    parts = _fork.fork_map(
-        lambda share: _parse_share(text, *share, usecols, len(header) - 1), shares
-    )
-    if None in parts:
-        return None
-    # every share holds a line, so none joins to "" and splits to a phantom id
-    ids = "\n".join(ids for ids, _ in parts).split("\n")
+
+    def parse(share):
+        return _parse_share(data, *share, usecols, len(header) - 1)
+
+    def take(i, part):  # in this process, share by share in file order
+        if part is None:  # this share alone, cell by cell
+            lo, hi = shares[i]
+            rows = list(csv.reader(io.StringIO(data[lo:hi].decode("utf-8"), newline="")))
+            ids, values = _parse_cells(rows, header, specs, data.count(b"\n", 0, lo) + 1)
+        else:  # every share holds a line, so none splits to a phantom id
+            ids, values = part[0].split("\n"), part[1]
+        each(ids, _freeze(values))
+        return ids, values
+
+    if each is not None:
+        parts = _fork.fork_map(parse, shares, take)
+    else:
+        parts = _fork.fork_map(parse, shares)
+        if None in parts:
+            return None
+        parts = [(ids.split("\n"), values) for ids, values in parts]
+    ids = list(chain.from_iterable(ids for ids, _ in parts))
     values = parts[0][1] if len(parts) == 1 else np.concatenate([v for _, v in parts])
     return ids, values
 
 
 def _parse_share(
-    text: str, start: int, end: int, usecols: list[int], commas: int
+    data: bytes, start: int, end: int, usecols: list[int], commas: int
 ) -> tuple[str, np.ndarray] | None:
     """The ids, joined by ``"\\n"``, and the values of the data lines
-    ``text[start:end]``, or None as for :func:`_parse_plain`.  One string
+    ``data[start:end]``, or None as for :func:`_parse_plain`.  One string
     of ids pickles back from a forked share faster than a list of them."""
-    lines = text[start:end].split("\n")
+    lines = str(memoryview(data)[start:end], "utf-8").split("\n")  # no copy of the bytes
     if lines[-1] == "":
         lines.pop()
     # loadtxt reads every column up to the last, and raises on a row
     # narrower than that, so when the total matches, every row has exactly
     # ``commas`` commas
-    if text.count(",", start, end) != commas * len(lines):
+    if data.count(b",", start, end) != commas * len(lines):
         return None
     try:
         values = np.loadtxt(
@@ -326,25 +368,39 @@ def _columns(header: list[str], specs: tuple[IndicatorSpec, ...]) -> list[int]:
     missing = [s.name for s in specs if s.name not in column_of]
     extra = [n for n in data_names if n not in declared]
     if missing:
-        raise ValidationError(f"columns declared but absent: {missing}")
+        raise ValidationError(f"columns declared but absent: {_listed(missing)}")
     if extra:
-        raise ValidationError(f"columns present but undeclared: {extra}")
+        raise ValidationError(f"columns present but undeclared: {_listed(extra)}")
     if len(column_of) != len(data_names):
-        raise ValidationError(f"columns repeated in the header: {_duplicates(data_names)}")
+        repeated = _listed(_duplicates(data_names))
+        raise ValidationError(f"columns repeated in the header: {repeated}")
     return [column_of[s.name] for s in specs]
+
+
+def _listed(names) -> str:
+    """The repr of the list ``names``, each name quoted by :func:`shown`."""
+    return "[" + ", ".join(map(shown, names)) + "]"
 
 
 def _parse_rows(
     rows: list[list[str]], specs: tuple[IndicatorSpec, ...]
 ) -> tuple[list[str], np.ndarray]:
-    """Ids and values of CSV rows, cell by cell."""
+    """Ids and values of CSV rows, the header first, cell by cell."""
     if not rows:
         raise ValidationError("empty file")
-    width = len(rows[0])
-    columns = list(zip(_columns([c.strip() for c in rows[0]], specs), specs))
+    return _parse_cells(rows[1:], [c.strip() for c in rows[0]], specs, 2)
+
+
+def _parse_cells(
+    rows: list[list[str]], header: list[str], specs: tuple[IndicatorSpec, ...], first: int
+) -> tuple[list[str], np.ndarray]:
+    """Ids and values of the CSV data ``rows``, cell by cell, under the
+    stripped ``header``; the first is file row ``first``."""
+    width = len(header)
+    columns = list(zip(_columns(header, specs), specs))
     objects: list[str] = []
-    values = np.empty((len(rows) - 1, len(specs)), dtype=np.float64)
-    for r, row in enumerate(rows[1:], start=2):
+    values = np.empty((len(rows), len(specs)), dtype=np.float64)
+    for r, row in enumerate(rows, start=first):
         if len(row) != width:
             raise ValidationError(f"row {r} has {len(row)} cells, expected {width}")
         objects.append(row[0].strip())
@@ -362,5 +418,5 @@ def _parse_rows(
                 raise ValidationError(
                     f"row {r}, column {spec.name!r}: non-finite value {shown(cell)}"
                 )
-            values[r - 2, j] = value
+            values[r - first, j] = value
     return objects, values

@@ -81,10 +81,25 @@ def write_matrix_csv(path, values: np.ndarray, header: list[str], row_ids=None) 
 
 
 def write_ratings_csv(path, ratings: RatingResult) -> None:
-    """One row per object: its id and its cluster's id, projection and
-    category, quoted as ``csv.writer`` quotes them.  Each cluster's part of
-    a row is formatted once; only when some id needs quoting, or is not a
-    string, does every row go through ``csv.writer``."""
+    """The ratings file of ``ratings``: a header, then one row per object
+    (:func:`rating_rows`)."""
+    write_rating_rows(path, [rating_rows(ratings)])
+
+
+def write_rating_rows(path, blocks) -> None:
+    """A ratings file of the header and then ``blocks``, each the text of
+    some rows from :func:`rating_rows`, in order."""
+    with atomic_write(path, newline="") as fh:
+        fh.write(_csv_line(["object", "cluster", "projection", "category"]))
+        fh.writelines(blocks)
+
+
+def rating_rows(ratings: RatingResult) -> str:
+    """The rows of ``ratings`` in a ratings file, one per object: its id
+    and its cluster's id, projection and category, quoted as
+    ``csv.writer`` quotes them.  Each cluster's part of a row is formatted
+    once; only when some id needs quoting, or is not a string, does every
+    row go through ``csv.writer``."""
     cells = {
         c.cluster: (c.cluster, _fmt(c.projection), c.category) for c in ratings.per_cluster
     }
@@ -92,15 +107,15 @@ def write_ratings_csv(path, ratings: RatingResult) -> None:
         plain = not any(ch in "".join(ratings.objects) for ch in ',"\r\n')
     except TypeError:  # an id that is not a string: csv.writer formats it
         plain = False
-    with atomic_write(path, newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["object", "cluster", "projection", "category"])
-        if plain:
-            suffix = {c: "," + _csv_line(row) for c, row in cells.items()}
-            rows = zip(ratings.objects, map(suffix.__getitem__, ratings.clusters))
-            fh.write("".join(chain.from_iterable(rows)))
-        else:
-            w.writerows((obj, *cells[c]) for obj, c in zip(ratings.objects, ratings.clusters))
+    if plain:
+        suffix = {c: "," + _csv_line(row) for c, row in cells.items()}
+        rows = zip(ratings.objects, map(suffix.__getitem__, ratings.clusters))
+        return "".join(chain.from_iterable(rows))
+    buf = StringIO()
+    csv.writer(buf).writerows(
+        (obj, *cells[c]) for obj, c in zip(ratings.objects, ratings.clusters)
+    )
+    return buf.getvalue()
 
 
 def _cell(r: int, row: dict, column: str, kind):
@@ -140,7 +155,7 @@ def read_ratings_csv(path) -> RatingResult:
                 raise ValidationError(f"row {r} has fewer cells than the header")
             if row_of.setdefault(row["object"], r) != r:
                 raise ValidationError(
-                    f"row {r}: object {row['object']!r} is already rated "
+                    f"row {r}: object {shown(row['object'])} is already rated "
                     f"at row {row_of[row['object']]}"
                 )
             q = _cell(r, row, "cluster", int)
@@ -149,7 +164,7 @@ def read_ratings_csv(path) -> RatingResult:
             if (p0, c0) != (p, row["category"]):
                 raise ValidationError(
                     f"row {r}: cluster {q} has projection {p!r} and category "
-                    f"{row['category']!r}, but row {r0} gave it {p0!r} and {c0!r}"
+                    f"{shown(row['category'])}, but row {r0} gave it {p0!r} and {shown(c0)}"
                 )
             clusters.append(q)
     # best first: descending projection, equal projections lower id first
@@ -178,8 +193,8 @@ def read_reference_csv(path) -> dict[str, dict[str, str]]:
                 raise ValidationError(f"row {r} has fewer cells than the header")
             if row_of.setdefault((obj, agency), r) != r:
                 raise ValidationError(
-                    f"row {r}: object {obj!r} is already rated by agency "
-                    f"{agency!r} at row {row_of[obj, agency]}"
+                    f"row {r}: object {shown(obj)} is already rated by agency "
+                    f"{shown(agency)} at row {row_of[obj, agency]}"
                 )
             cat = cat.strip()
             if not cat or cat.lower() == "not rated":

@@ -51,13 +51,13 @@ def scale_column(col: np.ndarray, lo, hi, spec: IndicatorSpec) -> np.ndarray:
     return np.clip(out, 0.0, 1.0)
 
 
-def scale_dataset(raw: RawDataset, lo, hi) -> np.ndarray:
-    """Scale every column of ``raw`` with :func:`scale_column` over the
-    per-column ranges ``lo``/``hi``: the frozen M x N matrix, columns in
-    the declared order."""
-    values = np.empty_like(raw.values)
-    for j, spec in enumerate(raw.indicators):
-        values[:, j] = scale_column(raw.values[:, j], lo[j], hi[j], spec)
+def scale_values(raw: np.ndarray, specs, lo, hi) -> np.ndarray:
+    """Scale every column of the M x N raw values ``raw``, that of
+    ``specs[j]`` for column j, with :func:`scale_column` over the
+    per-column ranges ``lo``/``hi``: the frozen M x N matrix."""
+    values = np.empty_like(raw)
+    for j, spec in enumerate(specs):
+        values[:, j] = scale_column(raw[:, j], lo[j], hi[j], spec)
     return _freeze(values)
 
 
@@ -72,7 +72,7 @@ def normalize_dataset(raw: RawDataset) -> np.ndarray:
             f"need at least 2 rating objects to take column ranges, got {raw.n_objects}"
         )
     lo, hi = raw.values.min(axis=0), raw.values.max(axis=0)
-    out = scale_dataset(raw, lo, hi)
+    out = scale_values(raw.values, raw.indicators, lo, hi)
     for j, spec in enumerate(raw.indicators):
         if not spec.pre_normalized and lo[j] == hi[j]:
             warnings.warn(

@@ -10,9 +10,9 @@ import numpy as np
 from .attributes import map_to_feature_space
 from .config import PipelineConfig, config_from_dict, config_to_dict
 from .dataset import RawDataset, _freeze, check_indicators, read_json
-from .errors import ValidationError, naming
+from .errors import ValidationError, naming, shown
 from .io import atomic_write
-from .normalize import range_width, scale_dataset
+from .normalize import range_width, scale_values
 from .pca import PcaModel
 from .rating import (
     ClusterRating,
@@ -115,7 +115,7 @@ def _snapshot_from_doc(doc) -> Snapshot:
         raise ValidationError("snapshot must be a JSON object")
     version = doc.get("format_version")
     if type(version) is not int or version not in (1, 2, FORMAT_VERSION):
-        raise ValidationError(f"unsupported snapshot format {version!r}")
+        raise ValidationError(f"unsupported snapshot format {shown(version)}")
     for section, keys in _SECTIONS.items():
         if not isinstance(doc.get(section), dict):
             raise ValidationError(f"missing or malformed '{section}' section")
@@ -127,7 +127,7 @@ def _snapshot_from_doc(doc) -> Snapshot:
     n, k = len(config.indicators), config.k
     d = doc["model"]["d"]
     if type(d) is not int or not 1 <= d <= n:
-        raise ValidationError(f"'model.d' must be an integer in [1, {n}], got {d!r}")
+        raise ValidationError(f"'model.d' must be an integer in [1, {n}], got {shown(d)}")
     model = PcaModel(
         components=None,
         variance_fractions=_array(doc, "model", "variance_fractions", (n,)),
@@ -178,16 +178,24 @@ def _snapshot_from_doc(doc) -> Snapshot:
     )
 
 
-def normalize_with_snapshot(snapshot: Snapshot, raw: RawDataset) -> np.ndarray:
-    """Scale raw values using the ranges frozen at fit time: the M x N
-    normalized matrix."""
-    check_indicators(raw.indicators, snapshot.config.indicators, "the snapshot")
-    return scale_dataset(raw, snapshot.column_min, snapshot.column_max)
+def normalize_with_snapshot(snapshot: Snapshot, values: np.ndarray) -> np.ndarray:
+    """Scale the M x N raw ``values``, columns in the snapshot's indicator
+    order, using the ranges frozen at fit time: the normalized matrix."""
+    return scale_values(
+        values, snapshot.config.indicators, snapshot.column_min, snapshot.column_max
+    )
+
+
+def score_rows(snapshot: Snapshot, objects, values: np.ndarray) -> RatingResult:
+    """Rate ``objects``, one per row of their raw ``values`` (columns in
+    the snapshot's indicator order): normalize with the stored ranges, map
+    through W, and give each the category of its nearest stored center."""
+    features = map_to_feature_space(normalize_with_snapshot(snapshot, values), snapshot.model)
+    return assign_ratings(objects, features, snapshot.centers, snapshot.per_cluster)
 
 
 def score_with_snapshot(snapshot: Snapshot, raw: RawDataset) -> RatingResult:
-    """Rate (possibly new) objects: normalize with the stored ranges, map
-    through W, and give each the category of its nearest stored center."""
-    normalized = normalize_with_snapshot(snapshot, raw)
-    features = map_to_feature_space(normalized, snapshot.model)
-    return assign_ratings(raw.objects, features, snapshot.centers, snapshot.per_cluster)
+    """Rate (possibly new) objects by :func:`score_rows`; the dataset's
+    indicators must be the snapshot's."""
+    check_indicators(raw.indicators, snapshot.config.indicators, "the snapshot")
+    return score_rows(snapshot, raw.objects, raw.values)

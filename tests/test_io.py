@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from relarm.io import atomic_write, write_ratings_csv
+from relarm.io import atomic_write, rating_rows, write_rating_rows, write_ratings_csv
 from relarm.rating import ClusterRating, RatingResult
 
 # every character csv.writer quotes for, beside ones it leaves alone
@@ -41,6 +41,23 @@ def test_ratings_csv_equals_csv_writer_rows(tmp_path_factory, result):
         for obj, q in zip(result.objects, result.clusters):
             w.writerow([obj, q, repr(cluster[q].projection), cluster[q].category])
     assert path.read_bytes() == expected.read_bytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(ratings(), st.lists(st.integers(0, 8), max_size=3))
+def test_ratings_written_in_pieces_equal_the_whole(tmp_path_factory, result, cuts):
+    """Rows formatted piece by piece, as ``relarm assign`` formats each
+    share's, make the file that the whole result makes; a piece may need
+    quoting where another does not."""
+    work = tmp_path_factory.mktemp("w")
+    write_ratings_csv(work / "whole.csv", result)
+    bounds = [0] + sorted(min(c, len(result.objects)) for c in cuts) + [len(result.objects)]
+    pieces = [
+        RatingResult(result.objects[a:b], result.clusters[a:b], result.per_cluster)
+        for a, b in zip(bounds, bounds[1:])
+    ]
+    write_rating_rows(work / "pieces.csv", [rating_rows(p) for p in pieces])
+    assert (work / "pieces.csv").read_bytes() == (work / "whole.csv").read_bytes()
 
 
 def test_ratings_ids_that_are_not_strings_are_written_as_csv_writer_writes_them(tmp_path):

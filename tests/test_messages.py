@@ -1,0 +1,130 @@
+"""A huge value in an input gives a short error line that still says where.
+
+Each reader echoes a value through ``errors.shown``: its first 60
+characters of ``repr``, then ``…`` and its length.  A value that short is
+echoed whole, as before.
+"""
+
+import json
+import re
+from pathlib import Path
+
+import pytest
+
+from relarm.config import config_from_dict
+from relarm.dataset import Direction, IndicatorSpec, load_dataset, parse_indicator_specs
+from relarm.errors import ValidationError
+from relarm.io import read_ratings_csv, read_reference_csv
+from relarm.snapshot import load_snapshot, save_snapshot
+
+HUGE = "x" * 100_000
+SHOWN = re.escape(f"'{'x' * 59}… (100002 characters)")  # repr(HUGE), cut at 60
+RATINGS_HEADER = "object,cluster,projection,category\n"
+
+
+def error(read, path):
+    with pytest.raises(ValidationError) as info:
+        read(path)
+    return str(info.value)
+
+
+@pytest.mark.parametrize("text, message", [
+    (RATINGS_HEADER + f"{HUGE},1,0.5,AAA\nb,1,0.5,AAA\n{HUGE},1,0.5,AAA\n",
+     rf"row 4: object {SHOWN} is already rated at row 2"),
+    (RATINGS_HEADER + f"a,1,0.5,AAA\nb,1,0.5,{HUGE}\n",
+     rf"row 3: cluster 1 has projection 0.5 and category {SHOWN}, "
+     r"but row 2 gave it 0.5 and 'AAA'"),
+    (RATINGS_HEADER + f"a,1,0.5,{HUGE}\nb,1,0.5,AAA\n",
+     rf"row 3: cluster 1 has projection 0.5 and category 'AAA', "
+     rf"but row 2 gave it 0.5 and {SHOWN}"),
+], ids=["repeated-object", "category-differs", "first-category-huge"])
+def test_ratings_errors_echo_a_huge_value_short(tmp_path, text, message):
+    path = tmp_path / "ratings.csv"
+    path.write_text(text, encoding="utf-8")
+    got = error(read_ratings_csv, path)
+    assert re.fullmatch(rf"{re.escape(str(path))}: {message}", got), got
+    assert len(got) - len(str(path)) < 200
+
+
+@pytest.mark.parametrize("obj, agency, message", [
+    (HUGE, "S&P", rf"row 3: object {SHOWN} is already rated by agency 'S&P' at row 2"),
+    ("Chile", HUGE, rf"row 3: object 'Chile' is already rated by agency {SHOWN} at row 2"),
+], ids=["object", "agency"])
+def test_reference_repeat_echoes_a_huge_value_short(tmp_path, obj, agency, message):
+    path = tmp_path / "reference.csv"
+    path.write_text(f"object,agency,category\n{obj},{agency},AA\n{obj},{agency},A\n",
+                    encoding="utf-8")
+    got = error(read_reference_csv, path)
+    assert re.fullmatch(rf"{re.escape(str(path))}: {message}", got), got
+
+
+@pytest.mark.parametrize("entries, message", [
+    ([HUGE], rf"indicators\[0\] must be an object with a 'name', got {SHOWN}"),
+    ([{"name": HUGE, "direction": "up"}],
+     rf"indicator {SHOWN}: direction must be 'positive' or 'negative'"),
+    ([{"name": HUGE, "direction": "positive"}] * 2, rf"'indicators\[1\].name' repeats {SHOWN}"),
+    ([["x"]], r"indicators\[0\] must be an object with a 'name', got \['x'\]"),
+], ids=["entry", "direction", "repeated-name", "short-entry"])
+def test_indicator_spec_errors_echo_a_huge_value_short(entries, message):
+    with pytest.raises(ValidationError, match=rf"^{message}$"):
+        parse_indicator_specs(entries)
+
+
+LISTED = rf"\[{SHOWN}\]"  # each name of a list is cut on its own
+
+
+def specs(*names):
+    return tuple(IndicatorSpec(n, Direction.POSITIVE) for n in names)
+
+
+@pytest.mark.parametrize("header, names, message", [
+    ("object,x,y", ("x", HUGE), rf"columns declared but absent: {LISTED}"),
+    (f"object,x,y,{HUGE}", ("x", "y"), rf"columns present but undeclared: {LISTED}"),
+    (f"object,x,{HUGE},{HUGE}", ("x", HUGE), rf"columns repeated in the header: {LISTED}"),
+    ("object,x,z", ("x", "y"), r"columns declared but absent: \['y'\]"),
+    ("object,x", tuple("xabcdefghij"),
+     r"columns declared but absent: \['a', 'b', 'c', 'd', 'e', 'f', 'g', 'h', 'i', 'j'\]"),
+], ids=["absent", "undeclared", "repeated", "short-name", "many-short-names"])
+@pytest.mark.parametrize("quoted", [False, True], ids=["plain", "per-cell"])
+def test_header_errors_echo_a_huge_name_short(tmp_path, header, names, message, quoted):
+    path = tmp_path / "d.csv"
+    width = header.count(",")
+    rows = [("a" if not quoted else '"a"') + ",1" * width, "b" + ",2" * width]
+    path.write_text("\n".join([header] + rows) + "\n", encoding="utf-8")
+    got = error(lambda p: load_dataset(p, specs(*names)), path)
+    assert re.fullmatch(rf"{re.escape(str(path))}: {message}", got), got
+    assert len(got) - len(str(path)) < 200
+
+
+BUNDLED = Path(__file__).resolve().parents[1] / "src" / "relarm" / "data"
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("labels", HUGE, rf"'labels' must be a list, got {SHOWN}"),
+    ("collapse_table", HUGE, rf"'collapse_table' must be an object, got {SHOWN}"),
+    ("collapse_table", {"AA+": HUGE},
+     r"'collapse_table.AA\+' must be one of the labels \[.*\], " rf"got {SHOWN}"),
+    ("distance", HUGE, rf"'distance' must be \"euclidean\", got {SHOWN}"),
+    (HUGE, 1, rf"unknown key {SHOWN}"),
+], ids=["labels", "collapse-table", "collapse-value", "fixed-key", "unknown-key"])
+def test_config_errors_echo_a_huge_value_short(key, value, message):
+    raw = json.loads((BUNDLED / "country_config.json").read_text(encoding="utf-8"))
+    raw[key] = value
+    with pytest.raises(ValidationError, match=rf"^{message}$"):
+        config_from_dict(raw)
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda doc: doc.__setitem__("format_version", HUGE),
+     rf"unsupported snapshot format {SHOWN}"),
+    (lambda doc: doc["model"].__setitem__("d", HUGE),
+     rf"'model.d' must be an integer in \[1, 9\], got {SHOWN}"),
+], ids=["format", "d"])
+def test_snapshot_errors_echo_a_huge_value_short(tmp_path, country_run, edit, message):
+    path = tmp_path / "snapshot.json"
+    save_snapshot(country_run.snapshot, path)
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    edit(doc)
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    got = error(load_snapshot, path)
+    assert re.fullmatch(rf"{re.escape(str(path))}: {message}", got), got

@@ -1,0 +1,344 @@
+"""Shares handed to the caller in file order while the forked parse runs.
+
+``_fork.fork_map``'s ``each`` takes every result in share order as soon as
+it is in; ``dataset.load_dataset``'s ``each`` gets the rows of every share
+of the parse; ``relarm assign`` rates each share's rows as they arrive.
+Every output and every error must be what the one-share parse gives.  The
+``fork_calls`` fixture of ``conftest.py`` reports four usable CPUs, and the
+autouse fixtures there fail a test that leaves a child or a changed CPU
+affinity.
+"""
+
+import json
+import os
+import time
+
+import numpy as np
+import pytest
+
+from relarm import _fork
+from relarm.cli import main
+from relarm.dataset import load_dataset
+from conftest import FORK_CPUS
+
+pytestmark = pytest.mark.skipif(
+    not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")), reason="no os.fork"
+)
+
+PARENT = os.getpid()
+
+
+def in_child() -> bool:
+    return os.getpid() != PARENT
+
+
+# --- fork_map's each ---------------------------------------------------------
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, FORK_CPUS])
+def test_each_takes_every_result_in_share_order_in_this_process(fork_calls, n):
+    seen = []
+
+    def each(i, result):
+        seen.append((i, result, in_child()))
+        return -result
+
+    got = _fork.fork_map(lambda s: 10 * s, range(n), each)
+    assert got == [-10 * s for s in range(n)]
+    assert seen == [(s, 10 * s, False) for s in range(n)]
+    assert len(fork_calls) == n - 1
+
+
+def test_each_takes_share_0_while_the_children_still_run(fork_calls, tmp_path):
+    """Every child waits for a file that ``each`` writes when it takes
+    share 0's result: were ``each`` called only once all results were in,
+    each child would give up after 20 s and say so."""
+    flag = tmp_path / "share 0 taken"
+
+    def fn(share):
+        if not in_child():
+            return "here"
+        deadline = time.monotonic() + 20
+        while not flag.exists():
+            if time.monotonic() > deadline:
+                return "gave up"
+            time.sleep(0.001)
+        return "after share 0"
+
+    def each(i, result):
+        if i == 0:
+            flag.touch()
+        return result
+
+    got = _fork.fork_map(fn, range(FORK_CPUS), each)
+    assert got == ["here"] + ["after share 0"] * (FORK_CPUS - 1)
+
+
+def test_each_takes_a_failed_childs_share_run_here(fork_calls):
+    def fn(share):
+        if in_child() and share == 2:
+            os._exit(3)
+        return share, in_child()
+
+    got = _fork.fork_map(fn, range(FORK_CPUS), lambda i, result: (i, result))
+    assert got == [(0, (0, False)), (1, (1, True)), (2, (2, False)), (3, (3, True))]
+
+
+def big(share):
+    """A result whose pickle outgrows a 64 KiB pipe buffer."""
+    return bytes([share]) * (1 << 20)
+
+
+@pytest.mark.parametrize("fault", [0, 1, FORK_CPUS - 1])
+def test_each_raising_midway_reaps_every_child(fork_calls, fault):
+    """``each`` fails on one result while later children still write ones
+    larger than a pipe buffer: the error propagates, every child is reaped
+    and no descriptor is left open (``fork_calls``)."""
+    taken = []
+
+    def each(i, result):
+        if i == fault:
+            raise RuntimeError("consumer fault")
+        taken.append(i)
+        return result
+
+    with pytest.raises(RuntimeError, match="consumer fault"):
+        _fork.fork_map(big, range(FORK_CPUS), each)
+    assert taken == list(range(fault))
+    assert len(fork_calls) == FORK_CPUS - 1
+
+
+# --- load_dataset and relarm assign, share by share ---------------------------
+
+
+@pytest.fixture
+def forced(fork_calls, monkeypatch):
+    """``forced(n)`` makes every plain parse (and k-means) split into ``n``
+    shares, one per reported CPU, however short its text; the returned list
+    gets the share count of each ``fork_map`` call."""
+    monkeypatch.setattr(_fork, "FORK_MIN_BYTES", 0)
+    counts = []
+    real_map = _fork.fork_map
+
+    def fork_map(fn, shares, *each):
+        counts.append(len(shares))
+        return real_map(fn, shares, *each)
+
+    monkeypatch.setattr(_fork, "fork_map", fork_map)
+
+    def force(n):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+        counts.clear()
+        return counts
+
+    return force
+
+
+def country_lines(data_dir):
+    return (data_dir / "country_raw.csv").read_text(encoding="utf-8").splitlines()
+
+
+def padded(lines, width):
+    """``lines`` with each id padded by spaces to a line of ``width``
+    characters: the parse strips them, so the table is unchanged."""
+    out = []
+    for line in lines:
+        ident, rest = line.split(",", 1)
+        out.append(ident + " " * (width - len(line)) + "," + rest)
+    return out
+
+
+def tables(data_dir, n):
+    """Texts of the country table whose shares fall in different places:
+    the whole table; its last line longer than all the others together,
+    so that a cut lands on it and the parse has fewer shares than
+    processes; and its first 2 * ``n`` - 1 rows padded to one width, so
+    that the last of ``n`` shares is the last line alone."""
+    header, *rows = country_lines(data_dir)
+    long_last = rows[:-1] + padded(rows[-1:], 6 * sum(map(len, rows)) // 5)
+    width = max(map(len, rows))
+    return {
+        "country": [header] + rows,
+        "long-last-line": [header] + long_last,
+        "last-line-alone": [header] + padded(rows[: 2 * n - 1], width),
+    }
+
+
+def collect(path, specs):
+    """load_dataset's table and the (ids, values) ``each`` was given."""
+    calls = []
+
+    def each(ids, values):
+        assert not in_child()
+        assert not values.flags.writeable
+        calls.append((list(ids), values.copy()))
+
+    return load_dataset(path, specs, each), calls
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("table", ["country", "long-last-line", "last-line-alone"])
+@pytest.mark.parametrize("end", ["\n", "\r\n", ""], ids=["lf", "crlf", "no-final-newline"])
+def test_each_sees_every_row_once_in_file_order(forced, tmp_path, data_dir, country_config,
+                                                n, table, end):
+    lines = tables(data_dir, n)[table]
+    path = tmp_path / "data.csv"
+    path.write_bytes(("\r\n" if end == "\r\n" else "\n").join(lines).encode() + end.encode())
+    counts = forced(1)
+    whole, one = collect(path, country_config.indicators)
+    assert counts == [1] and len(one) == 1
+    counts = forced(n)
+    got, calls = collect(path, country_config.indicators)
+    assert got == whole
+    assert len(counts) == 1 and len(calls) == counts[0]
+    assert counts[0] < n if table == "long-last-line" else counts[0] == n
+    assert [i for ids, _ in calls for i in ids] == list(whole.objects)
+    assert np.concatenate([v for _, v in calls]).tobytes() == whole.values.tobytes()
+    if table == "last-line-alone":
+        assert calls[-1][0] == [whole.objects[-1]]
+
+
+def run_cli(*argv):
+    return main([str(a) for a in argv])
+
+
+def outputs(out):
+    return {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("table", ["country", "long-last-line", "last-line-alone"])
+def test_run_and_assign_outputs_equal_the_one_share_run(forced, tmp_path, data_dir, n,
+                                                         table, capsys):
+    """``run`` (only on tables with at least k = 7 rows) and ``assign`` with
+    ``n`` shares write what they write with one, byte for byte."""
+    config = data_dir / "country_config.json"
+    data = tmp_path / "data.csv"
+    data.write_text("\n".join(tables(data_dir, n)[table]) + "\n", encoding="utf-8")
+    snapshot = tmp_path / "fit" / "snapshot.json"
+    assert run_cli("fit", "--config", config, "--data", data_dir / "country_raw.csv",
+                   "--out-dir", snapshot.parent) == 0
+    commands = {"assign": ["assign", "--snapshot", snapshot, "--data", data]}
+    if table != "last-line-alone":
+        commands["run"] = ["run", "--config", config, "--data", data, "--dump-intermediates"]
+    for command, argv in commands.items():
+        got = {}
+        for shares in (1, n):
+            counts = forced(shares)
+            out = tmp_path / f"{command}-{shares}"
+            assert run_cli(*argv, "--out-dir", out) == 0
+            assert counts[0] == shares or table == "long-last-line", command
+            got[shares] = outputs(out), capsys.readouterr()
+        assert got[n][0] == got[1][0], command
+        assert got[n][1].err == got[1][1].err == "", command
+
+
+# --- errors across shares -----------------------------------------------------
+
+
+PRE_NORMALIZED = "competitiveness"  # a country column of values 3 to 6
+
+
+@pytest.fixture
+def pre_normalized_fit(tmp_path, data_dir):
+    """A snapshot fitted on the country table with ``competitiveness``
+    divided by 10 and declared pre-normalized, and that table's lines."""
+    cfg = json.loads((data_dir / "country_config.json").read_text(encoding="utf-8"))
+    for spec in cfg["indicators"]:
+        spec["pre_normalized"] = spec["name"] == PRE_NORMALIZED
+    header, *rows = country_lines(data_dir)
+    j = header.split(",").index(PRE_NORMALIZED)
+    scaled = []
+    for row in rows:
+        cells = row.split(",")
+        cells[j] = repr(float(cells[j]) / 10)
+        scaled.append(",".join(cells))
+    fit = tmp_path / "fit"
+    fit.mkdir()
+    (fit / "config.json").write_text(json.dumps(cfg), encoding="utf-8")
+    (fit / "data.csv").write_text("\n".join([header] + scaled) + "\n", encoding="utf-8")
+    assert run_cli("fit", "--config", fit / "config.json", "--data", fit / "data.csv",
+                   "--out-dir", fit) == 0
+    return fit / "snapshot.json", [header] + scaled
+
+
+def cell(lines, row, name, value):
+    """``lines`` with the cell of file row ``row`` under ``name`` set."""
+    lines = list(lines)
+    cells = lines[row - 1].split(",")
+    cells[lines[0].split(",").index(name)] = value
+    lines[row - 1] = ",".join(cells)
+    return lines
+
+
+def bad_header(lines):
+    return [lines[0].replace("reserves", "reservez")] + lines[1:]
+
+
+# each edit makes the table bad only in its last rows, which are in the
+# last share; the message follows the data file's path
+BAD = {
+    "non-numeric": (lambda ls: cell(ls, 29, "inflation", "oops"),
+                    "row 29, column 'inflation': non-numeric value 'oops'"),
+    "non-finite": (lambda ls: cell(ls, 30, "reserves", "inf"),
+                   "row 30, column 'reserves': non-finite value 'inf'"),
+    "blank-line": (lambda ls: ls[:-1] + [""] + ls[-1:], "row 31 has 0 cells, expected 10"),
+    "short-row": (lambda ls: ls[:-1] + [ls[-1].rsplit(",", 1)[0]],
+                  "row 31 has 9 cells, expected 10"),
+    "duplicate-ids": (lambda ls: ls[:-1] + [ls[1].split(",")[0] + "," + ls[-1].split(",", 1)[1]],
+                      "duplicate object ids: ['Switzerland']"),
+    "undecodable-byte": (lambda ls: bad_header(ls[:-2] + ["Schw\udce9iz" + ls[-2][ls[-2].index(","):]]
+                                               + ls[-1:]),
+                         "line 30: byte 0xe9 at offset {offset} is not UTF-8 text"),
+    "pre-normalized": (lambda ls: cell(ls, 30, PRE_NORMALIZED, "1.5"),
+                       "pre-normalized column 'competitiveness' has value 1.5 outside [0, 1] "
+                       "for object '{object}'"),
+    "pre-normalized-huge": (lambda ls: cell(ls, 30, PRE_NORMALIZED, "1e300"),
+                            "pre-normalized column 'competitiveness' has value 1e+300 outside "
+                            "[0, 1] for object '{object}'"),
+}
+
+
+@pytest.mark.parametrize("n", [1, 2, FORK_CPUS])
+@pytest.mark.parametrize("case", list(BAD))
+def test_a_fault_in_a_later_share_gives_the_one_share_error(forced, tmp_path, capsys,
+                                                            pre_normalized_fit, n, case):
+    """``relarm assign`` of a table whose last share is bad: exit 1, the
+    one error line the one-share parse gives and nothing else on stderr
+    (no numpy warning from rating rows the table check rejects), and an
+    untouched ``--out-dir``: no ratings.csv, no temporary file."""
+    snapshot, lines = pre_normalized_fit
+    edit, message = BAD[case]
+    data = tmp_path / "data.csv"
+    text = "\n".join(edit(lines)) + "\n"
+    data.write_bytes(text.encode("utf-8", "surrogateescape"))
+    offset = text.encode("utf-8", "surrogateescape").find(b"\xe9")
+    message = message.format(offset=offset, object=lines[29].split(",")[0])
+    out = tmp_path / "out"
+    out.mkdir()
+    counts = forced(n)
+    capsys.readouterr()  # the fit's
+    code = run_cli("assign", "--snapshot", snapshot, "--data", data, "--out-dir", out)
+    assert code == 1
+    assert capsys.readouterr() == ("", f"error: {data}: {message}\n")
+    assert list(out.iterdir()) == []
+    if case != "undecodable-byte":  # the decode error comes before the parse
+        assert counts == [n]
+
+
+@pytest.mark.parametrize("fault", [0, 1])
+def test_a_consumer_raising_midway_stops_the_load(forced, tmp_path, data_dir, country_config,
+                                                  fault):
+    path = tmp_path / "data.csv"
+    path.write_text("\n".join(country_lines(data_dir)) + "\n", encoding="utf-8")
+    forced(FORK_CPUS)
+    taken = []
+
+    def each(ids, values):
+        if len(taken) == fault:
+            raise RuntimeError("consumer fault")
+        taken.append(ids)
+
+    with pytest.raises(RuntimeError, match="consumer fault"):
+        load_dataset(path, country_config.indicators, each)
+    assert len(taken) == fault
