@@ -15,7 +15,7 @@ import numpy as np
 from . import io
 from .config import load_config
 from .dataset import load_dataset
-from .errors import NumericalError, ValidationError, naming
+from .errors import NumericalError, ValidationError, naming, shown
 from .normalize import ConstantColumnWarning
 from .pipeline import run_pipeline
 from .rating import REPORT_FOOTER, score_agreement
@@ -96,7 +96,7 @@ def _agreement(args, ratings, reference, scale, collapse_table):
             ratings, reference, scale=scale, collapse_table=collapse_table
         )
     for obj in report.skipped:
-        print(f"warning: reference object {obj!r} absent from results; skipped",
+        print(f"warning: reference object {shown(obj)} absent from results; skipped",
               file=sys.stderr)
     return report
 

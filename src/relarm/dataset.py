@@ -72,15 +72,15 @@ class RawDataset:
         if n < 1:
             raise ValidationError("need at least 1 indicator")
         if len(set(self.objects)) != m:
-            raise ValidationError(f"duplicate object ids: {_duplicates(self.objects)}")
+            raise ValidationError(f"duplicate object ids: {shown(_duplicates(self.objects))}")
         names = [s.name for s in self.indicators]
         if len(set(names)) != n:
-            raise ValidationError(f"duplicate indicator names: {_duplicates(names)}")
+            raise ValidationError(f"duplicate indicator names: {shown(_duplicates(names))}")
         if not np.isfinite(self.values).all():
             i, j = map(int, np.argwhere(~np.isfinite(self.values))[0])
             raise ValidationError(
-                f"non-finite value at row {i + 1} ({self.objects[i]!r}), "
-                f"column {names[j]!r}"
+                f"non-finite value at row {i + 1} ({shown(self.objects[i])}), "
+                f"column {shown(names[j])}"
             )
         for j, spec in enumerate(self.indicators):
             if spec.pre_normalized:
@@ -89,8 +89,8 @@ class RawDataset:
                 if bad.any():
                     i = int(np.argmax(bad))
                     raise ValidationError(
-                        f"pre-normalized column {spec.name!r} has value {col[i]} "
-                        f"outside [0, 1] for object {self.objects[i]!r}"
+                        f"pre-normalized column {shown(spec.name)} has value {col[i]} "
+                        f"outside [0, 1] for object {shown(self.objects[i])}"
                     )
 
     @property
@@ -200,19 +200,19 @@ def load_dataset(path, spec, each=None) -> RawDataset:
     indicator names and one object id in the first column of each row.
     Columns are reordered to the spec's order.
 
-    The header must name each declared indicator exactly once.  A plain
-    table (no quotes, no blank lines, every row as wide as the header) is
-    parsed by numpy's C parser; anything else, and any value that parser
-    rejects or reads as non-finite, goes through ``csv`` and per-cell
-    ``float()``, which gives the same values and names the offending cell,
-    by file line, in its errors.
+    The header must name each declared indicator exactly once.  The data
+    lines are cut into shares (see :func:`_parse_plain`), each parsed by
+    numpy's C parser; a share that parser declines or reads as non-finite
+    is parsed on its own by ``csv`` and per-cell ``float()``, which gives
+    the same values and names the offending cell, by file row, in its
+    errors.  A text with a quote, or with no data line, is parsed whole
+    that way.
 
     With ``each``, ``each(ids, values)`` is called in this process on the
-    rows of every share of the parse (see :func:`_parse_plain`), in file
-    order, as soon as the share is parsed: a list of ids and their
-    read-only values, columns in the spec's order.  The table is checked
-    as a whole only after the last share, so ``each`` may see rows that
-    the check then rejects.
+    rows of every share, in file order, as soon as the share is parsed: a
+    list of ids and their read-only values, columns in the spec's order.
+    The table is checked as a whole only after the last share, so ``each``
+    may see rows that the check then rejects.
     """
     if isinstance(spec, (str, os.PathLike)):
         with naming(spec):
@@ -265,25 +265,22 @@ def _decoded(data: bytes) -> str:
 
 
 def _parse_plain(
-    data: bytes | str, specs: tuple[IndicatorSpec, ...], each=None
+    data: bytes, specs: tuple[IndicatorSpec, ...], each=None
 ) -> tuple[list[str], np.ndarray] | None:
-    """Ids and values of a plain table by numpy's C parser, or None when
-    the text needs the per-cell path (see :func:`load_dataset`); a bad
-    header raises here, as it would there.  ``data`` is UTF-8 text, as
-    bytes or as a ``str``.
+    """Ids and values of the UTF-8 table ``data``, share by share, or None
+    for a text that the cut at line ends cannot serve: one with a quote,
+    an empty one or a header alone (see :func:`load_dataset`).  A bad
+    header raises here, as it would on the per-cell path.
 
     Lines end as ``csv`` ends them: at ``\\r\\n``, ``\\r`` or ``\\n``.  The
     bytes are cut at line ends into ``_fork.processes(len(data))`` shares,
-    each of which decodes its own.
-
-    With ``each``, a share that the C parser declines is parsed on its own
-    by the per-cell path, which names a bad cell by its file row, so only a
-    text with a quote or no data line is declined; and ``each(ids, values)``
-    gets each share's rows in file order as soon as they are parsed, while
-    the later shares are still parsing (:func:`_fork.fork_map`).
+    each of which decodes its own and parses it with numpy's C parser.  A
+    share that parser declines is parsed on its own by the per-cell path,
+    which names a bad cell by its file row.  With ``each``,
+    ``each(ids, values)`` gets each share's rows in file order as soon as
+    they are parsed, while the later shares are still parsing
+    (:func:`_fork.fork_map`).
     """
-    if isinstance(data, str):
-        data = data.encode("utf-8")
     if b'"' in data or not data:
         return None
     if b"\r" in data:
@@ -309,16 +306,11 @@ def _parse_plain(
             ids, values = _parse_cells(rows, header, specs, data.count(b"\n", 0, lo) + 1)
         else:  # every share holds a line, so none splits to a phantom id
             ids, values = part[0].split("\n"), part[1]
-        each(ids, _freeze(values))
+        if each is not None:
+            each(ids, _freeze(values))
         return ids, values
 
-    if each is not None:
-        parts = _fork.fork_map(parse, shares, take)
-    else:
-        parts = _fork.fork_map(parse, shares)
-        if None in parts:
-            return None
-        parts = [(ids.split("\n"), values) for ids, values in parts]
+    parts = _fork.fork_map(parse, shares, take)
     ids = list(chain.from_iterable(ids for ids, _ in parts))
     values = parts[0][1] if len(parts) == 1 else np.concatenate([v for _, v in parts])
     return ids, values
@@ -328,8 +320,9 @@ def _parse_share(
     data: bytes, start: int, end: int, usecols: list[int], commas: int
 ) -> tuple[str, np.ndarray] | None:
     """The ids, joined by ``"\\n"``, and the values of the data lines
-    ``data[start:end]``, or None as for :func:`_parse_plain`.  One string
-    of ids pickles back from a forked share faster than a list of them."""
+    ``data[start:end]``, or None when numpy's C parser declines them or
+    reads a value as non-finite.  One string of ids pickles back from a
+    forked share faster than a list of them."""
     lines = str(memoryview(data)[start:end], "utf-8").split("\n")  # no copy of the bytes
     if lines[-1] == "":
         lines.pop()
@@ -407,16 +400,16 @@ def _parse_cells(
         for j, (c, spec) in enumerate(columns):
             cell = row[c].strip()
             if not cell:
-                raise ValidationError(f"row {r}, column {spec.name!r}: missing value")
+                raise ValidationError(f"row {r}, column {shown(spec.name)}: missing value")
             try:
                 value = float(cell)
             except ValueError:
                 raise ValidationError(
-                    f"row {r}, column {spec.name!r}: non-numeric value {shown(cell)}"
+                    f"row {r}, column {shown(spec.name)}: non-numeric value {shown(cell)}"
                 ) from None
             if not math.isfinite(value):
                 raise ValidationError(
-                    f"row {r}, column {spec.name!r}: non-finite value {shown(cell)}"
+                    f"row {r}, column {shown(spec.name)}: non-finite value {shown(cell)}"
                 )
             values[r - first, j] = value
     return objects, values

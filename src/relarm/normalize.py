@@ -8,7 +8,7 @@ import warnings
 import numpy as np
 
 from .dataset import Direction, IndicatorSpec, RawDataset, _freeze
-from .errors import ValidationError
+from .errors import ValidationError, shown
 
 
 class ConstantColumnWarning(UserWarning):
@@ -21,7 +21,7 @@ def range_width(lo, hi, name: str) -> float:
     width = float(hi) - float(lo)  # Python floats overflow to inf silently
     if not math.isfinite(width):
         raise ValidationError(
-            f"column {name!r}: the width hi - lo of its range "
+            f"column {shown(name)}: the width hi - lo of its range "
             f"[{float(lo)!r}, {float(hi)!r}] is not a finite number"
         )
     return width
@@ -76,7 +76,7 @@ def normalize_dataset(raw: RawDataset) -> np.ndarray:
     for j, spec in enumerate(raw.indicators):
         if not spec.pre_normalized and lo[j] == hi[j]:
             warnings.warn(
-                f"column {spec.name!r} is constant; mapped to 0.5",
+                f"column {shown(spec.name)} is constant; mapped to 0.5",
                 ConstantColumnWarning,
                 stacklevel=2,
             )

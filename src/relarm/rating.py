@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .clustering import nearest_center
-from .errors import ValidationError
+from .errors import ValidationError, shown
 
 REPORT_FOOTER = (
     "The resulting category list is a recommendation to a rating agency's "
@@ -105,7 +105,7 @@ def collapse_category(
         coarse = cat
     if coarse not in scale.labels:
         raise ValidationError(
-            f"reference category {category!r} does not collapse to any scale "
+            f"reference category {shown(category)} does not collapse to any scale "
             f"label {list(scale.labels)}"
         )
     return coarse

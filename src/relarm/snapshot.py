@@ -164,7 +164,7 @@ def _snapshot_from_doc(doc) -> Snapshot:
         if not lo <= hi:
             raise ValidationError(
                 f"'normalization.column_min' {lo!r} exceeds 'normalization.column_max' "
-                f"{hi!r} for indicator {spec.name!r}"
+                f"{hi!r} for indicator {shown(spec.name)}"
             )
         with naming("'normalization'"):
             range_width(lo, hi, spec.name)

@@ -10,7 +10,7 @@ from hypothesis import settings
 
 from relarm import _fork
 from relarm.config import load_config
-from relarm.dataset import load_dataset
+from relarm.dataset import _parse_plain, load_dataset
 from relarm.pipeline import run_pipeline
 
 DATA = Path(__file__).resolve().parents[1] / "src" / "relarm" / "data"
@@ -86,10 +86,31 @@ def decide_only(monkeypatch):
     :class:`ForkDecided` with the number of shares it was asked for, so a
     test reads a job's fork decision without running the job."""
 
-    def fork_map(fn, shares):
+    def fork_map(fn, shares, each=None):
         raise ForkDecided(len(shares))
 
     monkeypatch.setattr(_fork, "fork_map", fork_map)
+
+
+def record_shares(monkeypatch):
+    """Make ``relarm._fork.fork_map`` run as before, ``each`` forwarded,
+    and record its calls: the returned list gets the shares of each call,
+    as a list, in call order."""
+    calls = []
+    real_map = _fork.fork_map
+
+    def fork_map(fn, shares, each=None):
+        calls.append(list(shares))
+        return real_map(fn, shares, each)
+
+    monkeypatch.setattr(_fork, "fork_map", fork_map)
+    return calls
+
+
+def parse_plain(text, specs, each=None):
+    """``dataset._parse_plain`` of ``text`` encoded as UTF-8, the bytes
+    ``load_dataset`` reads from a file."""
+    return _parse_plain(text.encode("utf-8"), specs, each)
 
 
 @pytest.fixture

@@ -14,11 +14,11 @@ from relarm import io
 from relarm.cli import main
 from relarm.clustering import kmeans
 from relarm.config import config_from_dict, load_config
-from relarm.dataset import _parse_plain, load_dataset
+from relarm.dataset import load_dataset
 from relarm.errors import ValidationError
 from relarm.normalize import normalize_dataset
 from relarm.snapshot import load_snapshot, save_snapshot
-from conftest import FORK_CPUS, ForkDecided, decide_only
+from conftest import FORK_CPUS, ForkDecided, decide_only, parse_plain
 
 ROOT = Path(__file__).resolve().parents[1]
 GEN = ROOT / "perfbench" / "gen.py"
@@ -687,7 +687,7 @@ def test_benchmark_configs_load(tmp_path, fork_calls, monkeypatch):
         specs = load_config(tmp_path / config / "config.json").indicators
         text = (tmp_path / workload / "data.csv").read_text(encoding="utf-8")
         fork_calls.clear()
-        table = _parse_plain(text, specs)
+        table = parse_plain(text, specs)
         assert table is not None, workload
         assert bool(fork_calls) == forks, workload
         values[workload] = table[1]

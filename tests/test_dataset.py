@@ -15,13 +15,12 @@ from relarm.dataset import (
     Direction,
     IndicatorSpec,
     RawDataset,
-    _parse_plain,
     _parse_rows,
     load_dataset,
 )
 from relarm.errors import ValidationError
 from relarm.normalize import normalize_dataset
-from conftest import FORK_CPUS, ForkDecided, decide_only
+from conftest import FORK_CPUS, ForkDecided, decide_only, parse_plain, record_shares
 
 
 def write_spec(path, names, directions=None):
@@ -260,44 +259,39 @@ def wide_tables(draw):
     return end.join(lines) + end, specs, defect
 
 
-def _error(parse):
-    with pytest.raises(ValidationError) as info:
-        parse()
-    return str(info.value)
-
-
-def _per_cell(text, specs):
+def outcome(parse):
+    """What a parse gave, comparable with ``==``: its ids, value shape and
+    value bytes (bit for bit, signed zeros included), None, or its error
+    text."""
     try:
-        return _parse_rows(list(csv.reader(io.StringIO(text, newline=""))), specs)
-    except ValidationError:
+        table = parse()
+    except (ValidationError, csv.Error) as exc:
+        return "error", str(exc)
+    if table is None:
         return None
+    return table[0], table[1].shape, table[1].tobytes()
 
 
-def assert_same_table(fast, slow):
-    assert slow is not None
-    assert fast[0] == slow[0]
-    assert fast[1].shape == slow[1].shape
-    assert fast[1].tobytes() == slow[1].tobytes()  # bit for bit, signed zeros included
+def assert_plain_is_per_cell(text, specs, whole):
+    """The one parse policy: of a quote-free text with a data line, the
+    plain parse gives what the per-cell parse of the whole text gives, the
+    same table bit for bit or the same error; of any other text (``whole``,
+    a quote or a header alone), None."""
+    got = outcome(lambda: parse_plain(text, specs))
+    if whole:
+        assert got is None
+    else:
+        rows = list(csv.reader(io.StringIO(text, newline="")))
+        assert got == outcome(lambda: _parse_rows(rows, specs))
+    return got
 
 
 @settings(max_examples=400, deadline=None)
 @given(tables())
 def test_plain_parse_equals_per_cell_parse(table):
     text, specs, defect = table
-    if defect in ("rename", "drop", "repeat"):  # the same header error from both
-        rows = list(csv.reader(io.StringIO(text, newline="")))
-        assert _error(lambda: _parse_plain(text, specs)) == _error(
-            lambda: _parse_rows(rows, specs)
-        )
-        return
-    fast = _parse_plain(text, specs)
-    event("plain parse" if fast is not None else "declined")
-    if fast is not None:
-        assert_same_table(fast, _per_cell(text, specs))
-    if defect == "non-finite":  # declined, so that the per-cell path names the cell
-        assert fast is None
-        with pytest.raises(ValidationError, match=r"^row \d+, column .*: non-finite"):
-            _parse_rows(list(csv.reader(io.StringIO(text, newline=""))), specs)
+    got = assert_plain_is_per_cell(text, specs, defect in ("quote", "header"))
+    event("error" if got and got[0] == "error" else "table" if got else "None")
 
 
 SPECS_XY = (IndicatorSpec("y", Direction.POSITIVE), IndicatorSpec("x", Direction.NEGATIVE))
@@ -310,15 +304,14 @@ SPECS_XY = (IndicatorSpec("y", Direction.POSITIVE), IndicatorSpec("x", Direction
     "object,x,y\ra,1e-320,2\rb,3,4\r",
 ])
 def test_plain_parse_taken(text):
-    fast = _parse_plain(text, SPECS_XY)
-    assert fast is not None
-    assert_same_table(fast, _per_cell(text, SPECS_XY))
+    got = assert_plain_is_per_cell(text, SPECS_XY, False)
+    assert got[0] != "error"
 
 
 @pytest.mark.parametrize("text", [
-    "object,x,y\n",  # header only
+    "object,x,y\n",  # header only: None
     "object,x,y\na,1,2\n\nb,3,4\n",  # blank line
-    'object,x,y\n"a,b",1,2\nb,3,4\n',  # quoted id
+    'object,x,y\n"a,b",1,2\nb,3,4\n',  # quoted id: None
     "object,x,y\na,1_000,2\nb,3,4\n",  # float()-only syntax
     "object,x,y\na,1,2,3\nb,3,4\n",  # ragged row
     "object,x,y\na,1,2,3\nb,3\n",  # ragged rows whose commas add up
@@ -328,7 +321,10 @@ def test_plain_parse_taken(text):
     "object,x,y\na,nan,2\nb,3,-inf\n",  # non-finite values, which the per-cell path names
 ])
 def test_plain_parse_declined(text):
-    assert _parse_plain(text, SPECS_XY) is None
+    """Texts that numpy's C parser declines: their share is parsed cell by
+    cell, so the plain parse gives the per-cell table or error, and only a
+    quote or a header alone leaves the whole text to the per-cell path."""
+    assert_plain_is_per_cell(text, SPECS_XY, '"' in text or text == "object,x,y\n")
 
 
 @pytest.mark.parametrize("text, specs, message", [
@@ -342,7 +338,7 @@ def test_plain_parse_declined(text):
 def test_plain_parse_header_errors(text, specs, message):
     # raised where the plain path finds them, as the per-cell path raises them
     rows = list(csv.reader(io.StringIO(text, newline="")))
-    for parse in (lambda: _parse_plain(text, specs), lambda: _parse_rows(rows, specs)):
+    for parse in (lambda: parse_plain(text, specs), lambda: _parse_rows(rows, specs)):
         with pytest.raises(ValidationError, match=rf"^{message}$"):
             parse()
 
@@ -409,29 +405,20 @@ def serial_parse(text, specs):
     saved = _fork.FORK_MIN_BYTES
     _fork.FORK_MIN_BYTES = float("inf")
     try:
-        return _parse_plain(text, specs)
+        return parse_plain(text, specs)
     finally:
         _fork.FORK_MIN_BYTES = saved
 
 
-def outcome(parse):
-    """What a parse gave, comparable with ``==``: its ids, value shape and
-    value bytes, None, or its error text."""
-    try:
-        table = parse()
-    except ValidationError as exc:
-        return "error", str(exc)
-    if table is None:
-        return None
-    return table[0], table[1].shape, table[1].tobytes()
-
-
 @settings(max_examples=200, suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(st.one_of(tables(), wide_tables()))
-def test_forked_plain_parse_equals_serial(forked_parse, table):
-    text, specs, _ = table
+@given(st.one_of(tables(), wide_tables()), st.integers(2, FORK_CPUS))
+def test_forked_plain_parse_equals_serial(forked_parse, monkeypatch, table, n):
+    """The plain parse cut into up to ``n`` shares gives what it gives in
+    one, and that is what the per-cell parse gives."""
+    text, specs, defect = table
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
     before = len(forked_parse)
-    got = outcome(lambda: _parse_plain(text, specs))
+    got = assert_plain_is_per_cell(text, specs, defect in ("quote", "header"))
     event("forked" if len(forked_parse) > before else "one share")
     assert got == outcome(lambda: serial_parse(text, specs))
 
@@ -451,7 +438,7 @@ def test_forked_plain_parse_of_few_rows(forked_parse, text, ids):
     """With more CPUs than rows, each row is a share of its own and the
     CPUs left over get none.  A share sends its ids back joined by newlines:
     a share of one row gives back one id, even an empty one."""
-    got = outcome(lambda: _parse_plain(text, SPECS_XY))
+    got = outcome(lambda: parse_plain(text, SPECS_XY))
     assert got is not None and got[0] == ids
     assert len(forked_parse) == len(ids) - 1
     assert got == outcome(lambda: serial_parse(text, SPECS_XY))
@@ -481,28 +468,24 @@ def test_parse_fork_gate_at_the_measured_points(fork_calls, monkeypatch, columns
     specs = tuple(IndicatorSpec(f"c{j}", Direction.POSITIVE) for j in range(columns))
     decide_only(monkeypatch)
     with pytest.raises(ForkDecided) as decided:
-        _parse_plain(text, specs)
+        parse_plain(text, specs)
     assert decided.value.args == (FORK_CPUS if forks else 1,)
 
 
 def test_blank_line_at_a_share_boundary(forked_parse, monkeypatch):
     """A blank line ends one share or starts the next: the share that holds
-    it declines, and so the whole parse does."""
+    it is parsed cell by cell, which names the blank line's file row."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-    real_map, cuts = _fork.fork_map, []
-
-    def fork_map(fn, shares):
-        cuts.append(shares[1][0])
-        return real_map(fn, shares)
-
-    monkeypatch.setattr(_fork, "fork_map", fork_map)
+    calls = record_shares(monkeypatch)
     rows = [f"{i},{i},{i}\n" for i in range(6)]  # one width, so the cut is known
     placed = set()
     for i in range(1, len(rows)):
         text = "object,x,y\n" + "".join(rows[:i]) + "\n" + "".join(rows[i:])
         blank = text.index("\n\n") + 1
-        assert _parse_plain(text, SPECS_XY) is None
-        placed.add({cuts[-1]: "first", cuts[-1] - 1: "last"}.get(blank))
+        with pytest.raises(ValidationError, match=rf"^row {i + 2} has 0 cells, expected 3$"):
+            parse_plain(text, SPECS_XY)
+        cut = calls[-1][1][0]
+        placed.add({cut: "first", cut - 1: "last"}.get(blank))
     assert {"first", "last"} <= placed
 
 

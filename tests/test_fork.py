@@ -19,8 +19,8 @@ import pytest
 
 from relarm import _fork
 from relarm.clustering import kmeans
-from relarm.dataset import Direction, IndicatorSpec, _parse_plain
-from conftest import FORK_CPUS, ForkDecided, decide_only, fake_cpus
+from relarm.dataset import Direction, IndicatorSpec
+from conftest import FORK_CPUS, ForkDecided, decide_only, fake_cpus, parse_plain
 
 pytestmark = pytest.mark.skipif(
     not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")), reason="no os.fork"
@@ -267,7 +267,7 @@ def parse_job(nbytes):
     size = nbytes - len("object,x\n") - len("o,1\n")
     text = "object,x\n" + "o" + "x" * (size % 4) + ",1\n" + "o,1\n" * (size // 4)
     assert len(text) == nbytes
-    _parse_plain(text, (IndicatorSpec("x", Direction.POSITIVE),))
+    parse_plain(text, (IndicatorSpec("x", Direction.POSITIVE),))
 
 
 def restarts_job(nbytes):

@@ -9,16 +9,27 @@ import json
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from relarm.cli import main
 from relarm.config import config_from_dict
-from relarm.dataset import Direction, IndicatorSpec, load_dataset, parse_indicator_specs
+from relarm.dataset import (
+    Direction,
+    IndicatorSpec,
+    RawDataset,
+    load_dataset,
+    parse_indicator_specs,
+)
 from relarm.errors import ValidationError
 from relarm.io import read_ratings_csv, read_reference_csv
+from relarm.normalize import ConstantColumnWarning, normalize_dataset, range_width
+from relarm.rating import RatingScale, collapse_category
 from relarm.snapshot import load_snapshot, save_snapshot
 
 HUGE = "x" * 100_000
-SHOWN = re.escape(f"'{'x' * 59}… (100002 characters)")  # repr(HUGE), cut at 60
+SHOWN_TEXT = f"'{'x' * 59}… (100002 characters)"  # repr(HUGE), cut at 60
+SHOWN = re.escape(SHOWN_TEXT)
 RATINGS_HEADER = "object,cluster,projection,category\n"
 
 
@@ -119,7 +130,16 @@ def test_config_errors_echo_a_huge_value_short(key, value, message):
      rf"unsupported snapshot format {SHOWN}"),
     (lambda doc: doc["model"].__setitem__("d", HUGE),
      rf"'model.d' must be an integer in \[1, 9\], got {SHOWN}"),
-], ids=["format", "d"])
+    (lambda doc: (doc["config"]["indicators"][0].__setitem__("name", HUGE),
+                  doc["normalization"]["column_min"].__setitem__(0, 1e9)),
+     rf"'normalization.column_min' 1000000000.0 exceeds 'normalization.column_max' "
+     rf"[-0-9.e+]+ for indicator {SHOWN}"),
+    (lambda doc: (doc["config"]["indicators"][0].__setitem__("name", HUGE),
+                  doc["normalization"]["column_min"].__setitem__(0, -1.5e308),
+                  doc["normalization"]["column_max"].__setitem__(0, 1.5e308)),
+     rf"'normalization': column {SHOWN}: the width hi - lo of its range "
+     r"\[-1.5e\+308, 1.5e\+308\] is not a finite number"),
+], ids=["format", "d", "range-order", "range-width"])
 def test_snapshot_errors_echo_a_huge_value_short(tmp_path, country_run, edit, message):
     path = tmp_path / "snapshot.json"
     save_snapshot(country_run.snapshot, path)
@@ -128,3 +148,81 @@ def test_snapshot_errors_echo_a_huge_value_short(tmp_path, country_run, edit, me
     path.write_text(json.dumps(doc), encoding="utf-8")
     got = error(load_snapshot, path)
     assert re.fullmatch(rf"{re.escape(str(path))}: {message}", got), got
+
+
+def specs_of(*names, pre_normalized=False):
+    return tuple(IndicatorSpec(n, Direction.POSITIVE, pre_normalized) for n in names)
+
+
+@pytest.mark.parametrize("objects, names, values, message", [
+    ((HUGE, HUGE), ("x",), [[1.0], [2.0]],  # the whole list cut at 60
+     re.escape(f"duplicate object ids: ['{'x' * 58}… (100004 characters)")),
+    (("a", HUGE), ("x",), [[1.0], [np.nan]],
+     rf"non-finite value at row 2 \({SHOWN}\), column 'x'"),
+    (("a", "b"), (HUGE,), [[1.0], [np.inf]],
+     rf"non-finite value at row 2 \('b'\), column {SHOWN}"),
+    (("a", HUGE), ("x",), [[0.5], [1.5]],
+     rf"pre-normalized column 'x' has value 1.5 outside \[0, 1\] for object {SHOWN}"),
+    ((HUGE, "a", "b", "b", "a"), ("x",), [[1.0]] * 5, r"duplicate object ids: \['a', 'b'\]"),
+], ids=["duplicate-id", "non-finite-id", "non-finite-column", "pre-normalized-id",
+        "short-duplicate-ids"])
+def test_table_check_echoes_a_huge_value_short(objects, names, values, message):
+    """A whole-table check quotes an id, a column name, or the list of
+    repeated ids as one value, through ``shown``."""
+    with pytest.raises(ValidationError) as info:
+        RawDataset(objects, specs_of(*names, pre_normalized=True), np.array(values))
+    assert re.fullmatch(message, str(info.value)), str(info.value)
+    assert len(str(info.value)) < 200
+
+
+@pytest.mark.parametrize("cell, message", [
+    ("", "missing value"),
+    ("oops", "non-numeric value 'oops'"),
+    ("inf", "non-finite value 'inf'"),
+])
+@pytest.mark.parametrize("quoted", [False, True], ids=["plain", "per-cell"])
+def test_bad_cell_under_a_huge_column_name_is_short(tmp_path, cell, message, quoted):
+    path = tmp_path / "d.csv"
+    ident = '"b"' if quoted else "b"
+    path.write_text(f"object,{HUGE}\na,1\n{ident},{cell}\n", encoding="utf-8")
+    got = error(lambda p: load_dataset(p, specs_of(HUGE)), path)
+    assert got == f"{path}: row 3, column {SHOWN_TEXT}: {message}"
+
+
+def test_range_width_echoes_a_huge_name_short():
+    with pytest.raises(ValidationError, match=(
+        rf"^column {SHOWN}: the width hi - lo of its range \[-1e\+308, 1e\+308\] "
+        r"is not a finite number$"
+    )):
+        range_width(-1e308, 1e308, HUGE)
+
+
+def test_constant_column_warning_echoes_a_huge_name_short():
+    raw = RawDataset(("a", "b"), specs_of("x", HUGE), np.array([[1.0, 5.0], [2.0, 5.0]]))
+    with pytest.warns(ConstantColumnWarning) as record:
+        normalize_dataset(raw)
+    assert [str(w.message) for w in record] == [
+        f"column {SHOWN_TEXT} is constant; mapped to 0.5"
+    ]
+
+
+def test_uncollapsible_category_echoes_a_huge_value_short():
+    with pytest.raises(ValidationError, match=(
+        rf"^reference category {SHOWN} does not collapse to any scale label \['A', 'B'\]$"
+    )):
+        collapse_category(HUGE, RatingScale(("A", "B")))
+
+
+def test_skipped_reference_object_warning_is_short(tmp_path, capsys):
+    """``relarm score`` warns of a reference object absent from the ratings
+    in one short line."""
+    ratings = tmp_path / "ratings.csv"
+    ratings.write_text(RATINGS_HEADER + "a,1,0.5,AAA\n", encoding="utf-8")
+    reference = tmp_path / "reference.csv"
+    reference.write_text(f"object,agency,category\na,S&P,AAA\n{HUGE},S&P,AA\n",
+                         encoding="utf-8")
+    argv = ["score", "--ratings", ratings, "--reference", reference, "--out-dir", tmp_path]
+    assert main([str(a) for a in argv]) == 0
+    assert capsys.readouterr().err == (
+        f"warning: reference object {SHOWN_TEXT} absent from results; skipped\n"
+    )

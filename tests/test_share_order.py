@@ -19,7 +19,7 @@ import pytest
 from relarm import _fork
 from relarm.cli import main
 from relarm.dataset import load_dataset
-from conftest import FORK_CPUS
+from conftest import FORK_CPUS, record_shares
 
 pytestmark = pytest.mark.skipif(
     not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")), reason="no os.fork"
@@ -114,22 +114,15 @@ def test_each_raising_midway_reaps_every_child(fork_calls, fault):
 @pytest.fixture
 def forced(fork_calls, monkeypatch):
     """``forced(n)`` makes every plain parse (and k-means) split into ``n``
-    shares, one per reported CPU, however short its text; the returned list
-    gets the share count of each ``fork_map`` call."""
+    shares, one per reported CPU, however short its text; the returned
+    function gives the share count of each ``fork_map`` call since."""
     monkeypatch.setattr(_fork, "FORK_MIN_BYTES", 0)
-    counts = []
-    real_map = _fork.fork_map
-
-    def fork_map(fn, shares, *each):
-        counts.append(len(shares))
-        return real_map(fn, shares, *each)
-
-    monkeypatch.setattr(_fork, "fork_map", fork_map)
+    calls = record_shares(monkeypatch)
 
     def force(n):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
-        counts.clear()
-        return counts
+        calls.clear()
+        return lambda: [len(shares) for shares in calls]
 
     return force
 
@@ -186,12 +179,12 @@ def test_each_sees_every_row_once_in_file_order(forced, tmp_path, data_dir, coun
     path.write_bytes(("\r\n" if end == "\r\n" else "\n").join(lines).encode() + end.encode())
     counts = forced(1)
     whole, one = collect(path, country_config.indicators)
-    assert counts == [1] and len(one) == 1
+    assert counts() == [1] and len(one) == 1
     counts = forced(n)
     got, calls = collect(path, country_config.indicators)
     assert got == whole
-    assert len(counts) == 1 and len(calls) == counts[0]
-    assert counts[0] < n if table == "long-last-line" else counts[0] == n
+    assert len(counts()) == 1 and len(calls) == counts()[0]
+    assert counts()[0] < n if table == "long-last-line" else counts()[0] == n
     assert [i for ids, _ in calls for i in ids] == list(whole.objects)
     assert np.concatenate([v for _, v in calls]).tobytes() == whole.values.tobytes()
     if table == "last-line-alone":
@@ -227,7 +220,7 @@ def test_run_and_assign_outputs_equal_the_one_share_run(forced, tmp_path, data_d
             counts = forced(shares)
             out = tmp_path / f"{command}-{shares}"
             assert run_cli(*argv, "--out-dir", out) == 0
-            assert counts[0] == shares or table == "long-last-line", command
+            assert counts()[0] == shares or table == "long-last-line", command
             got[shares] = outputs(out), capsys.readouterr()
         assert got[n][0] == got[1][0], command
         assert got[n][1].err == got[1][1].err == "", command
@@ -299,14 +292,32 @@ BAD = {
 }
 
 
+def assert_every_command_fails(snapshot, data, message, tmp_path, capsys):
+    """``relarm run``, ``fit`` and ``assign`` of ``data``, against the fit
+    that wrote ``snapshot``, each exit 1 with the one error line
+    ``message`` names and nothing else on stderr (no numpy warning from
+    rating rows the table check rejects), and leave ``--out-dir``
+    untouched: no output, no temporary file."""
+    commands = {
+        "run": ["--config", snapshot.parent / "config.json"],
+        "fit": ["--config", snapshot.parent / "config.json"],
+        "assign": ["--snapshot", snapshot],
+    }
+    capsys.readouterr()  # the fit's
+    for command, args in commands.items():
+        out = tmp_path / f"out-{command}"
+        out.mkdir()
+        assert run_cli(command, *args, "--data", data, "--out-dir", out) == 1, command
+        assert capsys.readouterr() == ("", f"error: {data}: {message}\n"), command
+        assert list(out.iterdir()) == [], command
+
+
 @pytest.mark.parametrize("n", [1, 2, FORK_CPUS])
 @pytest.mark.parametrize("case", list(BAD))
 def test_a_fault_in_a_later_share_gives_the_one_share_error(forced, tmp_path, capsys,
                                                             pre_normalized_fit, n, case):
-    """``relarm assign`` of a table whose last share is bad: exit 1, the
-    one error line the one-share parse gives and nothing else on stderr
-    (no numpy warning from rating rows the table check rejects), and an
-    untouched ``--out-dir``: no ratings.csv, no temporary file."""
+    """Every command of a table whose last share is bad gives the one
+    error line that the one-share parse gives."""
     snapshot, lines = pre_normalized_fit
     edit, message = BAD[case]
     data = tmp_path / "data.csv"
@@ -314,16 +325,31 @@ def test_a_fault_in_a_later_share_gives_the_one_share_error(forced, tmp_path, ca
     data.write_bytes(text.encode("utf-8", "surrogateescape"))
     offset = text.encode("utf-8", "surrogateescape").find(b"\xe9")
     message = message.format(offset=offset, object=lines[29].split(",")[0])
-    out = tmp_path / "out"
-    out.mkdir()
     counts = forced(n)
-    capsys.readouterr()  # the fit's
-    code = run_cli("assign", "--snapshot", snapshot, "--data", data, "--out-dir", out)
-    assert code == 1
-    assert capsys.readouterr() == ("", f"error: {data}: {message}\n")
-    assert list(out.iterdir()) == []
+    assert_every_command_fails(snapshot, data, message, tmp_path, capsys)
     if case != "undecodable-byte":  # the decode error comes before the parse
-        assert counts == [n]
+        assert counts() == [n] * 3
+
+
+@pytest.mark.parametrize("n", [1, 2, FORK_CPUS])
+def test_an_over_long_id_and_a_later_bad_cell_give_every_command_one_error(
+        forced, tmp_path, capsys, pre_normalized_fit, n):
+    """An id past ``csv.field_size_limit()`` on row 2 and a bad cell on row
+    31 of a quote-free table.  Cut into shares, the id's line is a share
+    of its own, which numpy's parser takes without reading the id's length,
+    and the bad cell's share is parsed cell by cell: every command names
+    the cell.  In one share, the per-cell parse meets the id first: every
+    command names the field limit."""
+    snapshot, lines = pre_normalized_fit
+    lines = cell(lines, 31, "gdp_per_capita", "oops")
+    lines[1] = "x" * 200_000 + lines[1][lines[1].index(","):]
+    data = tmp_path / "data.csv"
+    data.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    message = ("field larger than field limit (131072)" if n == 1
+               else "row 31, column 'gdp_per_capita': non-numeric value 'oops'")
+    counts = forced(n)
+    assert_every_command_fails(snapshot, data, message, tmp_path, capsys)
+    assert counts() == [min(n, 2)] * 3  # every cut falls at the end of the id's line
 
 
 @pytest.mark.parametrize("fault", [0, 1])
