@@ -3,7 +3,9 @@
 ``_fork.fork_map``'s ``each`` takes every result in share order as soon as
 it is in; ``dataset.load_dataset``'s ``each`` gets the rows of every share
 of the parse; ``relarm assign`` rates each share's rows as they arrive.
-Every output and every error must be what the one-share parse gives.  The
+Every output and every error must be what the one-share parse gives, and
+the same from every command; the one exception is an id past the csv
+field limit, which only a share parsed cell by cell reads.  The
 ``fork_calls`` fixture of ``conftest.py`` reports four usable CPUs, and the
 autouse fixtures there fail a test that leaves a child or a changed CPU
 affinity.
