@@ -37,11 +37,9 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="relarm", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, data=True, config=True):
-        if config:
-            p.add_argument("--config", required=True, help="pipeline config JSON")
-        if data:
-            p.add_argument("--data", required=True, help="raw data CSV")
+    def common(p):
+        p.add_argument("--config", required=True, help="pipeline config JSON")
+        p.add_argument("--data", required=True, help="raw data CSV")
         p.add_argument("--out-dir", default=".", help="output directory")
 
     p_run = sub.add_parser("run", help="full pipeline: normalize, fit, cluster, assign")

@@ -182,7 +182,8 @@ def _means(coords, assign, counts, out: np.ndarray) -> np.ndarray:
 
 def _is_fixed_point(points: np.ndarray, assign: np.ndarray, centers: np.ndarray) -> bool:
     """Whether another Lloyd iteration would leave ``assign`` and ``centers``
-    as they are, as it does once ``_lloyd`` has converged."""
+    as they are: asked of a run that the cap stopped, which may have
+    reached its fixed point at the last iteration."""
     coords = _coords(points)
     counts = np.bincount(assign, minlength=centers.shape[0])
     return (
@@ -236,7 +237,8 @@ def kmeans(
         restarts_used=restarts,
         seed=seed,
         sse_history=tuple(history),
-        converged=_is_fixed_point(x, assign, centers),
+        # fewer iterations than the cap: _lloyd stopped at its fixed point
+        converged=len(history) < max_iterations or _is_fixed_point(x, assign, centers),
     )
 
 

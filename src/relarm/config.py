@@ -3,26 +3,24 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import MISSING, asdict, dataclass, field, fields
 
 from .dataset import IndicatorSpec, checked, parse_indicator_specs, read_json, typed
-from .errors import ValidationError, naming, shown
+from .errors import ValidationError, listed, naming, shown
 from .rating import RatingScale
-
-DEFAULT_VARIANCE_THRESHOLD = 0.95
-DEFAULT_RESTARTS = 50
-DEFAULT_MAX_ITERATIONS = 300
 
 
 @dataclass(frozen=True)
 class PipelineConfig:
+    """The run settings: the config file's keys, with the default of each it may omit."""
+
     indicators: tuple[IndicatorSpec, ...]
     k: int
     labels: tuple[str, ...]
     seed: int = 0
-    variance_threshold: float = DEFAULT_VARIANCE_THRESHOLD
-    restarts: int = DEFAULT_RESTARTS
-    max_iterations: int = DEFAULT_MAX_ITERATIONS
+    variance_threshold: float = 0.95
+    restarts: int = 50
+    max_iterations: int = 300
     collapse_table: dict[str, str] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
@@ -42,8 +40,8 @@ class PipelineConfig:
         for fine, coarse in self.collapse_table.items():
             if coarse not in self.labels:
                 raise ValidationError(
-                    f"'collapse_table.{fine}' must be one of the labels "
-                    f"{list(self.labels)}, got {shown(coarse)}"
+                    f"{shown(f'collapse_table.{fine}')} must be one of the labels "
+                    f"{listed(self.labels)}, got {shown(coarse)}"
                 )
 
     @property
@@ -51,14 +49,13 @@ class PipelineConfig:
         return RatingScale(self.labels)
 
 
-_KEYS = ("indicators", "k", "labels", "seed", "variance_threshold", "restarts",
-         "max_iterations", "collapse_table")
 # settings with one value in the model, accepted only at it: format-1 and
 # format-2 snapshots store them
 _FIXED = {"distance": "euclidean", "center": True}
 
 
 def config_from_dict(raw: dict) -> PipelineConfig:
+    settings = fields(PipelineConfig)
     for key, value in raw.items():
         if key in _FIXED:
             fixed = _FIXED[key]
@@ -66,14 +63,11 @@ def config_from_dict(raw: dict) -> PipelineConfig:
                 raise ValidationError(
                     f"'{key}' must be {json.dumps(fixed)}, got {shown(value)}"
                 )
-        elif key not in _KEYS:
+        elif key not in (f.name for f in settings):
             raise ValidationError(f"unknown key {shown(key)}")
-    if "indicators" not in raw:
-        raise ValidationError("config is missing the 'indicators' key")
-    if "k" not in raw:
-        raise ValidationError("config is missing the 'k' key")
-    if "labels" not in raw:
-        raise ValidationError("config is missing the 'labels' key")
+    for f in settings:
+        if f.default is MISSING and f.default_factory is MISSING and f.name not in raw:
+            raise ValidationError(f"config is missing the '{f.name}' key")
     if not isinstance(raw["labels"], (list, tuple)):
         raise ValidationError(f"'labels' must be a list, got {shown(raw['labels'])}")
     collapse_table = raw.get("collapse_table", {})
@@ -85,15 +79,15 @@ def config_from_dict(raw: dict) -> PipelineConfig:
         checked(fine, str, "collapse_table key")
         checked(coarse, str, f"collapse_table.{fine}")
     return PipelineConfig(
-        indicators=parse_indicator_specs(raw["indicators"]),
-        k=typed(raw, "k", int),
-        labels=tuple(checked(x, str, f"labels[{i}]") for i, x in enumerate(raw["labels"])),
-        seed=typed(raw, "seed", int, 0),
-        variance_threshold=typed(
-            raw, "variance_threshold", float, DEFAULT_VARIANCE_THRESHOLD
-        ),
-        restarts=typed(raw, "restarts", int, DEFAULT_RESTARTS),
-        max_iterations=typed(raw, "max_iterations", int, DEFAULT_MAX_ITERATIONS),
+        parse_indicator_specs(raw["indicators"]),
+        typed(raw, "k", int),
+        tuple(checked(x, str, f"labels[{i}]") for i, x in enumerate(raw["labels"])),
+        # the scalar settings, each of its default's type
+        **{
+            f.name: typed(raw, f.name, type(f.default), f.default)
+            for f in settings
+            if f.default is not MISSING
+        },
         collapse_table=dict(collapse_table),
     )
 
@@ -108,19 +102,8 @@ def load_config(path) -> PipelineConfig:
 
 def config_to_dict(cfg: PipelineConfig) -> dict:
     return {
-        "indicators": [
-            {
-                "name": s.name,
-                "direction": s.direction.value,
-                "pre_normalized": s.pre_normalized,
-            }
-            for s in cfg.indicators
-        ],
-        "k": cfg.k,
+        **{f.name: getattr(cfg, f.name) for f in fields(cfg)},
+        "indicators": [{**asdict(s), "direction": s.direction.value} for s in cfg.indicators],
         "labels": list(cfg.labels),
-        "seed": cfg.seed,
-        "variance_threshold": cfg.variance_threshold,
-        "restarts": cfg.restarts,
-        "max_iterations": cfg.max_iterations,
         "collapse_table": dict(cfg.collapse_table),
     }

@@ -15,7 +15,7 @@ from itertools import chain, zip_longest
 import numpy as np
 
 from . import _fork
-from .errors import ValidationError, naming, shown
+from .errors import ValidationError, listed, naming, shown
 
 
 class Direction(enum.Enum):
@@ -127,7 +127,7 @@ def _describe(spec: IndicatorSpec | None) -> str:
     if spec is None:
         return "absent"
     flag = ", pre-normalized" if spec.pre_normalized else ""
-    return f"{spec.name!r} ({spec.direction.value}{flag})"
+    return f"{shown(spec.name)} ({spec.direction.value}{flag})"
 
 
 _KINDS = {int: "an integer", float: "a number", bool: "true or false", str: "a string"}
@@ -149,11 +149,11 @@ def checked(value, kind, label: str):
     else:
         ok = isinstance(value, kind)
     if not ok:
-        raise ValidationError(f"'{label}' must be {_KINDS[kind]}, got {shown(value)}")
+        raise ValidationError(f"{shown(label)} must be {_KINDS[kind]}, got {shown(value)}")
     try:
         return kind(value)
     except OverflowError:  # an integer beyond the float range
-        raise ValidationError(f"'{label}' is too large, got {shown(value)}") from None
+        raise ValidationError(f"{shown(label)} is too large, got {shown(value)}") from None
 
 
 def parse_indicator_specs(obj) -> tuple[IndicatorSpec, ...]:
@@ -176,7 +176,7 @@ def parse_indicator_specs(obj) -> tuple[IndicatorSpec, ...]:
             )
         for key in entry:
             if key not in ("name", "direction", "pre_normalized"):
-                raise ValidationError(f"unknown key 'indicators[{i}].{key}'")
+                raise ValidationError(f"unknown key {shown(f'indicators[{i}].{key}')}")
         try:
             direction = Direction(str(entry["direction"]).lower())
         except (KeyError, ValueError):
@@ -361,18 +361,13 @@ def _columns(header: list[str], specs: tuple[IndicatorSpec, ...]) -> list[int]:
     missing = [s.name for s in specs if s.name not in column_of]
     extra = [n for n in data_names if n not in declared]
     if missing:
-        raise ValidationError(f"columns declared but absent: {_listed(missing)}")
+        raise ValidationError(f"columns declared but absent: {listed(missing)}")
     if extra:
-        raise ValidationError(f"columns present but undeclared: {_listed(extra)}")
+        raise ValidationError(f"columns present but undeclared: {listed(extra)}")
     if len(column_of) != len(data_names):
-        repeated = _listed(_duplicates(data_names))
+        repeated = listed(_duplicates(data_names))
         raise ValidationError(f"columns repeated in the header: {repeated}")
     return [column_of[s.name] for s in specs]
-
-
-def _listed(names) -> str:
-    """The repr of the list ``names``, each name quoted by :func:`shown`."""
-    return "[" + ", ".join(map(shown, names)) + "]"
 
 
 def _parse_rows(

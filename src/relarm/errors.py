@@ -32,3 +32,8 @@ def shown(value) -> str:
     60, ``…`` and its length, so a huge value still gives a short line."""
     text = repr(value)
     return text if len(text) <= 60 else f"{text[:60]}… ({len(text)} characters)"
+
+
+def listed(values) -> str:
+    """The repr of the list ``values``, each element quoted by :func:`shown`."""
+    return "[" + ", ".join(map(shown, values)) + "]"

@@ -94,7 +94,6 @@ class PcaModel:
     d: int
     W: np.ndarray = field(repr=False)
     Lambda: np.ndarray = field(repr=False)
-    variance_threshold: float
 
     @property
     def n_indicators(self) -> int:
@@ -138,7 +137,6 @@ def derive_weights(
         d=d,
         W=_freeze(w),
         Lambda=_freeze(fractions[:d]),
-        variance_threshold=float(variance_threshold),
     )
 
 

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .clustering import nearest_center
-from .errors import ValidationError, shown
+from .errors import ValidationError, listed, shown
 
 REPORT_FOOTER = (
     "The resulting category list is a recommendation to a rating agency's "
@@ -26,8 +26,11 @@ class RatingScale:
     def __post_init__(self) -> None:
         if not self.labels:
             raise ValidationError("rating scale must have at least one label")
-        if len(set(self.labels)) != len(self.labels):
-            raise ValidationError("rating scale labels must be unique")
+        seen = set()
+        for i, label in enumerate(self.labels):
+            if label in seen:
+                raise ValidationError(f"'labels[{i}]' repeats {shown(label)}")
+            seen.add(label)
 
 
 @dataclass(frozen=True)
@@ -106,7 +109,7 @@ def collapse_category(
     if coarse not in scale.labels:
         raise ValidationError(
             f"reference category {shown(category)} does not collapse to any scale "
-            f"label {list(scale.labels)}"
+            f"label {listed(scale.labels)}"
         )
     return coarse
 

@@ -10,7 +10,7 @@ import numpy as np
 from .attributes import map_to_feature_space
 from .config import PipelineConfig, config_from_dict, config_to_dict
 from .dataset import RawDataset, _freeze, check_indicators, read_json
-from .errors import ValidationError, naming, shown
+from .errors import ValidationError, listed, naming, shown
 from .io import atomic_write
 from .normalize import range_width, scale_values
 from .pca import PcaModel
@@ -134,7 +134,6 @@ def _snapshot_from_doc(doc) -> Snapshot:
         d=d,
         W=_array(doc, "model", "W", (n, d)),
         Lambda=_array(doc, "model", "Lambda", (d,)),
-        variance_threshold=config.variance_threshold,
     )
     if not np.array_equal(model.Lambda, model.variance_fractions[:d]):
         raise ValidationError(
@@ -154,9 +153,10 @@ def _snapshot_from_doc(doc) -> Snapshot:
     stored = doc["clusters"]["categories"]
     bound = [c.category for c in sorted(per_cluster, key=lambda c: c.cluster)]
     if bound != stored:
+        got = listed(stored) if isinstance(stored, list) else shown(stored)
         raise ValidationError(
-            f"stored cluster categories {stored} disagree with "
-            f"{bound}, the labels bound by descending projection"
+            f"stored cluster categories {got} disagree with "
+            f"{listed(bound)}, the labels bound by descending projection"
         )
     column_min = _array(doc, "normalization", "column_min", (n,))
     column_max = _array(doc, "normalization", "column_max", (n,))

@@ -222,7 +222,7 @@ def test_criterion_7_ordering_invariances(country_config, country_dataset):
         flipped = np.array(model.components)
         flipped[:, p] = -flipped[:, p]
         model2 = derive_weights(
-            flipped, model.variance_fractions, model.variance_threshold
+            flipped, model.variance_fractions, country_config.variance_threshold
         )
         assert model2.d == model.d
         assert np.array_equal(model2.W, model.W)

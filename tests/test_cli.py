@@ -3,6 +3,7 @@ import json
 import shutil
 import tempfile
 import types
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -970,5 +971,63 @@ def test_k_above_distinct_objects_names_the_data_file(workdir, capsys, command):
     assert code == 1
     assert capsys.readouterr().err == (
         f"error: {data}: k=7 exceeds the number of distinct points (3)\n"
+    )
+    assert not (workdir / "out").exists()
+
+
+_RATINGS_HEADER = "object,cluster,projection,category\n"
+
+
+def _config_with(**changes):
+    """The bundled config's JSON text, each key of ``changes`` set to its
+    value, or left out where the value is None."""
+    cfg = {**BUNDLED_CONFIG, **changes}
+    return json.dumps({key: value for key, value in cfg.items() if value is not None})
+
+
+@pytest.mark.parametrize("command, flag, text, message", [
+    ("run", "--data", "", "empty file"),
+    ("assign", "--data", "", "empty file"),
+    ("score", "--ratings", _RATINGS_HEADER, "empty ratings file"),
+    ("score", "--ratings", "", "empty ratings file"),
+    ("run", "--config", "[]", "config must be a JSON object"),
+    ("assign", "--snapshot", "[]", "snapshot must be a JSON object"),
+    ("run", "--config", _config_with(indicators=None), "config is missing the 'indicators' key"),
+    ("run", "--config", _config_with(labels=None), "config is missing the 'labels' key"),
+    ("run", "--config", _config_with(labels=["AAA", "AA", "A", "AA", "BB", "B", "CCC"]),
+     "'labels[3]' repeats 'AA'"),
+], ids=["run-empty-data", "assign-empty-data", "ratings-header-only", "ratings-empty",
+        "config-list", "snapshot-list", "no-indicators", "no-labels", "repeated-label"])
+def test_bad_input_names_its_file_and_writes_nothing(
+    workdir, data_dir, country_run, capsys, command, flag, text, message
+):
+    save_snapshot(country_run.snapshot, workdir / "snapshot.json")
+    inputs = {
+        "run": {"--config": workdir / "config.json", "--data": workdir / "data.csv"},
+        "assign": {"--snapshot": workdir / "snapshot.json", "--data": workdir / "data.csv"},
+        "score": {"--ratings": data_dir / "table8_model_categories.csv",
+                  "--reference": workdir / "reference.csv"},
+    }[command]
+    bad = workdir / "bad"
+    bad.write_text(text, encoding="utf-8")
+    inputs[flag] = bad
+    code = run_cli(command, *chain.from_iterable(inputs.items()), "--out-dir", workdir / "out")
+    assert code == 1
+    assert capsys.readouterr().err == f"error: {bad}: {message}\n"
+    assert not (workdir / "out").exists()
+
+
+def test_eigensolver_failure_exits_2_and_writes_nothing(workdir, capsys, monkeypatch):
+    def eigh(matrix):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigh", eigh)
+    code = run_cli(
+        "run", "--config", workdir / "config.json", "--data", workdir / "data.csv",
+        "--out-dir", workdir / "out",
+    )
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "numerical failure: eigensolver failed: Eigenvalues did not converge\n"
     )
     assert not (workdir / "out").exists()

@@ -18,6 +18,7 @@ from relarm.dataset import (
     Direction,
     IndicatorSpec,
     RawDataset,
+    check_indicators,
     load_dataset,
     parse_indicator_specs,
 )
@@ -108,6 +109,23 @@ def test_header_errors_echo_a_huge_name_short(tmp_path, header, names, message, 
 
 
 BUNDLED = Path(__file__).resolve().parents[1] / "src" / "relarm" / "data"
+# repr(f"collapse_table.{HUGE}"), cut at 60
+COLLAPSE_KEY = re.escape(f"'collapse_table.{'x' * 44}… (100017 characters)")
+# seven labels, each cut on its own
+LABELS = [HUGE + str(i) for i in range(7)]
+LISTED_LABELS = re.escape(
+    "[" + ", ".join(f"'{'x' * 59}… (100003 characters)" for _ in LABELS) + "]"
+)
+
+
+def test_collapse_target_outside_huge_labels_is_short():
+    raw = json.loads((BUNDLED / "country_config.json").read_text(encoding="utf-8"))
+    raw.update(labels=LABELS, collapse_table={"AA+": "ZZZ"})
+    with pytest.raises(ValidationError) as info:
+        config_from_dict(raw)
+    message = rf"'collapse_table.AA\+' must be one of the labels {LISTED_LABELS}, got 'ZZZ'"
+    assert re.fullmatch(message, str(info.value)), str(info.value)
+    assert len(str(info.value)) < 1000
 
 
 @pytest.mark.parametrize("key, value, message", [
@@ -117,7 +135,14 @@ BUNDLED = Path(__file__).resolve().parents[1] / "src" / "relarm" / "data"
      r"'collapse_table.AA\+' must be one of the labels \[.*\], " rf"got {SHOWN}"),
     ("distance", HUGE, rf"'distance' must be \"euclidean\", got {SHOWN}"),
     (HUGE, 1, rf"unknown key {SHOWN}"),
-], ids=["labels", "collapse-table", "collapse-value", "fixed-key", "unknown-key"])
+    ("collapse_table", {HUGE: "ZZZ"},
+     rf"{COLLAPSE_KEY} must be one of the labels \[.*\], got 'ZZZ'"),
+    ("collapse_table", {HUGE: 5}, rf"{COLLAPSE_KEY} must be a string, got 5"),
+    ("indicators", [{"name": "x", "direction": "positive", HUGE: 1}],
+     re.escape(f"unknown key 'indicators[0].{'x' * 45}… (100016 characters)")),
+    ("labels", ["AAA", HUGE, "A", "BBB", "BB", HUGE, "CCC"], rf"'labels\[5\]' repeats {SHOWN}"),
+], ids=["labels", "collapse-table", "collapse-value", "fixed-key", "unknown-key",
+        "collapse-key", "collapse-key-value", "indicator-key", "repeated-label"])
 def test_config_errors_echo_a_huge_value_short(key, value, message):
     raw = json.loads((BUNDLED / "country_config.json").read_text(encoding="utf-8"))
     raw[key] = value
@@ -139,7 +164,13 @@ def test_config_errors_echo_a_huge_value_short(key, value, message):
                   doc["normalization"]["column_max"].__setitem__(0, 1.5e308)),
      rf"'normalization': column {SHOWN}: the width hi - lo of its range "
      r"\[-1.5e\+308, 1.5e\+308\] is not a finite number"),
-], ids=["format", "d", "range-order", "range-width"])
+    (lambda doc: doc["clusters"]["categories"].__setitem__(0, HUGE),
+     rf"stored cluster categories \[{SHOWN}, [^…]*\] disagree with \[[^…]*\], "
+     r"the labels bound by descending projection"),
+    (lambda doc: doc["clusters"].__setitem__("categories", HUGE),
+     rf"stored cluster categories {SHOWN} disagree with \[[^…]*\], "
+     r"the labels bound by descending projection"),
+], ids=["format", "d", "range-order", "range-width", "stored-category", "stored-categories"])
 def test_snapshot_errors_echo_a_huge_value_short(tmp_path, country_run, edit, message):
     path = tmp_path / "snapshot.json"
     save_snapshot(country_run.snapshot, path)
@@ -211,6 +242,24 @@ def test_uncollapsible_category_echoes_a_huge_value_short():
         rf"^reference category {SHOWN} does not collapse to any scale label \['A', 'B'\]$"
     )):
         collapse_category(HUGE, RatingScale(("A", "B")))
+
+
+def test_uncollapsible_category_echoes_huge_labels_short():
+    with pytest.raises(ValidationError) as info:
+        collapse_category("Q", RatingScale(tuple(LABELS)))
+    message = rf"reference category 'Q' does not collapse to any scale label {LISTED_LABELS}"
+    assert re.fullmatch(message, str(info.value)), str(info.value)
+    assert len(str(info.value)) < 1000
+
+
+def test_indicator_mismatch_echoes_a_huge_name_short():
+    """``check_indicators``, as a library caller meets it: a dataset read
+    against other declarations than the snapshot's."""
+    with pytest.raises(ValidationError, match=(
+        rf"^dataset indicator 1 is {SHOWN} \(positive\), but the snapshot declares "
+        r"'x' \(positive\)$"
+    )):
+        check_indicators(specs(HUGE), specs("x"), "the snapshot")
 
 
 def test_skipped_reference_object_warning_is_short(tmp_path, capsys):

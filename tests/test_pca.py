@@ -52,7 +52,7 @@ class TestFitPca:
         assert model.variance_fractions[1] == 0.0
         assert model.W[0, 0] == pytest.approx(0.0, abs=1e-12)
 
-    def test_invariants_on_country_data(self, country_run):
+    def test_invariants_on_country_data(self, country_config, country_run):
         model = country_run.snapshot.model
         n = model.n_indicators
         # l1 norms of all components
@@ -68,8 +68,9 @@ class TestFitPca:
             model.W, np.abs(model.components[:, : model.d])
         )
         cum = np.cumsum(f)
-        assert cum[model.d - 1] >= model.variance_threshold
-        assert model.d == 1 or cum[model.d - 2] < model.variance_threshold
+        threshold = country_config.variance_threshold
+        assert cum[model.d - 1] >= threshold
+        assert model.d == 1 or cum[model.d - 2] < threshold
 
     def test_threshold_validation(self, country_run):
         b = np.array([[0.0, 1.0], [1.0, 0.0], [0.3, 0.6]])
