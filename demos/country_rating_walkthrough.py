@@ -23,7 +23,7 @@ from relarm.rating import REPORT_FOOTER, bind_categories
 
 data = resources.files("relarm") / "data"
 config = load_config(data / "country_config.json")
-dataset = load_dataset(data / "country_raw.csv", data / "country_config.json")
+dataset = load_dataset(data / "country_raw.csv", config.indicators)
 print(f"loaded {dataset.n_objects} objects x {dataset.n_indicators} indicators")
 
 # 1. direction-aware min-max scaling onto [0, 1]

@@ -21,7 +21,7 @@ from relarm.io import read_reference_csv
 
 data = resources.files("relarm") / "data"
 config = load_config(data / "country_config.json")
-dataset = load_dataset(data / "country_raw.csv", data / "country_config.json")
+dataset = load_dataset(data / "country_raw.csv", config.indicators)
 
 outputs = run_pipeline(config, dataset)
 

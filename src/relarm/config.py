@@ -35,8 +35,9 @@ class PipelineConfig:
                 f"rating scale has {len(self.labels)} labels but k={self.k}"
             )
         RatingScale(self.labels)  # uniqueness check
-        if self.restarts < 1 or self.max_iterations < 1:
-            raise ValidationError("restarts and max_iterations must be >= 1")
+        for key in ("restarts", "max_iterations"):
+            if getattr(self, key) < 1:
+                raise ValidationError(f"'{key}' must be >= 1, got {getattr(self, key)}")
         for fine, coarse in self.collapse_table.items():
             if coarse not in self.labels:
                 raise ValidationError(

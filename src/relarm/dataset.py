@@ -7,7 +7,6 @@ import enum
 import io
 import json
 import math
-import os
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import chain, zip_longest
@@ -157,17 +156,10 @@ def checked(value, kind, label: str):
 
 
 def parse_indicator_specs(obj) -> tuple[IndicatorSpec, ...]:
-    """Parse indicator declarations from decoded JSON.
-
-    Accepts either a bare list of indicator dicts or a config object
-    with an ``indicators`` key.
-    """
-    if isinstance(obj, dict):
-        if "indicators" not in obj:
-            raise ValidationError("config file has no 'indicators' key")
-        obj = obj["indicators"]
+    """A config's decoded ``indicators``: a non-empty list of objects, each
+    with a ``name``, a ``direction`` and, optionally, ``pre_normalized``."""
     if not isinstance(obj, list) or not obj:
-        raise ValidationError("indicator spec must be a non-empty list")
+        raise ValidationError(f"'indicators' must be a non-empty list, got {shown(obj)}")
     specs = []
     for i, entry in enumerate(obj):
         if not isinstance(entry, dict) or "name" not in entry:
@@ -192,45 +184,30 @@ def parse_indicator_specs(obj) -> tuple[IndicatorSpec, ...]:
     return tuple(specs)
 
 
-def load_dataset(path, spec, each=None) -> RawDataset:
-    """Read a CSV data table against its indicator declarations.
-
-    ``spec`` is either the declarations themselves or a JSON file holding
-    them (see :func:`parse_indicator_specs`).  The CSV has a header row of
-    indicator names and one object id in the first column of each row.
-    Columns are reordered to the spec's order.
+def load_dataset(path, specs, each=None) -> RawDataset:
+    """Read a CSV data table against the indicator declarations ``specs``,
+    a config's ``indicators`` (``load_config(p).indicators``).  The CSV has
+    a header row of indicator names and one object id in the first column
+    of each row.  Columns are reordered to the declarations' order.
 
     The header must name each declared indicator exactly once.  The data
-    lines are cut into shares (see :func:`_parse_plain`), each parsed by
-    numpy's C parser; a share that parser declines or reads as non-finite
-    is parsed on its own by ``csv`` and per-cell ``float()``, which gives
-    the same values and names the offending cell, by file row, in its
-    errors.  A text with a quote, or with no data line, is parsed whole
-    that way.
+    lines are parsed share by share (see :func:`_parse_plain`); a share
+    that numpy's C parser declines or reads as non-finite is parsed cell by
+    cell, which gives the same values and names a bad cell by its file row.
 
     With ``each``, ``each(ids, values)`` is called in this process on the
     rows of every share, in file order, as soon as the share is parsed: a
-    list of ids and their read-only values, columns in the spec's order.
-    The table is checked as a whole only after the last share, so ``each``
-    may see rows that the check then rejects.
+    list of ids and their read-only values, columns in the declarations'
+    order.  The table is checked as a whole only after the last share, so
+    ``each`` may see rows that the check then rejects.
     """
-    if isinstance(spec, (str, os.PathLike)):
-        with naming(spec):
-            specs = parse_indicator_specs(read_json(spec))
-    else:
-        specs = tuple(spec)
+    specs = tuple(specs)
     with naming(path):
         with open(path, "rb") as fh:
             data = fh.read()
         if not data.isascii():
             _decoded(data)  # an undecodable byte is reported before any other fault
-        table = _parse_plain(data, specs, each)
-        if table is None:
-            rows = list(csv.reader(io.StringIO(data.decode("utf-8"), newline="")))
-            table = _parse_rows(rows, specs)
-            if each is not None:
-                each(table[0], _freeze(table[1]))
-        objects, values = table
+        objects, values = _parse_plain(data, specs, each)
         return RawDataset(objects=tuple(objects), indicators=specs, values=values)
 
 
@@ -266,11 +243,11 @@ def _decoded(data: bytes) -> str:
 
 def _parse_plain(
     data: bytes, specs: tuple[IndicatorSpec, ...], each=None
-) -> tuple[list[str], np.ndarray] | None:
-    """Ids and values of the UTF-8 table ``data``, share by share, or None
-    for a text that the cut at line ends cannot serve: one with a quote,
-    an empty one or a header alone (see :func:`load_dataset`).  A bad
-    header raises here, as it would on the per-cell path.
+) -> tuple[list[str], np.ndarray]:
+    """Ids and values of the UTF-8 table ``data``, share by share; a text
+    that the cut at line ends cannot serve, one with a quote (a quoted
+    cell may hold a line end), an empty one or a header alone, is parsed
+    whole, cell by cell, by :func:`_parse_rows`.
 
     Lines end as ``csv`` ends them: at ``\\r\\n``, ``\\r`` or ``\\n``.  The
     bytes are cut at line ends into ``_fork.processes(len(data))`` shares,
@@ -281,15 +258,18 @@ def _parse_plain(
     they are parsed, while the later shares are still parsing
     (:func:`_fork.fork_map`).
     """
-    if b'"' in data or not data:
-        return None
-    if b"\r" in data:
+    quoted = b'"' in data
+    if b"\r" in data and not quoted:
         data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
     start = data.find(b"\n") + 1 or len(data)
+    if quoted or start == len(data):  # no share to cut: the whole text, cell by cell
+        rows = list(csv.reader(io.StringIO(data.decode("utf-8"), newline="")))
+        ids, values = _parse_rows(rows, specs)
+        if each is not None:
+            each(ids, _freeze(values))
+        return ids, values
     header = [c.strip() for c in data[:start].decode("utf-8").split(",")]
     usecols = _columns(header, specs)
-    if start == len(data):  # no data line
-        return None
     workers = _fork.processes(len(data))
     size = len(data) - start
     cuts = {data.find(b"\n", start + size * i // workers) + 1 for i in range(1, workers)}

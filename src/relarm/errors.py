@@ -20,11 +20,14 @@ class NumericalError(RelarmError, ArithmeticError):
 def naming(where):
     """A block whose ``ValidationError``, or ``csv.Error`` from a CSV it
     reads, is raised again as a ``ValidationError`` that starts with
-    ``where``: the file, or the section of one, that is at fault."""
+    ``where``: the file, or the section of one, that is at fault; a
+    ``NumericalError`` is raised again as one with the same start."""
     try:
         yield
     except (ValidationError, csv.Error) as exc:
         raise ValidationError(f"{where}: {exc}") from None
+    except NumericalError as exc:
+        raise NumericalError(f"{where}: {exc}") from None
 
 
 def shown(value) -> str:
@@ -34,6 +37,11 @@ def shown(value) -> str:
     return text if len(text) <= 60 else f"{text[:60]}… ({len(text)} characters)"
 
 
+LISTED_MAX = 20  # the elements a message quotes of a list
+
+
 def listed(values) -> str:
-    """The repr of the list ``values``, each element quoted by :func:`shown`."""
-    return "[" + ", ".join(map(shown, values)) + "]"
+    """The repr of the list ``values``, each element quoted by :func:`shown`;
+    past :data:`LISTED_MAX` elements, the first of them and how many more."""
+    more = [f"… ({len(values) - LISTED_MAX} more)"] if len(values) > LISTED_MAX else []
+    return "[" + ", ".join([*map(shown, values[:LISTED_MAX]), *more]) + "]"

@@ -161,8 +161,8 @@ def country_config():
 
 
 @pytest.fixture(scope="session")
-def country_dataset():
-    return load_dataset(DATA / "country_raw.csv", DATA / "country_config.json")
+def country_dataset(country_config):
+    return load_dataset(DATA / "country_raw.csv", country_config.indicators)
 
 
 @pytest.fixture(scope="session")

@@ -16,7 +16,7 @@ from relarm.cli import main
 from relarm.clustering import kmeans
 from relarm.config import config_from_dict, load_config
 from relarm.dataset import load_dataset
-from relarm.errors import ValidationError
+from relarm.errors import ValidationError, shown
 from relarm.normalize import normalize_dataset
 from relarm.snapshot import load_snapshot, save_snapshot
 from conftest import FORK_CPUS, ForkDecided, decide_only, parse_plain
@@ -559,9 +559,6 @@ def _long_first_cell(text):
 _HOSTILE = {
     "config-nested": ("config", "config.json", lambda t: _NESTED, "invalid JSON: "),
     "config-digits": ("config", "config.json", lambda t: _json_with(t, ["k"], _DIGITS), ""),
-    "spec-nested": ("spec", "spec.json", lambda t: _NESTED, "invalid JSON: "),
-    "spec-digits": ("spec", "spec.json",
-                    lambda t: _json_with(t, ["indicators", 0, "name"], _DIGITS), ""),
     "snapshot-nested": ("snapshot", "snapshot.json", lambda t: _NESTED, "invalid JSON: "),
     "snapshot-digits": ("snapshot", "snapshot.json",
                         lambda t: _json_with(t, ["config", "k"], _DIGITS), ""),
@@ -590,24 +587,18 @@ def test_input_past_a_decoder_limit_names_its_file(workdir, data_dir, country_ru
     entry beyond the float range, is one ``ValidationError`` that starts
     with its path: exit 1 and one stderr line from the CLI, no traceback."""
     reader, name, hostile, problem = _HOSTILE[case]
-    shutil.copy(workdir / "config.json", workdir / "spec.json")
     shutil.copy(data_dir / "table8_model_categories.csv", workdir / "ratings.csv")
     save_snapshot(country_run.snapshot, workdir / "snapshot.json")
     path = workdir / name
     path.write_text(hostile(path.read_text(encoding="utf-8")), encoding="utf-8")
     config, data, snapshot, ratings, reference = (workdir / f for f in (
         "config.json", "data.csv", "snapshot.json", "ratings.csv", "reference.csv"))
-    if reader == "spec":  # the CLI reads indicators only from the config
-        with pytest.raises(ValidationError) as info:
-            load_dataset(data, path)
-        err = f"error: {info.value}\n"
-    else:
-        fit = ["run", "--config", config, "--data", data]
-        score = ["score", "--ratings", ratings, "--reference", reference]
-        argv = {"config": fit, "data": fit, "ratings": score, "reference": score,
-                "snapshot": ["assign", "--snapshot", snapshot, "--data", data]}[reader]
-        assert run_cli(*argv, "--out-dir", workdir / "out") == 1
-        err = capsys.readouterr().err
+    fit = ["run", "--config", config, "--data", data]
+    score = ["score", "--ratings", ratings, "--reference", reference]
+    argv = {"config": fit, "data": fit, "ratings": score, "reference": score,
+            "snapshot": ["assign", "--snapshot", snapshot, "--data", data]}[reader]
+    assert run_cli(*argv, "--out-dir", workdir / "out") == 1
+    err = capsys.readouterr().err
     assert err.startswith(f"error: {path}: {problem}"), err[:300]
     assert err.count("\n") == 1 and "Traceback" not in err, err[:300]
     assert not (workdir / "out").exists()
@@ -978,6 +969,10 @@ def test_k_above_distinct_objects_names_the_data_file(workdir, capsys, command):
 _RATINGS_HEADER = "object,cluster,projection,category\n"
 
 
+# an object holding the indicator list and a stray key, where the list belongs
+_NESTED_INDICATORS = {"indicators": BUNDLED_CONFIG["indicators"], "junk": 1}
+
+
 def _config_with(**changes):
     """The bundled config's JSON text, each key of ``changes`` set to its
     value, or left out where the value is None."""
@@ -996,8 +991,23 @@ def _config_with(**changes):
     ("run", "--config", _config_with(labels=None), "config is missing the 'labels' key"),
     ("run", "--config", _config_with(labels=["AAA", "AA", "A", "AA", "BB", "B", "CCC"]),
      "'labels[3]' repeats 'AA'"),
+    ("run", "--config", _config_with(indicators=_NESTED_INDICATORS),
+     f"'indicators' must be a non-empty list, got {shown(_NESTED_INDICATORS)}"),
+    ("run", "--config", _config_with(indicators=[]),
+     "'indicators' must be a non-empty list, got []"),
+    ("run", "--config", _config_with(variance_threshold=0),
+     "variance_threshold must be in (0, 1], got 0.0"),
+    ("run", "--config", _config_with(variance_threshold=1.5),
+     "variance_threshold must be in (0, 1], got 1.5"),
+    ("run", "--config", _config_with(k=0), "k must be >= 1, got 0"),
+    ("run", "--config", _config_with(labels=["AAA", "AA", "A", "BBB", "BB", "B"]),
+     "rating scale has 6 labels but k=7"),
+    ("run", "--config", _config_with(restarts=0), "'restarts' must be >= 1, got 0"),
+    ("run", "--config", _config_with(max_iterations=0), "'max_iterations' must be >= 1, got 0"),
 ], ids=["run-empty-data", "assign-empty-data", "ratings-header-only", "ratings-empty",
-        "config-list", "snapshot-list", "no-indicators", "no-labels", "repeated-label"])
+        "config-list", "snapshot-list", "no-indicators", "no-labels", "repeated-label",
+        "indicators-object", "indicators-empty", "threshold-0", "threshold-1.5", "k-0",
+        "6-labels-for-k-7", "restarts-0", "max-iterations-0"])
 def test_bad_input_names_its_file_and_writes_nothing(
     workdir, data_dir, country_run, capsys, command, flag, text, message
 ):
@@ -1028,6 +1038,7 @@ def test_eigensolver_failure_exits_2_and_writes_nothing(workdir, capsys, monkeyp
     )
     assert code == 2
     assert capsys.readouterr().err == (
-        "numerical failure: eigensolver failed: Eigenvalues did not converge\n"
+        f"numerical failure: {workdir / 'data.csv'}: eigensolver failed: "
+        "Eigenvalues did not converge\n"
     )
     assert not (workdir / "out").exists()

@@ -1,6 +1,5 @@
 import csv
 import io
-import json
 import os
 import re
 import time
@@ -23,13 +22,8 @@ from relarm.normalize import normalize_dataset
 from conftest import FORK_CPUS, ForkDecided, decide_only, parse_plain, record_shares
 
 
-def write_spec(path, names, directions=None):
-    directions = directions or ["positive"] * len(names)
-    path.write_text(
-        json.dumps(
-            {"indicators": [{"name": n, "direction": d} for n, d in zip(names, directions)]}
-        )
-    )
+def declared(*names):
+    return tuple(IndicatorSpec(n, Direction.POSITIVE) for n in names)
 
 
 def test_country_fixture_loads(country_dataset):
@@ -40,32 +34,28 @@ def test_country_fixture_loads(country_dataset):
 
 
 def test_minimal_two_by_one(tmp_path):
-    write_spec(tmp_path / "spec.json", ["x"])
     (tmp_path / "d.csv").write_text("object,x\na,0.0\nb,1.0\n")
-    ds = load_dataset(tmp_path / "d.csv", tmp_path / "spec.json")
+    ds = load_dataset(tmp_path / "d.csv", declared("x"))
     assert ds.n_objects == 2 and ds.n_indicators == 1
     assert np.array_equal(ds.values.ravel(), [0.0, 1.0])
 
 
 def test_blank_cell_reports_coordinates(tmp_path):
-    write_spec(tmp_path / "spec.json", ["x", "y"])
     (tmp_path / "d.csv").write_text("object,x,y\na,1,2\nb,,4\n")
     with pytest.raises(ValidationError, match=r"row 3.*'x'"):
-        load_dataset(tmp_path / "d.csv", tmp_path / "spec.json")
+        load_dataset(tmp_path / "d.csv", declared("x", "y"))
 
 
 def test_non_numeric_cell(tmp_path):
-    write_spec(tmp_path / "spec.json", ["x"])
     (tmp_path / "d.csv").write_text("object,x\na,1\nb,oops\n")
     with pytest.raises(ValidationError, match=r"row 3.*non-numeric.*'oops'"):
-        load_dataset(tmp_path / "d.csv", tmp_path / "spec.json")
+        load_dataset(tmp_path / "d.csv", declared("x"))
 
 
 def test_duplicate_object_id(tmp_path):
-    write_spec(tmp_path / "spec.json", ["x"])
     (tmp_path / "d.csv").write_text("object,x\na,1\na,2\n")
     with pytest.raises(ValidationError, match="duplicate object ids"):
-        load_dataset(tmp_path / "d.csv", tmp_path / "spec.json")
+        load_dataset(tmp_path / "d.csv", declared("x"))
 
 
 def test_duplicate_object_id_among_many_is_fast():
@@ -89,34 +79,22 @@ def test_duplicate_indicator_names():
 
 
 def test_undeclared_and_missing_columns(tmp_path):
-    write_spec(tmp_path / "spec.json", ["x", "y"])
     (tmp_path / "d.csv").write_text("object,x,z\na,1,2\nb,3,4\n")
     with pytest.raises(ValidationError, match="absent"):
-        load_dataset(tmp_path / "d.csv", tmp_path / "spec.json")
-    write_spec(tmp_path / "spec2.json", ["x"])
+        load_dataset(tmp_path / "d.csv", declared("x", "y"))
     with pytest.raises(ValidationError, match="undeclared"):
-        load_dataset(tmp_path / "d.csv", tmp_path / "spec2.json")
-
-
-def test_repeated_spec_name_names_the_spec_file(tmp_path):
-    write_spec(tmp_path / "spec.json", ["x", "y", "x"])
-    (tmp_path / "d.csv").write_text("object,x,y\na,1,2\nb,3,4\n")
-    with pytest.raises(ValidationError, match=(
-        rf"^{re.escape(str(tmp_path / 'spec.json'))}: 'indicators\[2\].name' repeats 'x'$"
-    )):
-        load_dataset(tmp_path / "d.csv", tmp_path / "spec.json")
+        load_dataset(tmp_path / "d.csv", declared("x"))
 
 
 def test_columns_reordered_to_spec_order(tmp_path):
-    write_spec(tmp_path / "spec.json", ["y", "x"])
     (tmp_path / "d.csv").write_text("object,x,y\na,1,2\nb,3,4\n")
-    ds = load_dataset(tmp_path / "d.csv", tmp_path / "spec.json")
+    ds = load_dataset(tmp_path / "d.csv", declared("y", "x"))
     assert [s.name for s in ds.indicators] == ["y", "x"]
     assert ds.values[0].tolist() == [2.0, 1.0]
 
 
-def test_load_is_deterministic(tmp_path, country_dataset, data_dir):
-    again = load_dataset(data_dir / "country_raw.csv", data_dir / "country_config.json")
+def test_load_is_deterministic(country_config, country_dataset, data_dir):
+    again = load_dataset(data_dir / "country_raw.csv", country_config.indicators)
     assert again == country_dataset
 
 
@@ -131,22 +109,7 @@ def save_dataset(dataset, path):
 
 def test_roundtrip(tmp_path, country_dataset):
     save_dataset(country_dataset, tmp_path / "out.csv")
-    spec = tmp_path / "spec.json"
-    spec.write_text(
-        json.dumps(
-            {
-                "indicators": [
-                    {
-                        "name": s.name,
-                        "direction": s.direction.value,
-                        "pre_normalized": s.pre_normalized,
-                    }
-                    for s in country_dataset.indicators
-                ]
-            }
-        )
-    )
-    assert load_dataset(tmp_path / "out.csv", spec) == country_dataset
+    assert load_dataset(tmp_path / "out.csv", country_dataset.indicators) == country_dataset
 
 
 def test_single_object_rejected():
@@ -261,37 +224,30 @@ def wide_tables(draw):
 
 def outcome(parse):
     """What a parse gave, comparable with ``==``: its ids, value shape and
-    value bytes (bit for bit, signed zeros included), None, or its error
-    text."""
+    value bytes (bit for bit, signed zeros included), or its error text."""
     try:
         table = parse()
     except (ValidationError, csv.Error) as exc:
         return "error", str(exc)
-    if table is None:
-        return None
     return table[0], table[1].shape, table[1].tobytes()
 
 
-def assert_plain_is_per_cell(text, specs, whole):
-    """The one parse policy: of a quote-free text with a data line, the
-    plain parse gives what the per-cell parse of the whole text gives, the
-    same table bit for bit or the same error; of any other text (``whole``,
-    a quote or a header alone), None."""
+def assert_plain_is_per_cell(text, specs):
+    """The one parse policy: of every text, the plain parse gives what the
+    per-cell parse of the whole text gives, the same table bit for bit or
+    the same error."""
     got = outcome(lambda: parse_plain(text, specs))
-    if whole:
-        assert got is None
-    else:
-        rows = list(csv.reader(io.StringIO(text, newline="")))
-        assert got == outcome(lambda: _parse_rows(rows, specs))
+    rows = list(csv.reader(io.StringIO(text, newline="")))
+    assert got == outcome(lambda: _parse_rows(rows, specs))
     return got
 
 
 @settings(max_examples=400, deadline=None)
 @given(tables())
 def test_plain_parse_equals_per_cell_parse(table):
-    text, specs, defect = table
-    got = assert_plain_is_per_cell(text, specs, defect in ("quote", "header"))
-    event("error" if got and got[0] == "error" else "table" if got else "None")
+    text, specs, _ = table
+    got = assert_plain_is_per_cell(text, specs)
+    event("error" if got[0] == "error" else "table")
 
 
 SPECS_XY = (IndicatorSpec("y", Direction.POSITIVE), IndicatorSpec("x", Direction.NEGATIVE))
@@ -304,14 +260,14 @@ SPECS_XY = (IndicatorSpec("y", Direction.POSITIVE), IndicatorSpec("x", Direction
     "object,x,y\ra,1e-320,2\rb,3,4\r",
 ])
 def test_plain_parse_taken(text):
-    got = assert_plain_is_per_cell(text, SPECS_XY, False)
+    got = assert_plain_is_per_cell(text, SPECS_XY)
     assert got[0] != "error"
 
 
 @pytest.mark.parametrize("text", [
-    "object,x,y\n",  # header only: None
+    "object,x,y\n",  # header only: parsed whole
     "object,x,y\na,1,2\n\nb,3,4\n",  # blank line
-    'object,x,y\n"a,b",1,2\nb,3,4\n',  # quoted id: None
+    'object,x,y\n"a,b",1,2\nb,3,4\n',  # quoted id: parsed whole
     "object,x,y\na,1_000,2\nb,3,4\n",  # float()-only syntax
     "object,x,y\na,1,2,3\nb,3,4\n",  # ragged row
     "object,x,y\na,1,2,3\nb,3\n",  # ragged rows whose commas add up
@@ -321,10 +277,10 @@ def test_plain_parse_taken(text):
     "object,x,y\na,nan,2\nb,3,-inf\n",  # non-finite values, which the per-cell path names
 ])
 def test_plain_parse_declined(text):
-    """Texts that numpy's C parser declines: their share is parsed cell by
-    cell, so the plain parse gives the per-cell table or error, and only a
-    quote or a header alone leaves the whole text to the per-cell path."""
-    assert_plain_is_per_cell(text, SPECS_XY, '"' in text or text == "object,x,y\n")
+    """Texts that numpy's C parser declines: their share, or with a quote
+    or a header alone the whole text, is parsed cell by cell, so the plain
+    parse gives the per-cell table or error."""
+    assert_plain_is_per_cell(text, SPECS_XY)
 
 
 @pytest.mark.parametrize("text, specs, message", [
@@ -415,10 +371,10 @@ def serial_parse(text, specs):
 def test_forked_plain_parse_equals_serial(forked_parse, monkeypatch, table, n):
     """The plain parse cut into up to ``n`` shares gives what it gives in
     one, and that is what the per-cell parse gives."""
-    text, specs, defect = table
+    text, specs, _ = table
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
     before = len(forked_parse)
-    got = assert_plain_is_per_cell(text, specs, defect in ("quote", "header"))
+    got = assert_plain_is_per_cell(text, specs)
     event("forked" if len(forked_parse) > before else "one share")
     assert got == outcome(lambda: serial_parse(text, specs))
 
@@ -439,7 +395,7 @@ def test_forked_plain_parse_of_few_rows(forked_parse, text, ids):
     CPUs left over get none.  A share sends its ids back joined by newlines:
     a share of one row gives back one id, even an empty one."""
     got = outcome(lambda: parse_plain(text, SPECS_XY))
-    assert got is not None and got[0] == ids
+    assert got[0] == ids
     assert len(forked_parse) == len(ids) - 1
     assert got == outcome(lambda: serial_parse(text, SPECS_XY))
 

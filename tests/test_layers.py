@@ -53,10 +53,10 @@ def test_every_declared_self_time_resolves():
         ), f"relarm.{name} does not resolve"
 
 
-def test_probes_read_real_results(data_dir):
+def test_probes_read_real_results(data_dir, country_config):
     spans = _spans()
     path = data_dir / "country_raw.csv"
-    args = (path, data_dir / "country_config.json")
+    args = (path, country_config.indicators)
     counts = spans.PROBES["dataset.load_dataset"](args, load_dataset(*args))
     assert counts == {"rows": 30, "bytes_in": path.stat().st_size}
 

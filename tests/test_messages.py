@@ -22,7 +22,7 @@ from relarm.dataset import (
     load_dataset,
     parse_indicator_specs,
 )
-from relarm.errors import ValidationError
+from relarm.errors import LISTED_MAX, ValidationError, listed
 from relarm.io import read_ratings_csv, read_reference_csv
 from relarm.normalize import ConstantColumnWarning, normalize_dataset, range_width
 from relarm.rating import RatingScale, collapse_category
@@ -108,6 +108,34 @@ def test_header_errors_echo_a_huge_name_short(tmp_path, header, names, message, 
     assert len(got) - len(str(path)) < 200
 
 
+MANY = [f"c{j}" for j in range(100_000)]
+# the first LISTED_MAX names, then the count of the rest
+MANY_LISTED = re.escape(
+    "[" + ", ".join(repr(n) for n in MANY[:LISTED_MAX])
+    + f", … ({len(MANY) - LISTED_MAX} more)]"
+)
+
+
+def test_a_list_is_cut_past_its_first_elements():
+    assert listed(range(LISTED_MAX)) == repr(list(range(LISTED_MAX)))
+    assert listed(range(LISTED_MAX + 1)) == (
+        repr(list(range(LISTED_MAX)))[:-1] + ", … (1 more)]"
+    )
+
+
+@pytest.mark.parametrize("quoted", [False, True], ids=["plain", "per-cell"])
+def test_a_header_of_many_undeclared_names_is_short(tmp_path, quoted):
+    path = tmp_path / "d.csv"
+    ident = '"a"' if quoted else "a"
+    path.write_text(f"object,x,{','.join(MANY)}\n{ident},1{',0' * len(MANY)}\n",
+                    encoding="utf-8")
+    got = error(lambda p: load_dataset(p, specs("x")), path)
+    assert re.fullmatch(
+        rf"{re.escape(str(path))}: columns present but undeclared: {MANY_LISTED}", got
+    ), got[:300]
+    assert len(got) - len(str(path)) < 400
+
+
 BUNDLED = Path(__file__).resolve().parents[1] / "src" / "relarm" / "data"
 # repr(f"collapse_table.{HUGE}"), cut at 60
 COLLAPSE_KEY = re.escape(f"'collapse_table.{'x' * 44}… (100017 characters)")
@@ -179,6 +207,20 @@ def test_snapshot_errors_echo_a_huge_value_short(tmp_path, country_run, edit, me
     path.write_text(json.dumps(doc), encoding="utf-8")
     got = error(load_snapshot, path)
     assert re.fullmatch(rf"{re.escape(str(path))}: {message}", got), got
+
+
+def test_many_stored_categories_are_short(tmp_path, country_run):
+    path = tmp_path / "snapshot.json"
+    save_snapshot(country_run.snapshot, path)
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    doc["clusters"]["categories"] = MANY
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    got = error(load_snapshot, path)
+    assert re.fullmatch(
+        rf"{re.escape(str(path))}: stored cluster categories {MANY_LISTED} disagree with "
+        r"\[[^…]*\], the labels bound by descending projection", got
+    ), got[:300]
+    assert len(got) - len(str(path)) < 400
 
 
 def specs_of(*names, pre_normalized=False):

@@ -255,6 +255,8 @@ def _overflow_range(doc):
      "'indicators[0].pre_normalized'"),
     (lambda doc: doc["config"]["indicators"][1].__setitem__("name", "gdp_growth"),
      "'config': 'indicators[1].name' repeats 'gdp_growth'"),
+    (lambda doc: doc["config"].__setitem__("indicators", {"indicators": []}),
+     "'config': 'indicators' must be a non-empty list, got {"),
     (lambda doc: doc["clusters"]["centers"][0].__setitem__(0, float("nan")),
      "'clusters.centers'"),
     (lambda doc: doc["normalization"]["column_max"].__setitem__(1, float("inf")),
@@ -268,8 +270,8 @@ def _overflow_range(doc):
      "range [-1e+308, 1e+308] is not a finite number"),
 ], ids=["ragged-center", "ragged-W", "no-clusters", "no-Lambda", "center-missing",
         "W-not-numbers", "config-k", "config-k-float", "config-center-string",
-        "config-pre-normalized-int", "config-repeated-name", "center-nan",
-        "column-max-infinite", "format-version-4", "Lambda-tripled",
+        "config-pre-normalized-int", "config-repeated-name", "config-indicators-object",
+        "center-nan", "column-max-infinite", "format-version-4", "Lambda-tripled",
         "projections-times-7", "ranges-swapped", "range-overflows"])
 def test_load_rejects_malformed_snapshot(tmp_path, country_run, edit, key):
     path = tmp_path / "snapshot.json"
