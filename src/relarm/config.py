@@ -1,11 +1,12 @@
-"""Pipeline configuration: indicator declarations plus run parameters."""
+"""Pipeline configuration: the run settings, and the keys and JSON types a
+config file, or a snapshot's ``config``, may hold, decided here alone."""
 
 from __future__ import annotations
 
 import json
 from dataclasses import MISSING, asdict, dataclass, field, fields
 
-from .dataset import IndicatorSpec, checked, parse_indicator_specs, read_json, typed
+from .dataset import Direction, IndicatorSpec, _read_text
 from .errors import ValidationError, listed, naming, shown
 from .rating import RatingScale
 
@@ -26,13 +27,13 @@ class PipelineConfig:
     def __post_init__(self) -> None:
         if not 0.0 < self.variance_threshold <= 1.0:
             raise ValidationError(
-                f"variance_threshold must be in (0, 1], got {self.variance_threshold}"
+                f"'variance_threshold' must be in (0, 1], got {self.variance_threshold}"
             )
         if self.k < 1:
-            raise ValidationError(f"k must be >= 1, got {self.k}")
+            raise ValidationError(f"'k' must be >= 1, got {self.k}")
         if len(self.labels) != self.k:
             raise ValidationError(
-                f"rating scale has {len(self.labels)} labels but k={self.k}"
+                f"'labels' holds {len(self.labels)} labels but 'k' is {self.k}"
             )
         RatingScale(self.labels)  # uniqueness check
         for key in ("restarts", "max_iterations"):
@@ -53,6 +54,53 @@ class PipelineConfig:
 # settings with one value in the model, accepted only at it: format-1 and
 # format-2 snapshots store them
 _FIXED = {"distance": "euclidean", "center": True}
+
+_KINDS = {int: "an integer", float: "a number", bool: "true or false", str: "a string"}
+
+
+def checked(value, kind, label: str):
+    """``value`` checked to be a JSON ``kind``: an integer (not a boolean)
+    for int, any number for float, true or false for bool, a string for
+    str.  Anything else is a ``ValidationError`` naming ``label``."""
+    if kind is int or kind is float:
+        ok = isinstance(value, int if kind is int else (int, float))
+        ok = ok and not isinstance(value, bool)
+    else:
+        ok = isinstance(value, kind)
+    if not ok:
+        raise ValidationError(f"{shown(label)} must be {_KINDS[kind]}, got {shown(value)}")
+    try:
+        return kind(value)
+    except OverflowError:  # an integer beyond the float range
+        raise ValidationError(f"{shown(label)} is too large, got {shown(value)}") from None
+
+
+def parse_indicator_specs(obj) -> tuple[IndicatorSpec, ...]:
+    """A config's decoded ``indicators``: a non-empty list of objects, each
+    with a ``name``, a ``direction`` and, optionally, ``pre_normalized``."""
+    if not isinstance(obj, list) or not obj:
+        raise ValidationError(f"'indicators' must be a non-empty list, got {shown(obj)}")
+    specs = []
+    for i, entry in enumerate(obj):
+        at = f"indicators[{i}]"
+        if not isinstance(entry, dict) or "name" not in entry:
+            raise ValidationError(f"{at} must be an object with a 'name', got {shown(entry)}")
+        for key in entry:
+            if key not in ("name", "direction", "pre_normalized"):
+                raise ValidationError(f"unknown key {shown(f'{at}.{key}')}")
+        value = entry.get("direction")
+        try:
+            direction = Direction(str(value).lower())
+        except ValueError:
+            raise ValidationError(
+                f"'{at}.direction' must be 'positive' or 'negative', got {shown(value)}"
+            ) from None
+        name = checked(entry["name"], str, f"{at}.name")
+        if name in (s.name for s in specs):
+            raise ValidationError(f"'{at}.name' repeats {shown(name)}")
+        flag = checked(entry.get("pre_normalized", False), bool, f"{at}.pre_normalized")
+        specs.append(IndicatorSpec(name, direction, flag))
+    return tuple(specs)
 
 
 def config_from_dict(raw: dict) -> PipelineConfig:
@@ -81,16 +129,27 @@ def config_from_dict(raw: dict) -> PipelineConfig:
         checked(coarse, str, f"collapse_table.{fine}")
     return PipelineConfig(
         parse_indicator_specs(raw["indicators"]),
-        typed(raw, "k", int),
+        checked(raw["k"], int, "k"),
         tuple(checked(x, str, f"labels[{i}]") for i, x in enumerate(raw["labels"])),
         # the scalar settings, each of its default's type
         **{
-            f.name: typed(raw, f.name, type(f.default), f.default)
+            f.name: checked(raw.get(f.name, f.default), type(f.default), f.name)
             for f in settings
             if f.default is not MISSING
         },
         collapse_table=dict(collapse_table),
     )
+
+
+def read_json(path):
+    """Decode a JSON file; a file that is not UTF-8 JSON, or that ``json``
+    cannot decode (nested past the recursion limit, an integer past the
+    digit limit), is a ``ValidationError``."""
+    text = _read_text(path)
+    try:
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        raise ValidationError(f"invalid JSON: {exc}") from None
 
 
 def load_config(path) -> PipelineConfig:

@@ -1,11 +1,11 @@
-"""Loading and validation of the raw rating-object/indicator table."""
+"""Loading and validation of the raw rating-object/indicator table, read
+against indicator declarations that ``config`` has parsed."""
 
 from __future__ import annotations
 
 import csv
 import enum
 import io
-import json
 import math
 from collections import Counter
 from dataclasses import dataclass, field
@@ -129,66 +129,13 @@ def _describe(spec: IndicatorSpec | None) -> str:
     return f"{shown(spec.name)} ({spec.direction.value}{flag})"
 
 
-_KINDS = {int: "an integer", float: "a number", bool: "true or false", str: "a string"}
-
-
-def typed(obj: dict, key: str, kind, default=None, label=None):
-    """``obj[key]``, or ``default`` when absent, checked by :func:`checked`
-    under ``label`` (default: the key)."""
-    return checked(obj.get(key, default), kind, label or key)
-
-
-def checked(value, kind, label: str):
-    """``value`` checked to be a JSON ``kind``: an integer (not a boolean)
-    for int, any number for float, true or false for bool, a string for
-    str.  Anything else is a ``ValidationError`` naming ``label``."""
-    if kind is int or kind is float:
-        ok = isinstance(value, int if kind is int else (int, float))
-        ok = ok and not isinstance(value, bool)
-    else:
-        ok = isinstance(value, kind)
-    if not ok:
-        raise ValidationError(f"{shown(label)} must be {_KINDS[kind]}, got {shown(value)}")
-    try:
-        return kind(value)
-    except OverflowError:  # an integer beyond the float range
-        raise ValidationError(f"{shown(label)} is too large, got {shown(value)}") from None
-
-
-def parse_indicator_specs(obj) -> tuple[IndicatorSpec, ...]:
-    """A config's decoded ``indicators``: a non-empty list of objects, each
-    with a ``name``, a ``direction`` and, optionally, ``pre_normalized``."""
-    if not isinstance(obj, list) or not obj:
-        raise ValidationError(f"'indicators' must be a non-empty list, got {shown(obj)}")
-    specs = []
-    for i, entry in enumerate(obj):
-        if not isinstance(entry, dict) or "name" not in entry:
-            raise ValidationError(
-                f"indicators[{i}] must be an object with a 'name', got {shown(entry)}"
-            )
-        for key in entry:
-            if key not in ("name", "direction", "pre_normalized"):
-                raise ValidationError(f"unknown key {shown(f'indicators[{i}].{key}')}")
-        try:
-            direction = Direction(str(entry["direction"]).lower())
-        except (KeyError, ValueError):
-            raise ValidationError(
-                f"indicator {shown(entry['name'])}: direction must be "
-                f"'positive' or 'negative'"
-            ) from None
-        name = typed(entry, "name", str, label=f"indicators[{i}].name")
-        if name in (s.name for s in specs):
-            raise ValidationError(f"'indicators[{i}].name' repeats {shown(name)}")
-        flag = typed(entry, "pre_normalized", bool, False, f"indicators[{i}].pre_normalized")
-        specs.append(IndicatorSpec(name, direction, flag))
-    return tuple(specs)
-
-
 def load_dataset(path, specs, each=None) -> RawDataset:
     """Read a CSV data table against the indicator declarations ``specs``,
     a config's ``indicators`` (``load_config(p).indicators``).  The CSV has
     a header row of indicator names and one object id in the first column
     of each row.  Columns are reordered to the declarations' order.
+    ``specs`` that holds anything else, a config's path or its raw
+    ``indicators`` entries, is a ``TypeError``.
 
     The header must name each declared indicator exactly once.  The data
     lines are parsed share by share (see :func:`_parse_plain`); a share
@@ -202,6 +149,10 @@ def load_dataset(path, specs, each=None) -> RawDataset:
     ``each`` may see rows that the check then rejects.
     """
     specs = tuple(specs)
+    if not all(isinstance(s, IndicatorSpec) for s in specs):
+        raise TypeError(
+            "specs must be IndicatorSpec declarations, such as load_config(path).indicators"
+        )
     with naming(path):
         with open(path, "rb") as fh:
             data = fh.read()
@@ -209,17 +160,6 @@ def load_dataset(path, specs, each=None) -> RawDataset:
             _decoded(data)  # an undecodable byte is reported before any other fault
         objects, values = _parse_plain(data, specs, each)
         return RawDataset(objects=tuple(objects), indicators=specs, values=values)
-
-
-def read_json(path):
-    """Decode a JSON file; a file that is not UTF-8 JSON, or that ``json``
-    cannot decode (nested past the recursion limit, an integer past the
-    digit limit), is a ``ValidationError``."""
-    text = _read_text(path)
-    try:
-        return json.loads(text)
-    except (ValueError, RecursionError) as exc:
-        raise ValidationError(f"invalid JSON: {exc}") from None
 
 
 def _read_text(path) -> str:

@@ -8,8 +8,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .attributes import map_to_feature_space
-from .config import PipelineConfig, config_from_dict, config_to_dict
-from .dataset import RawDataset, _freeze, check_indicators, read_json
+from .config import PipelineConfig, config_from_dict, config_to_dict, read_json
+from .dataset import RawDataset, _freeze, check_indicators
 from .errors import ValidationError, listed, naming, shown
 from .io import atomic_write
 from .normalize import range_width, scale_values

@@ -996,12 +996,12 @@ def _config_with(**changes):
     ("run", "--config", _config_with(indicators=[]),
      "'indicators' must be a non-empty list, got []"),
     ("run", "--config", _config_with(variance_threshold=0),
-     "variance_threshold must be in (0, 1], got 0.0"),
+     "'variance_threshold' must be in (0, 1], got 0.0"),
     ("run", "--config", _config_with(variance_threshold=1.5),
-     "variance_threshold must be in (0, 1], got 1.5"),
-    ("run", "--config", _config_with(k=0), "k must be >= 1, got 0"),
+     "'variance_threshold' must be in (0, 1], got 1.5"),
+    ("run", "--config", _config_with(k=0), "'k' must be >= 1, got 0"),
     ("run", "--config", _config_with(labels=["AAA", "AA", "A", "BBB", "BB", "B"]),
-     "rating scale has 6 labels but k=7"),
+     "'labels' holds 6 labels but 'k' is 7"),
     ("run", "--config", _config_with(restarts=0), "'restarts' must be >= 1, got 0"),
     ("run", "--config", _config_with(max_iterations=0), "'max_iterations' must be >= 1, got 0"),
 ], ids=["run-empty-data", "assign-empty-data", "ratings-header-only", "ratings-empty",

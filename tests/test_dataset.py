@@ -98,6 +98,17 @@ def test_load_is_deterministic(country_config, country_dataset, data_dir):
     assert again == country_dataset
 
 
+@pytest.mark.parametrize("specs", [
+    "config.json",
+    [{"name": "x", "direction": "positive"}],
+], ids=["config-path", "raw-entries"])
+def test_specs_that_are_not_declarations_are_a_type_error(tmp_path, specs):
+    (tmp_path / "d.csv").write_text("object,x\na,1\nb,2\n")
+    with pytest.raises(TypeError, match=r"^specs must be IndicatorSpec declarations, "
+                                        r"such as load_config\(path\)\.indicators$"):
+        load_dataset(tmp_path / "d.csv", specs)
+
+
 def save_dataset(dataset, path):
     """Write a dataset back to CSV losslessly (shortest round-trip floats)."""
     with open(path, "w", newline="", encoding="utf-8") as fh:

@@ -13,14 +13,13 @@ import numpy as np
 import pytest
 
 from relarm.cli import main
-from relarm.config import config_from_dict
+from relarm.config import config_from_dict, parse_indicator_specs
 from relarm.dataset import (
     Direction,
     IndicatorSpec,
     RawDataset,
     check_indicators,
     load_dataset,
-    parse_indicator_specs,
 )
 from relarm.errors import LISTED_MAX, ValidationError, listed
 from relarm.io import read_ratings_csv, read_reference_csv
@@ -72,8 +71,8 @@ def test_reference_repeat_echoes_a_huge_value_short(tmp_path, obj, agency, messa
 
 @pytest.mark.parametrize("entries, message", [
     ([HUGE], rf"indicators\[0\] must be an object with a 'name', got {SHOWN}"),
-    ([{"name": HUGE, "direction": "up"}],
-     rf"indicator {SHOWN}: direction must be 'positive' or 'negative'"),
+    ([{"name": "x", "direction": HUGE}],
+     rf"'indicators\[0\].direction' must be 'positive' or 'negative', got {SHOWN}"),
     ([{"name": HUGE, "direction": "positive"}] * 2, rf"'indicators\[1\].name' repeats {SHOWN}"),
     ([["x"]], r"indicators\[0\] must be an object with a 'name', got \['x'\]"),
 ], ids=["entry", "direction", "repeated-name", "short-entry"])
