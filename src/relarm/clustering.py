@@ -214,6 +214,8 @@ def kmeans(
     x = np.array(points, dtype=np.float64)
     if x.ndim != 2 or x.shape[0] < 1:
         raise ValidationError("points must be a non-empty 2-D matrix")
+    if not np.isfinite(x).all():
+        raise ValidationError("points hold a non-finite number")
     distinct = np.unique(x, axis=0).shape[0]
     if k < 1:
         raise ValidationError(f"k must be >= 1, got {k}")
@@ -223,6 +225,8 @@ def kmeans(
         )
     if restarts < 1:
         raise ValidationError(f"restarts must be >= 1, got {restarts}")
+    if max_iterations < 1:
+        raise ValidationError(f"max_iterations must be >= 1, got {max_iterations}")
 
     workers = min(restarts, _fork.processes(8 * k * x.shape[0] * restarts))
     shares = _fork.fork_map(

@@ -19,8 +19,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .dataset import _read_text
-from .errors import ValidationError, naming, shown
+from .dataset import _duplicates, _read_text
+from .errors import ValidationError, listed, naming, shown
 from .rating import AgreementReport, ClusterRating, RatingResult
 
 
@@ -133,13 +133,22 @@ def _cell(r: int, row: dict, column: str, kind):
     return value
 
 
+def _records(path) -> csv.DictReader:
+    """The CSV file ``path`` as a ``DictReader``; its header repeats no name."""
+    reader = csv.DictReader(StringIO(_read_text(path), newline=""))
+    repeated = _duplicates(reader.fieldnames or ())
+    if repeated:
+        raise ValidationError(f"columns repeated in the header: {listed(repeated)}")
+    return reader
+
+
 def read_ratings_csv(path) -> RatingResult:
     """Rebuild a rating result from CSV.  Each object appears once, and
     every row of a cluster must give the projection and category of its
     first row.  Rows are numbered by the line they end on, the header being
     row 1."""
     with naming(path):
-        reader = csv.DictReader(StringIO(_read_text(path), newline=""))
+        reader = _records(path)
         rows = [(reader.line_num, row) for row in reader]
         if not rows:
             raise ValidationError("empty ratings file")
@@ -151,6 +160,8 @@ def read_ratings_csv(path) -> RatingResult:
         # cluster -> (row, projection, category) of its first row
         first: dict[int, tuple[int, float, str]] = {}
         for r, row in rows:
+            if None in row:  # DictReader files the cells past the header under None
+                raise ValidationError(f"row {r} has more cells than the header")
             if None in (row[c] for c in needed):
                 raise ValidationError(f"row {r} has fewer cells than the header")
             if row_of.setdefault(row["object"], r) != r:
@@ -179,7 +190,7 @@ def read_reference_csv(path) -> dict[str, dict[str, str]]:
     """Reference agency ratings: columns object, agency, category, one row
     per (object, agency) pair."""
     with naming(path):
-        reader = csv.DictReader(StringIO(_read_text(path), newline=""))
+        reader = _records(path)
         if not {"object", "agency", "category"}.issubset(reader.fieldnames or ()):
             raise ValidationError(
                 "reference file must have columns object, agency, category"
@@ -188,6 +199,8 @@ def read_reference_csv(path) -> dict[str, dict[str, str]]:
         row_of: dict[tuple[str, str], int] = {}  # (object, agency) -> row
         for row in reader:
             r = reader.line_num
+            if None in row:
+                raise ValidationError(f"row {r} has more cells than the header")
             obj, agency, cat = row["object"], row["agency"], row["category"]
             if None in (obj, agency, cat):
                 raise ValidationError(f"row {r} has fewer cells than the header")

@@ -1,6 +1,6 @@
-"""Principal components of the normalized M x N matrix B, l1-scaled,
-with the N x d weight matrix W and the rating vector Lambda of retained
-variance fractions.
+"""Principal components of the normalized M x N matrix B, kept as the
+N x d weight matrix W of their l1-scaled absolute values and the rating
+vector Lambda of retained variance fractions.
 
 ``fit_pca`` solves the eigenproblem with ``np.linalg.eigh``;
 ``jacobi_eigh`` is the pure-Python reference solver it replaced, kept for
@@ -79,49 +79,36 @@ def jacobi_eigh(
 
 @dataclass(frozen=True)
 class PcaModel:
-    """Fitted components plus the derived ranking weights.
+    """The ranking weights of a fit, as a snapshot stores them; read-only.
 
-    components   : N x N, column k is the l1-normalized k-th component;
-                   None when loaded from a snapshot, which does not store it
     variance_fractions : length-N, eigenvalue_k / trace, descending
     d            : retained component count (cumulative fraction rule)
-    W            : N x d entrywise |components[:, :d]|, columns sum to 1
+    W            : N x d |first d components|, each column scaled to sum 1
     Lambda       : the first d variance fractions
     """
 
-    components: np.ndarray | None = field(repr=False)
     variance_fractions: np.ndarray = field(repr=False)
     d: int
     W: np.ndarray = field(repr=False)
     Lambda: np.ndarray = field(repr=False)
+
+    def __post_init__(self) -> None:
+        for name in ("variance_fractions", "W", "Lambda"):
+            object.__setattr__(self, name, _freeze(getattr(self, name)))
 
     @property
     def n_indicators(self) -> int:
         return self.W.shape[0]
 
 
-def _l1_columns(vectors: np.ndarray) -> np.ndarray:
-    """Rescale each column to unit l1 norm, sign-canonicalized so the
-    largest-magnitude entry is positive (first such entry on ties)."""
-    out = np.array(vectors, dtype=np.float64)
-    for k in range(out.shape[1]):
-        col = out[:, k]
-        norm = np.abs(col).sum()
-        if norm == 0.0:
-            continue
-        lead = int(np.argmax(np.abs(col)))
-        sign = 1.0 if col[lead] >= 0.0 else -1.0
-        out[:, k] = sign * col / norm
-    return out
-
-
 def derive_weights(
-    components: np.ndarray, variance_fractions: np.ndarray, variance_threshold: float
+    vectors: np.ndarray, variance_fractions: np.ndarray, variance_threshold: float
 ) -> PcaModel:
     """Pick d by the cumulative-variance rule and build W and Lambda.
 
     d is the smallest count whose cumulative fraction reaches the
-    threshold, capped at the numerical rank.
+    threshold, capped at the numerical rank. Column p of W is
+    |vectors[:, p]|, the eigenvector of fraction p, over its own sum.
     """
     fractions = np.asarray(variance_fractions, dtype=np.float64)
     rank = int(np.sum(fractions > _RANK_EPS))
@@ -130,14 +117,9 @@ def derive_weights(
     cumulative = np.cumsum(fractions)
     d = int(np.searchsorted(cumulative, variance_threshold - 1e-15) + 1)
     d = min(d, rank)
-    w = np.abs(components[:, :d])
-    return PcaModel(
-        components=_freeze(components),
-        variance_fractions=_freeze(fractions),
-        d=d,
-        W=_freeze(w),
-        Lambda=_freeze(fractions[:d]),
-    )
+    # a sum per column: .sum(axis=0) adds in another order, moving W's last bits
+    w = np.column_stack([c / c.sum() for c in np.abs(vectors[:, :d]).T])
+    return PcaModel(variance_fractions=fractions, d=d, W=w, Lambda=fractions[:d])
 
 
 def fit_pca(B: np.ndarray, variance_threshold: float = 0.95) -> PcaModel:
@@ -145,8 +127,8 @@ def fit_pca(B: np.ndarray, variance_threshold: float = 0.95) -> PcaModel:
 
     Components are eigenvectors of the sample covariance matrix
     (divisor M - 1) of the mean-centered data, computed by LAPACK's
-    symmetric eigensolver (``np.linalg.eigh``), each rescaled to unit l1
-    norm.
+    symmetric eigensolver (``np.linalg.eigh``); W holds the absolute
+    entries of the first d, each column scaled to unit l1 norm.
     """
     if not 0.0 < variance_threshold <= 1.0:
         raise ValidationError(
@@ -155,6 +137,8 @@ def fit_pca(B: np.ndarray, variance_threshold: float = 0.95) -> PcaModel:
     x = np.asarray(B, dtype=np.float64)
     if x.ndim != 2 or x.shape[0] < 2:
         raise ValidationError("need an M x N matrix with M >= 2")
+    if not np.isfinite(x).all():
+        raise ValidationError("matrix holds a non-finite number")
     m = x.shape[0]
     centered_x = x - x.mean(axis=0)
     cov = centered_x.T @ centered_x / (m - 1)
@@ -171,5 +155,4 @@ def fit_pca(B: np.ndarray, variance_threshold: float = 0.95) -> PcaModel:
     eigvals = eigvals[order]
     eigvecs = eigvecs[:, order]
     fractions = eigvals / eigvals.sum()
-    components = _l1_columns(eigvecs)
-    return derive_weights(components, fractions, variance_threshold)
+    return derive_weights(eigvecs, fractions, variance_threshold)

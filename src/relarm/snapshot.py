@@ -129,7 +129,6 @@ def _snapshot_from_doc(doc) -> Snapshot:
     if type(d) is not int or not 1 <= d <= n:
         raise ValidationError(f"'model.d' must be an integer in [1, {n}], got {shown(d)}")
     model = PcaModel(
-        components=None,
         variance_fractions=_array(doc, "model", "variance_fractions", (n,)),
         d=d,
         W=_array(doc, "model", "W", (n, d)),

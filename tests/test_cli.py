@@ -715,10 +715,14 @@ def test_non_utf8_data_names_file_and_line(workdir, capsys):
     (lambda rows: rows[3].__setitem__(3, "AA"),
      "row 4: cluster 1 has projection 1.0 and category 'AA', but row 2 gave it 1.0 and 'AAA'"),
     (lambda rows: rows[4].pop(), "row 5 has fewer cells than the header"),
+    (lambda rows: rows[4].append("x"), "row 5 has more cells than the header"),
+    (lambda rows: [row.append(row[3]) for row in rows],
+     "columns repeated in the header: ['category']"),
     (lambda rows: rows.append(["Switzerland"] + rows[-1][1:]),
      "row 32: object 'Switzerland' is already rated at row 2"),
 ], ids=["cluster-not-integer", "projection-not-number", "projection-nan",
-        "projection-differs", "category-differs", "short-row", "duplicate-object"])
+        "projection-differs", "category-differs", "short-row", "long-row",
+        "repeated-column", "duplicate-object"])
 def test_bad_ratings_file_names_file_row_and_column(workdir, data_dir, capsys, edit, message):
     rows = [
         line.split(",")
@@ -735,6 +739,27 @@ def test_bad_ratings_file_names_file_row_and_column(workdir, data_dir, capsys, e
     assert code == 1
     err = capsys.readouterr().err
     assert f"error: {ratings}: {message}\n" == err, err
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda rows: rows[4].pop(), "row 5 has fewer cells than the header"),
+    (lambda rows: rows[4].append("x"), "row 5 has more cells than the header"),
+    (lambda rows: [row.append(row[2]) for row in rows],
+     "columns repeated in the header: ['category']"),
+], ids=["short-row", "long-row", "repeated-column"])
+def test_bad_reference_file_names_file_and_row(workdir, data_dir, capsys, edit, message):
+    ref = workdir / "reference.csv"
+    rows = [line.split(",") for line in ref.read_text().splitlines()]
+    assert rows[0] == ["object", "agency", "category"]
+    edit(rows)
+    ref.write_text("".join(",".join(row) + "\n" for row in rows))
+    code = run_cli(
+        "score", "--ratings", data_dir / "table8_model_categories.csv",
+        "--reference", ref, "--out-dir", workdir / "out",
+    )
+    assert code == 1
+    err = capsys.readouterr().err
+    assert f"error: {ref}: {message}\n" == err, err
 
 
 @pytest.mark.parametrize("flag", ["--ratings", "--reference"])

@@ -44,7 +44,7 @@ class TestFitPca:
         model = fit_pca(b, variance_threshold=0.95)
         assert model.d == 1
         assert model.variance_fractions[0] == pytest.approx(1.0, abs=1e-12)
-        np.testing.assert_allclose(np.abs(model.components[:, 0]), [0.5, 0.5], atol=1e-12)
+        np.testing.assert_allclose(model.W[:, 0], [0.5, 0.5], atol=1e-12)
 
     def test_constant_column_gives_zero_weight(self):
         b = np.array([[0.5, 0.0], [0.5, 0.5], [0.5, 1.0]])
@@ -54,19 +54,11 @@ class TestFitPca:
 
     def test_invariants_on_country_data(self, country_config, country_run):
         model = country_run.snapshot.model
-        n = model.n_indicators
-        # l1 norms of all components
-        np.testing.assert_allclose(
-            np.abs(model.components).sum(axis=0), np.ones(n), atol=1e-12
-        )
         f = model.variance_fractions
         assert (f >= 0).all()
         assert (np.diff(f) <= 1e-15).all()
         assert f.sum() == pytest.approx(1.0, abs=1e-12)
         np.testing.assert_allclose(model.W.sum(axis=0), np.ones(model.d), atol=1e-12)
-        np.testing.assert_array_equal(
-            model.W, np.abs(model.components[:, : model.d])
-        )
         cum = np.cumsum(f)
         threshold = country_config.variance_threshold
         assert cum[model.d - 1] >= threshold
@@ -92,7 +84,7 @@ class TestFitPca:
             m = int(rng.integers(4, 11))
             n = int(rng.integers(2, 7))
             x = rng.uniform(size=(m, n))
-            model = fit_pca(x, 0.95)
+            model = fit_pca(x, 1.0)  # d is then the numerical rank
             c = (x - x.mean(axis=0)).T @ (x - x.mean(axis=0)) / (m - 1)
             ref_vals, ref_vecs = np.linalg.eigh(c)
             order = np.argsort(-ref_vals)
@@ -106,9 +98,8 @@ class TestFitPca:
             # compare only above the numerical rank; the null-space basis
             # is not unique
             rank = int(np.sum(ref_vals > 1e-12 * ref_vals.sum()))
-            np.testing.assert_allclose(
-                np.abs(model.components[:, :rank]), ref_abs[:, :rank], atol=1e-8
-            )
+            assert model.d == rank
+            np.testing.assert_allclose(model.W, ref_abs[:, :rank], atol=1e-8)
 
 
     def test_matches_jacobi_reference(self):
@@ -119,7 +110,7 @@ class TestFitPca:
             m = int(rng.integers(4, 30))
             n = int(rng.integers(2, 12))
             x = rng.uniform(size=(m, n))
-            model = fit_pca(x, 0.95)
+            model = fit_pca(x, 1.0)  # d is then the numerical rank
             c = (x - x.mean(axis=0)).T @ (x - x.mean(axis=0)) / (m - 1)
             vals, vecs = jacobi_eigh(c)
             order = np.argsort(-vals, kind="stable")
@@ -128,11 +119,10 @@ class TestFitPca:
                 model.variance_fractions, vals / vals.sum(), atol=1e-10
             )
             rank = int(np.sum(vals > 1e-12 * vals.sum()))
+            assert model.d == rank
             ref = vecs[:, order][:, :rank]
             np.testing.assert_allclose(
-                np.abs(model.components[:, :rank]),
-                np.abs(ref / np.abs(ref).sum(axis=0)),
-                atol=1e-8,
+                model.W, np.abs(ref / np.abs(ref).sum(axis=0)), atol=1e-8
             )
 
 
