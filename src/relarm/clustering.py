@@ -95,28 +95,30 @@ def _sq_dists(coords: np.ndarray, centers: np.ndarray) -> np.ndarray:
 
 def nearest_center(
     coords: np.ndarray, centers: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Index of each point's nearest center (ties to the lowest index) and
-    the squared distance to it; ``coords`` is d x M, ``centers`` k x d."""
+) -> tuple[np.ndarray, np.ndarray, bool]:
+    """Index of each point's nearest center (ties to the lowest index), the
+    squared distance to it, and whether some point has two nearest centers
+    (an exact tie); ``coords`` is d x M, ``centers`` k x d."""
     d2 = _sq_dists(coords, centers)
     best = d2.min(axis=0)
+    at_best = d2 == best
     idx = np.full(best.shape, centers.shape[0] - 1, dtype=np.intp)
     for q in range(centers.shape[0] - 2, -1, -1):
-        idx = np.where(d2[q] == best, q, idx)
-    return idx, best
+        idx = np.where(at_best[q], q, idx)
+    return idx, best, np.count_nonzero(at_best) > best.size
 
 
 def _coords(points: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(points.T, dtype=np.float64)
 
 
-def _kmeanspp_init(points: np.ndarray, k: int, rng: Xorshift64Star) -> np.ndarray:
-    coords = _coords(points)
+def _kmeanspp_init(coords: np.ndarray, k: int, rng: Xorshift64Star) -> np.ndarray:
     n = coords.shape[1]
     centers = np.empty((k, coords.shape[0]))
-    centers[0] = points[rng.randint(n)]
-    d2 = _sq_dists(coords, centers[:1])[0]
+    centers[0] = coords[:, rng.randint(n)]
     for i in range(1, k):
+        new = _sq_dists(coords, centers[i - 1 : i])[0]
+        d2 = new if i == 1 else np.minimum(d2, new, out=d2)
         total = d2.sum()
         if total <= 0.0:
             # all remaining mass at existing centers; fall back to uniform
@@ -124,14 +126,13 @@ def _kmeanspp_init(points: np.ndarray, k: int, rng: Xorshift64Star) -> np.ndarra
         else:
             r = rng.random() * total
             idx = min(int(np.searchsorted(np.cumsum(d2), r, side="right")), n - 1)
-        centers[i] = points[idx]
-        np.minimum(d2, _sq_dists(coords, centers[i : i + 1])[0], out=d2)
+        centers[i] = coords[:, idx]
     return centers
 
 
 def _lloyd(
-    points: np.ndarray, centers: np.ndarray, max_iterations: int
-) -> tuple[np.ndarray, np.ndarray, float, list[float]]:
+    coords: np.ndarray, centers: np.ndarray, max_iterations: int, seen: dict | None = None
+) -> tuple[np.ndarray, np.ndarray, float, list[float]] | None:
     """Lloyd iterations to an assignment fixed point (or the cap).
 
     Returns (assignments 0-based, centers, sse, per-iteration sse).  The
@@ -141,13 +142,27 @@ def _lloyd(
     current centers to singleton centers, skipping any point that is the
     only one of its cluster.  A center moves to the mean of its points,
     summed in index order.
+
+    ``seen`` maps center sets (rows in any order) to the iterations an
+    earlier run took from there to its fixed point with no exact tie or
+    repair, which alone make a run depend on the rows' order.  The run
+    returns None, as it would end at that run's SSE, once it holds such a
+    set with room to follow that run to its end; reaching its own fixed
+    point, it records its sets after its last tie or repair.
     """
-    coords = _coords(points)
     k = centers.shape[0]
     prev = None
     history: list[float] = []
+    sets: list[tuple[int, bytes]] = []  # (iteration, center set) since a tie or repair
     for it in range(max_iterations):
-        assign, point_d2 = nearest_center(coords, centers)
+        if seen is not None:
+            key = b"".join(sorted(c.tobytes() for c in centers))
+            # + 1: matched at a fixed point, the run may take one more
+            # iteration than the recorded one to see it
+            if it + seen.get(key, max_iterations) + 1 <= max_iterations:
+                return None
+            sets.append((it, key))
+        assign, point_d2, tied = nearest_center(coords, centers)
         counts = np.bincount(assign, minlength=k)
 
         empties = np.flatnonzero(counts == 0)
@@ -155,15 +170,20 @@ def _lloyd(
             donors = iter(np.argsort(-point_d2, kind="stable"))
             for q in empties:
                 idx = next(i for i in donors if counts[assign[i]] > 1)
-                centers[q] = points[idx]
+                centers[q] = coords[:, idx]
                 counts[assign[idx]] -= 1
                 counts[q] += 1
                 assign[idx] = q
                 point_d2[idx] = 0.0
 
+        if tied or empties.size:
+            sets.clear()
+
         sse = float(point_d2.sum())
         history.append(sse)
         if prev is not None and np.array_equal(assign, prev) and not empties.size:
+            for t, held in sets:
+                seen.setdefault(held, it + 1 - t)
             break
         if it == max_iterations - 1:
             break  # the cap: keep the centers this assignment was made against
@@ -180,11 +200,10 @@ def _means(coords, assign, counts, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def _is_fixed_point(points: np.ndarray, assign: np.ndarray, centers: np.ndarray) -> bool:
+def _is_fixed_point(coords: np.ndarray, assign: np.ndarray, centers: np.ndarray) -> bool:
     """Whether another Lloyd iteration would leave ``assign`` and ``centers``
     as they are: asked of a run that the cap stopped, which may have
     reached its fixed point at the last iteration."""
-    coords = _coords(points)
     counts = np.bincount(assign, minlength=centers.shape[0])
     return (
         bool(counts.all())
@@ -205,7 +224,9 @@ def kmeans(
 
     Each restart draws from its own deterministic stream derived from
     (seed, restart index), so results are independent of execution order.
-    Ties on the final sum of squared errors go to the earliest restart.
+    Ties on the final sum of squared errors go to the earliest restart, so
+    a restart that retraces an earlier one of its process stops (see
+    :func:`_lloyd`) without changing the result.
 
     The restarts' k x M distance blocks, ``8 * k * M * restarts`` bytes,
     set their processes (:func:`relarm._fork.processes`, at most one per
@@ -216,21 +237,26 @@ def kmeans(
         raise ValidationError("points must be a non-empty 2-D matrix")
     if not np.isfinite(x).all():
         raise ValidationError("points hold a non-finite number")
-    distinct = np.unique(x, axis=0).shape[0]
     if k < 1:
         raise ValidationError(f"k must be >= 1, got {k}")
-    if k > distinct:
+    distinct = set()
+    for row in x + 0.0:  # + 0.0 makes -0.0 and 0.0 one value
+        distinct.add(row.tobytes())
+        if len(distinct) == k:
+            break
+    if k > len(distinct):
         raise ValidationError(
-            f"k={k} exceeds the number of distinct points ({distinct})"
+            f"k={k} exceeds the number of distinct points ({len(distinct)})"
         )
     if restarts < 1:
         raise ValidationError(f"restarts must be >= 1, got {restarts}")
     if max_iterations < 1:
         raise ValidationError(f"max_iterations must be >= 1, got {max_iterations}")
 
+    coords = _coords(x)
     workers = min(restarts, _fork.processes(8 * k * x.shape[0] * restarts))
     shares = _fork.fork_map(
-        lambda share: _share_best(x, k, seed, restarts, max_iterations, share, workers),
+        lambda share: _share_best(coords, k, seed, restarts, max_iterations, share, workers),
         range(workers),
     )
     sse, _, assign, centers, history = min(shares, key=_rank)
@@ -242,7 +268,7 @@ def kmeans(
         seed=seed,
         sse_history=tuple(history),
         # fewer iterations than the cap: _lloyd stopped at its fixed point
-        converged=len(history) < max_iterations or _is_fixed_point(x, assign, centers),
+        converged=len(history) < max_iterations or _is_fixed_point(coords, assign, centers),
     )
 
 
@@ -252,16 +278,23 @@ def _rank(result) -> tuple[float, int]:
     return result[:2]
 
 
-def _restart(x, k, seed, r, max_iterations):
-    """(sse, r, assignments, centers, sse history) of restart ``r``."""
+def _restart(coords, k, seed, r, max_iterations, seen=None):
+    """(sse, r, assignments, centers, sse history) of restart ``r``, or None
+    when it retraced a run of ``seen`` (see :func:`_lloyd`)."""
     rng = Xorshift64Star(_splitmix64(seed & _MASK64) ^ r)
-    assign, centers, sse, history = _lloyd(x, _kmeanspp_init(x, k, rng), max_iterations)
+    run = _lloyd(coords, _kmeanspp_init(coords, k, rng), max_iterations, seen)
+    if run is None:
+        return None
+    assign, centers, sse, history = run
     return sse, r, assign, centers, history
 
 
-def _share_best(x, k, seed, restarts, max_iterations, share, workers):
-    """The best result of restarts ``share``, ``share + workers``, ..."""
+def _share_best(coords, k, seed, restarts, max_iterations, share, workers):
+    """The best result of restarts ``share``, ``share + workers``, ...;
+    one that retraces an earlier one gives none, and could not have won."""
+    seen: dict[bytes, int] = {}
     results = (
-        _restart(x, k, seed, r, max_iterations) for r in range(share, restarts, workers)
+        _restart(coords, k, seed, r, max_iterations, seen)
+        for r in range(share, restarts, workers)
     )
-    return min(results, key=_rank)
+    return min(filter(None, results), key=_rank)

@@ -87,7 +87,7 @@ def assign_ratings(objects, features, centers, per_cluster) -> RatingResult:
     """Rate ``objects``, one per row of the M x d ``features``: each takes
     the category, in ``per_cluster``, of its nearest of the k x d
     ``centers``, equal distances going to the lower cluster id."""
-    nearest, _ = nearest_center(np.ascontiguousarray(np.transpose(features)), centers)
+    nearest = nearest_center(np.ascontiguousarray(np.transpose(features)), centers)[0]
     return RatingResult(tuple(objects), tuple((nearest + 1).tolist()), per_cluster)
 
 

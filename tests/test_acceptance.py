@@ -8,7 +8,7 @@ import time
 import numpy as np
 import pytest
 
-from relarm.clustering import Xorshift64Star, _kmeanspp_init, _lloyd, kmeans
+from relarm.clustering import Xorshift64Star, _coords, _kmeanspp_init, _lloyd, kmeans
 from relarm.dataset import Direction, IndicatorSpec, RawDataset
 from relarm.io import read_ratings_csv, read_reference_csv
 from relarm.normalize import normalize_dataset
@@ -123,8 +123,9 @@ def test_criterion_5_kmeans_properties(tmp_path, data_dir):
     for _ in range(100):
         pts = rng.uniform(size=(int(rng.integers(8, 40)), int(rng.integers(1, 5))))
         k = int(rng.integers(2, 6))
-        centers = _kmeanspp_init(pts, k, Xorshift64Star(int(rng.integers(0, 2**32))))
-        _, _, _, history = _lloyd(pts, centers, 300)
+        coords = _coords(pts)
+        centers = _kmeanspp_init(coords, k, Xorshift64Star(int(rng.integers(0, 2**32))))
+        _, _, _, history = _lloyd(coords, centers, 300)
         assert all(b <= a + 1e-12 for a, b in zip(history, history[1:]))
 
     # exact planted-partition recovery at >= 10x separation

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import shutil
 import tempfile
@@ -691,6 +692,32 @@ def test_benchmark_configs_load(tmp_path, fork_calls, monkeypatch):
         with pytest.raises(ForkDecided) as decided:
             kmeans(values[workload], cfg.k, cfg.seed, cfg.restarts)
         assert decided.value.args == (FORK_CPUS if forks else 1,), workload
+
+
+def test_benchmark_fits_match_the_reference(tmp_path):
+    """``run`` on the fit_tall and fit_wide inputs ``perfbench/gen.py``
+    writes gives the outputs ``perfbench/reference.json`` records: d,
+    every object's cluster id and category (as the benchmark's sha256 of
+    ``object,cluster,category`` lines) and the cluster projections to 1e-9
+    relative.  So a change to k-means' result on the benchmark's fits fails
+    here, and not only in the benchmark's own output check."""
+    gen = types.ModuleType("perfbench_gen")
+    exec(compile(GEN.read_text(encoding="utf-8"), str(GEN), "exec"), gen.__dict__)
+    gen.generate(0, tmp_path, workloads=("fit_tall", "fit_wide"))
+    reference = json.loads((GEN.parent / "reference.json").read_text(encoding="utf-8"))
+    for workload in ("fit_tall", "fit_wide"):
+        inputs, out = tmp_path / workload, tmp_path / workload / "out"
+        assert main(["run", "--config", str(inputs / "config.json"),
+                     "--data", str(inputs / "data.csv"), "--out-dir", str(out)]) == 0
+        want = reference["outputs"][workload]
+        snap = json.loads((out / "snapshot.json").read_text(encoding="utf-8"))
+        assert snap["model"]["d"] == want["d"], workload
+        with open(out / "ratings.csv", newline="", encoding="utf-8") as f:
+            rows = list(csv.reader(f))[1:]
+        digest = hashlib.sha256("".join(f"{o},{q},{c}\n" for o, q, _, c in rows).encode())
+        assert digest.hexdigest() == want["ratings_sha256"], workload
+        np.testing.assert_allclose(snap["clusters"]["projections"], want["projections"],
+                                   rtol=1e-9, atol=0)
 
 
 def test_non_utf8_data_names_file_and_line(workdir, capsys):

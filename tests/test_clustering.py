@@ -3,6 +3,7 @@ import pytest
 
 from relarm.clustering import (
     Xorshift64Star,
+    _coords,
     _kmeanspp_init,
     _lloyd,
     kmeans,
@@ -49,6 +50,11 @@ def test_k_validation():
         kmeans(pts, k=0, seed=0)
     with pytest.raises(ValidationError, match="restarts"):
         kmeans(pts, k=2, seed=0, restarts=0)
+    # duplicate rows count once, and -0.0 and 0.0 are one value
+    pts = np.array([[0.0, 1.0], [-0.0, 1.0], [0.0, 1.0], [2.0, -0.0], [2.0, 0.0], [0.0, 2.0]])
+    assert kmeans(pts, k=3, seed=0, restarts=2).k == 3
+    with pytest.raises(ValidationError, match=r"^k=4 exceeds the number of distinct points \(3\)$"):
+        kmeans(pts, k=4, seed=0)
 
 
 def test_determinism():
@@ -82,8 +88,8 @@ def test_sse_non_increasing_within_run():
         pts = rng.uniform(size=(rng.integers(10, 40), rng.integers(1, 4)))
         k = int(rng.integers(2, 5))
         seeder = Xorshift64Star(int(rng.integers(0, 2**32)))
-        centers = _kmeanspp_init(pts, k, seeder)
-        _, _, _, history = _lloyd(pts, centers, 300)
+        coords = _coords(pts)
+        _, _, _, history = _lloyd(coords, _kmeanspp_init(coords, k, seeder), 300)
         assert all(b <= a + 1e-12 for a, b in zip(history, history[1:]))
 
 
@@ -151,7 +157,7 @@ def test_empty_cluster_repair_keeps_singletons():
     # the farthest point (100) is the only point of its cluster; taking it
     # would empty that cluster and make its center 0/0
     pts = np.array([[0.0], [1.0], [2.0], [100.0]])
-    assign, centers, sse, history = _lloyd(pts, np.array([[0.0], [50.0], [50.0]]), 300)
+    assign, centers, sse, history = _lloyd(_coords(pts), np.array([[0.0], [50.0], [50.0]]), 300)
     assert history == [2501.0, 0.5]
     assert assign.tolist() == [0, 0, 2, 1]
     assert centers.ravel().tolist() == [0.5, 100.0, 2.0]

@@ -23,6 +23,7 @@ import numpy as np
 from relarm.clustering import (
     Xorshift64Star,
     _MASK64,
+    _coords,
     _kmeanspp_init,
     _lloyd,
     _splitmix64,
@@ -109,7 +110,7 @@ def _assert_history_match(new, ref):
 
 
 def _assert_lloyd_match(points, centers, max_iterations=300):
-    a_new, c_new, _, h_new = _lloyd(points, centers.copy(), max_iterations)
+    a_new, c_new, _, h_new = _lloyd(_coords(points), centers.copy(), max_iterations)
     a_ref, c_ref, _, h_ref = _oracle_lloyd(points, centers.copy(), max_iterations)
     assert np.array_equal(a_new, a_ref)
     _assert_centers_match(c_new, c_ref, points)
@@ -123,10 +124,10 @@ def _assert_kmeans_match(points, k, seed, restarts):
     new_runs = []
     for r in range(restarts):
         stream = _splitmix64(seed & _MASK64) ^ r
-        c_new = _kmeanspp_init(points, k, Xorshift64Star(stream))
+        c_new = _kmeanspp_init(_coords(points), k, Xorshift64Star(stream))
         c_ref = _oracle_kmeanspp_init(points, k, Xorshift64Star(stream))
         assert np.array_equal(c_new, c_ref)
-        a_new, c_new, s_new, h_new = _lloyd(points, c_new, 300)
+        a_new, c_new, s_new, h_new = _lloyd(_coords(points), c_new, 300)
         a_ref, c_ref, s_ref, h_ref = _oracle_lloyd(points, c_ref, 300)
         assert np.array_equal(a_new, a_ref)
         _assert_centers_match(c_new, c_ref, points)
@@ -181,9 +182,10 @@ def test_nearest_center_matches_einsum_argmin():
     points = rng.uniform(size=(100_000, 4))
     centers = rng.uniform(size=(7, 4))
     centers[5] = centers[2]  # exact duplicate: ties must go to index 2
-    idx, best = nearest_center(np.ascontiguousarray(points.T), centers)
+    idx, best, tied = nearest_center(np.ascontiguousarray(points.T), centers)
     d2 = _oracle_sq_dists(points, centers)
     ref = d2.argmin(axis=1)
     assert np.array_equal(idx, ref)
-    assert not np.any(idx == 5)
+    assert not np.any(idx == 5) and tied
+    assert not nearest_center(np.ascontiguousarray(points.T), centers[:5])[2]
     np.testing.assert_allclose(best, d2[np.arange(len(points)), ref], rtol=4 * EPS, atol=0)

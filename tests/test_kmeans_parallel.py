@@ -17,6 +17,7 @@ from relarm.clustering import (
     Xorshift64Star,
     _coords,
     _kmeanspp_init,
+    _lloyd,
     _splitmix64,
     kmeans,
     nearest_center,
@@ -58,6 +59,18 @@ def assert_same(got, want):
     )
 
 
+def assert_best_full_run(got, pts, k, seed, restarts):
+    """``got`` is the best of the restarts run to their ends one by one,
+    with no restart stopped for retracing another."""
+    coords = _coords(np.asarray(pts, dtype=np.float64))
+    runs = [clustering._restart(coords, k, seed, r, 300) for r in range(restarts)]
+    sse, _, assign, centers, history = min(runs, key=clustering._rank)
+    assert got.assignments == tuple(int(a) + 1 for a in assign)
+    assert got.centers.tobytes() == centers.tobytes()
+    assert got.sse == sse
+    assert got.sse_history == tuple(history)
+
+
 def assert_no_children():
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
@@ -86,7 +99,7 @@ def test_equal_sse_goes_to_the_earliest_restart_across_workers(forks):
     corners = np.array([[0.0, 0.0], [8.0, 0.0], [0.0, 12.0], [8.0, 12.0]])
     pts = (corners[:, None, :] + offsets[None, :, :]).reshape(-1, 2)
     seed, restarts = 11, 12
-    alone = [clustering._restart(pts, 3, seed, r, 300) for r in range(restarts)]
+    alone = [clustering._restart(_coords(pts), 3, seed, r, 300) for r in range(restarts)]
     best = min(a[0] for a in alone)
     winners = [a for a in alone if a[0] == best]
     assert alone[0][0] > best and winners[0][1] == 1
@@ -114,8 +127,8 @@ def test_duplicate_points_force_repairs(forks):
     k, seed, restarts = 5, 0, 16
     repairs = 0
     for r in range(restarts):
-        centers = _kmeanspp_init(pts, k, Xorshift64Star(_splitmix64(seed) ^ r))
-        assign, _ = nearest_center(_coords(pts), centers)
+        centers = _kmeanspp_init(_coords(pts), k, Xorshift64Star(_splitmix64(seed) ^ r))
+        assign = nearest_center(_coords(pts), centers)[0]
         repairs += np.bincount(assign, minlength=k).min() == 0
     assert repairs >= 2
     want = serial(pts, k, seed=seed, restarts=restarts)
@@ -238,3 +251,92 @@ def test_gate_keeps_threaded_callers_serial(forks, country_config, country_run):
         thread.join(timeout=10)
     assert not thread.is_alive()
     assert forks == []
+
+
+@pytest.mark.parametrize("kind", ["normal", "grid", "planted"])
+@pytest.mark.parametrize("instance", range(3))
+def test_retrace_stop_keeps_the_best_full_run(forks, kind, instance):
+    """Restarts that stop on retracing an earlier one of their share change
+    nothing, serial or forked: on normal points, on integer grids with
+    duplicate points, where exact distance ties are common, and on planted
+    clusters, which many restarts find by different routes."""
+    rng = np.random.default_rng(310 + instance)
+    if kind == "normal":
+        pts = rng.normal(size=(150, 3))
+    elif kind == "grid":
+        pts = rng.integers(0, 3, size=(60, 2)).astype(np.float64)
+    else:
+        planted = rng.normal(scale=4.0, size=(5, 2))
+        pts = planted[rng.integers(0, 5, size=150)] + rng.normal(scale=0.5, size=(150, 2))
+    k, seed, restarts = 3 + instance, instance, 30
+    assert_best_full_run(serial(pts, k, seed=seed, restarts=restarts), pts, k, seed, restarts)
+    assert_best_full_run(kmeans(pts, k, seed=seed, restarts=restarts), pts, k, seed, restarts)
+    assert len(forks) == CPUS - 1
+
+
+def test_retrace_stop_fires_on_the_country_sample(monkeypatch, country_config, country_run):
+    """In one process, 7 of the country sample's 50 restarts reach a set of
+    centers an earlier restart held and stop there: fewer Lloyd iterations
+    (counted as mean steps), the same result."""
+    cfg, pts = country_config, country_run.features
+    steps, stopped = [], []
+    real_means, real_restart = clustering._means, clustering._restart
+
+    def means(*args, **kwargs):
+        steps.append(None)
+        return real_means(*args, **kwargs)
+
+    def restart(*args):
+        result = real_restart(*args)
+        if result is None:
+            stopped.append(args[3])
+        return result
+
+    monkeypatch.setattr(clustering, "_means", means)
+    monkeypatch.setattr(clustering, "_restart", restart)
+    got = serial(pts, cfg.k, seed=cfg.seed, restarts=cfg.restarts)
+    retraced = len(steps)
+    assert len(stopped) == 7 and 0 not in stopped
+    steps.clear()
+    assert_best_full_run(got, pts, cfg.k, cfg.seed, cfg.restarts)
+    assert retraced < len(steps)
+
+
+def test_no_restart_stops_on_a_set_that_met_a_tie():
+    """Points 0, 1, 2, 3 and centers 2, 0: point 1 is as near to both, the
+    tie goes to center 2, and the run ends at SSE 2.  From centers 0, 2,
+    the same set in the other order, the tie goes to center 0 and the run
+    ends at SSE 1.  So the first run records nothing, and the second,
+    which has the lower SSE, runs to its end."""
+    coords = _coords(np.array([[0.0], [1.0], [2.0], [3.0]]))
+    seen = {}
+    assert _lloyd(coords, np.array([[2.0], [0.0]]), 300, seen)[3] == [2.0, 2.0]
+    assert seen == {}
+    assign, centers, sse, history = _lloyd(coords, np.array([[0.0], [2.0]]), 300, seen)
+    assert assign.tolist() == [0, 0, 1, 1] and history == [2.0, 1.0]
+    assert len(seen) == 1  # the fixed point 0.5, 2.5, one iteration from its end
+
+
+def test_no_restart_stops_on_a_set_that_met_a_repair(monkeypatch):
+    """Points 0, 1, 10, 11 and centers 0, 1, 100: the center at 100 wins no
+    point in the first iteration and the one at 5.5 none in the second,
+    so only the fixed point 0, 1, 10.5 is recorded.  A later run from the
+    first set, in another order, does not stop there: it repairs too,
+    and stops on reaching the recorded fixed point."""
+    coords = _coords(np.array([[0.0], [1.0], [10.0], [11.0]]))
+    seen = {}
+    assert _lloyd(coords, np.array([[0.0], [1.0], [100.0]]), 300, seen)[3] == [81.0, 1.0, 0.5]
+    fixed = np.array([[0.0], [1.0], [10.5]])
+    assert seen == {b"".join(sorted(c.tobytes() for c in fixed)): 1}
+    real_nearest, steps = clustering.nearest_center, []
+
+    def nearest(*args):
+        steps.append(None)
+        return real_nearest(*args)
+
+    monkeypatch.setattr(clustering, "nearest_center", nearest)
+    assert _lloyd(coords, np.array([[100.0], [1.0], [0.0]]), 300, seen) is None
+    assert len(steps) == 2
+    # a cap of 3 leaves no room to follow the recorded run to its end
+    capped = _lloyd(coords, np.array([[100.0], [1.0], [0.0]]), 3, seen)
+    assert capped[3] == _lloyd(coords, np.array([[100.0], [1.0], [0.0]]), 3)[3]
