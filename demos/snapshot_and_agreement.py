@@ -38,9 +38,7 @@ with tempfile.TemporaryDirectory() as tmp:
 # agreement against reference agency ratings (subcategories collapse,
 # a match against any one agency counts)
 reference = read_reference_csv(data / "table8_reference.csv")
-report = score_agreement(
-    outputs.ratings, reference, scale=config.scale
-)
+report = score_agreement(outputs.ratings, reference, labels=config.labels)
 print(
     f"\nagreement with reference ratings: {report.matched}/{report.compared}"
     f" = {report.fraction:.3f}"

@@ -13,7 +13,6 @@ from .pipeline import PipelineOutputs, run_pipeline
 from .rating import (
     AgreementReport,
     RatingResult,
-    RatingScale,
     assign_ratings,
     project_center,
     score_agreement,
@@ -33,7 +32,6 @@ __all__ = [
     "PipelineConfig",
     "PipelineOutputs",
     "RatingResult",
-    "RatingScale",
     "RawDataset",
     "RelarmError",
     "Snapshot",

@@ -85,14 +85,12 @@ def _fit(args):
     return cfg, outputs
 
 
-def _agreement(args, ratings, reference, scale, collapse_table):
+def _agreement(args, ratings, reference, labels, collapse_table):
     """Score ``ratings`` against ``reference``, read from ``--reference``;
     a category that collapses to no label is an error naming that file,
     and each reference object absent from the ratings a stderr warning."""
     with naming(args.reference):
-        report = score_agreement(
-            ratings, reference, scale=scale, collapse_table=collapse_table
-        )
+        report = score_agreement(ratings, reference, labels=labels, collapse_table=collapse_table)
     for obj in report.skipped:
         print(f"warning: reference object {shown(obj)} absent from results; skipped",
               file=sys.stderr)
@@ -105,9 +103,7 @@ def _cmd_run(args) -> int:
     # compared before anything is written, so a bad reference leaves no output
     report = None
     if reference is not None:
-        report = _agreement(
-            args, outputs.ratings, reference, cfg.scale, cfg.collapse_table
-        )
+        report = _agreement(args, outputs.ratings, reference, cfg.labels, cfg.collapse_table)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     # every file replaces its old copy only once all are written
@@ -186,13 +182,11 @@ def _cmd_assign(args) -> int:
 def _cmd_score(args) -> int:
     result = io.read_ratings_csv(args.ratings)
     reference = io.read_reference_csv(args.reference)
-    scale = None
-    collapse = None
+    labels = collapse = None
     if args.config:
         cfg = load_config(args.config)
-        scale = cfg.scale
-        collapse = cfg.collapse_table
-    report = _agreement(args, result, reference, scale, collapse)
+        labels, collapse = cfg.labels, cfg.collapse_table
+    report = _agreement(args, result, reference, labels, collapse)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     io.write_agreement_json(out_dir / "agreement.json", report)

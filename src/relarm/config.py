@@ -8,7 +8,6 @@ from dataclasses import MISSING, asdict, dataclass, field, fields
 
 from .dataset import Direction, IndicatorSpec, _read_text
 from .errors import ValidationError, listed, naming, shown
-from .rating import RatingScale
 
 
 @dataclass(frozen=True)
@@ -35,7 +34,11 @@ class PipelineConfig:
             raise ValidationError(
                 f"'labels' holds {len(self.labels)} labels but 'k' is {self.k}"
             )
-        RatingScale(self.labels)  # uniqueness check
+        seen = set()
+        for i, label in enumerate(self.labels):
+            if label in seen:
+                raise ValidationError(f"'labels[{i}]' repeats {shown(label)}")
+            seen.add(label)
         for key in ("restarts", "max_iterations"):
             if getattr(self, key) < 1:
                 raise ValidationError(f"'{key}' must be >= 1, got {getattr(self, key)}")
@@ -45,10 +48,6 @@ class PipelineConfig:
                     f"{shown(f'collapse_table.{fine}')} must be one of the labels "
                     f"{listed(self.labels)}, got {shown(coarse)}"
                 )
-
-    @property
-    def scale(self) -> RatingScale:
-        return RatingScale(self.labels)
 
 
 # settings with one value in the model, accepted only at it: format-1 and

@@ -21,7 +21,7 @@ import numpy as np
 
 from .dataset import _duplicates, _read_text
 from .errors import ValidationError, listed, naming, shown
-from .rating import AgreementReport, ClusterRating, RatingResult
+from .rating import REPORT_FOOTER, AgreementReport, ClusterRating, RatingResult
 
 
 def _fmt(v: float) -> str:
@@ -133,13 +133,25 @@ def _cell(r: int, row: dict, column: str, kind):
     return value
 
 
-def _records(path) -> csv.DictReader:
-    """The CSV file ``path`` as a ``DictReader``; its header repeats no name."""
+def _rows(path, needed):
+    """The rows of the CSV file ``path``, each as the line it ends on (the
+    header's being 1) and a dict of its cells by column; blank lines are
+    skipped.  The header must repeat no name and hold every column of
+    ``needed``, and each row must have a cell for each column."""
     reader = csv.DictReader(StringIO(_read_text(path), newline=""))
-    repeated = _duplicates(reader.fieldnames or ())
+    header = reader.fieldnames or ()
+    repeated = _duplicates(header)
     if repeated:
         raise ValidationError(f"columns repeated in the header: {listed(repeated)}")
-    return reader
+    missing = [c for c in needed if c not in header]
+    if missing:
+        raise ValidationError(f"columns missing from the header: {listed(missing)}")
+    for row in reader:
+        if None in row:  # DictReader files the cells past the header under None
+            raise ValidationError(f"row {reader.line_num} has more cells than the header")
+        if None in row.values():  # and gives None for those a short row lacks
+            raise ValidationError(f"row {reader.line_num} has fewer cells than the header")
+        yield reader.line_num, row
 
 
 def read_ratings_csv(path) -> RatingResult:
@@ -148,22 +160,11 @@ def read_ratings_csv(path) -> RatingResult:
     first row.  Rows are numbered by the line they end on, the header being
     row 1."""
     with naming(path):
-        reader = _records(path)
-        rows = [(reader.line_num, row) for row in reader]
-        if not rows:
-            raise ValidationError("empty ratings file")
-        needed = ("object", "cluster", "projection", "category")
-        if not set(needed).issubset(rows[0][1]):
-            raise ValidationError(f"ratings file must have columns {sorted(needed)}")
         row_of: dict[str, int] = {}  # object -> row
         clusters = []
         # cluster -> (row, projection, category) of its first row
         first: dict[int, tuple[int, float, str]] = {}
-        for r, row in rows:
-            if None in row:  # DictReader files the cells past the header under None
-                raise ValidationError(f"row {r} has more cells than the header")
-            if None in (row[c] for c in needed):
-                raise ValidationError(f"row {r} has fewer cells than the header")
+        for r, row in _rows(path, ("object", "cluster", "projection", "category")):
             if row_of.setdefault(row["object"], r) != r:
                 raise ValidationError(
                     f"row {r}: object {shown(row['object'])} is already rated "
@@ -178,6 +179,8 @@ def read_ratings_csv(path) -> RatingResult:
                     f"{shown(row['category'])}, but row {r0} gave it {p0!r} and {shown(c0)}"
                 )
             clusters.append(q)
+        if not clusters:
+            raise ValidationError("empty ratings file")
     # best first: descending projection, equal projections lower id first
     ranked = sorted(first.items(), key=lambda item: (-item[1][1], item[0]))
     per_cluster = tuple(
@@ -190,30 +193,25 @@ def read_reference_csv(path) -> dict[str, dict[str, str]]:
     """Reference agency ratings: columns object, agency, category, one row
     per (object, agency) pair."""
     with naming(path):
-        reader = _records(path)
-        if not {"object", "agency", "category"}.issubset(reader.fieldnames or ()):
-            raise ValidationError(
-                "reference file must have columns object, agency, category"
-            )
         out: dict[str, dict[str, str]] = {}
         row_of: dict[tuple[str, str], int] = {}  # (object, agency) -> row
-        for row in reader:
-            r = reader.line_num
-            if None in row:
-                raise ValidationError(f"row {r} has more cells than the header")
-            obj, agency, cat = row["object"], row["agency"], row["category"]
-            if None in (obj, agency, cat):
-                raise ValidationError(f"row {r} has fewer cells than the header")
+        for r, row in _rows(path, ("object", "agency", "category")):
+            obj, agency, cat = row["object"], row["agency"], row["category"].strip()
             if row_of.setdefault((obj, agency), r) != r:
                 raise ValidationError(
                     f"row {r}: object {shown(obj)} is already rated by agency "
                     f"{shown(agency)} at row {row_of[obj, agency]}"
                 )
-            cat = cat.strip()
-            if not cat or cat.lower() == "not rated":
-                continue
-            out.setdefault(obj, {})[agency] = cat
+            if cat and cat.lower() != "not rated":
+                out.setdefault(obj, {})[agency] = cat
     return out
+
+
+def write_json(path, doc) -> None:
+    """``doc`` as JSON, indented and with sorted keys, ending in a newline."""
+    with atomic_write(path) as fh:
+        json.dump(doc, fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 def write_agreement_json(path, report: AgreementReport) -> None:
@@ -232,8 +230,6 @@ def write_agreement_json(path, report: AgreementReport) -> None:
             }
             for a in report.per_object
         ],
-        "note": report.note,
+        "note": REPORT_FOOTER,
     }
-    with atomic_write(path) as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(path, doc)

@@ -18,22 +18,6 @@ REPORT_FOOTER = (
 
 
 @dataclass(frozen=True)
-class RatingScale:
-    """Ordered category labels, best first (e.g. AAA ... CCC)."""
-
-    labels: tuple[str, ...]
-
-    def __post_init__(self) -> None:
-        if not self.labels:
-            raise ValidationError("rating scale must have at least one label")
-        seen = set()
-        for i, label in enumerate(self.labels):
-            if label in seen:
-                raise ValidationError(f"'labels[{i}]' repeats {shown(label)}")
-            seen.add(label)
-
-
-@dataclass(frozen=True)
 class ClusterRating:
     cluster: int  # 1-based cluster id
     projection: float
@@ -92,12 +76,13 @@ def assign_ratings(objects, features, centers, per_cluster) -> RatingResult:
 
 
 def collapse_category(
-    category: str, scale: RatingScale, collapse_table: dict[str, str] | None = None
+    category: str, labels: tuple[str, ...], collapse_table: dict[str, str] | None = None
 ) -> str:
-    """Map an agency subcategory (AA+, AA-) to its coarse scale category.
+    """Map an agency subcategory (AA+, AA-) to its coarse category, which
+    must be one of ``labels``, the scale's category labels, best first.
 
     An explicit collapse table wins; otherwise a trailing '+' or '-' is
-    stripped.  The result must be a label of the scale.
+    stripped.
     """
     cat = category.strip()
     if collapse_table and cat in collapse_table:
@@ -106,10 +91,10 @@ def collapse_category(
         coarse = cat[:-1]
     else:
         coarse = cat
-    if coarse not in scale.labels:
+    if coarse not in labels:
         raise ValidationError(
             f"reference category {shown(category)} does not collapse to any scale "
-            f"label {listed(scale.labels)}"
+            f"label {listed(labels)}"
         )
     return coarse
 
@@ -128,7 +113,6 @@ class AgreementReport:
     matched: int
     compared: int
     skipped: tuple[str, ...] = ()  # reference objects absent from the result
-    note: str = REPORT_FOOTER
 
     @property
     def fraction(self) -> float | None:
@@ -139,17 +123,19 @@ class AgreementReport:
 def score_agreement(
     result: RatingResult,
     reference: dict[str, dict[str, str]],
-    scale: RatingScale | None = None,
+    labels: tuple[str, ...] | None = None,
     collapse_table: dict[str, str] | None = None,
 ) -> AgreementReport:
     """Compare model categories with agency reference ratings.
 
-    ``reference`` maps object id -> {agency: category}.  An object matches
+    ``reference`` maps object id -> {agency: category}.  Each agency
+    category collapses (:func:`collapse_category`) to one of ``labels``, by
+    default the result's own categories, best first.  An object matches
     when its model category equals the collapsed category of at least one
     agency.  Objects with no reference rating stay out of the denominator.
     """
-    if scale is None:
-        scale = RatingScale(tuple(dict.fromkeys(c.category for c in result.per_cluster)))
+    if labels is None:
+        labels = tuple(dict.fromkeys(c.category for c in result.per_cluster))
     model = result.categories()
     skipped = tuple(sorted(o for o in reference if o not in model))
     rows = []
@@ -157,7 +143,7 @@ def score_agreement(
     for obj, category in model.items():
         agency_cats = reference.get(obj, {})
         collapsed = tuple(
-            (agency, collapse_category(cat, scale, collapse_table))
+            (agency, collapse_category(cat, labels, collapse_table))
             for agency, cat in sorted(agency_cats.items())
         )
         if not collapsed:

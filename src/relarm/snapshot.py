@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -11,7 +10,7 @@ from .attributes import map_to_feature_space
 from .config import PipelineConfig, config_from_dict, config_to_dict, read_json
 from .dataset import RawDataset, _freeze, check_indicators
 from .errors import ValidationError, listed, naming, shown
-from .io import atomic_write
+from .io import write_json
 from .normalize import range_width, scale_values
 from .pca import PcaModel
 from .rating import (
@@ -67,9 +66,7 @@ def save_snapshot(snapshot: Snapshot, path) -> None:
             "projections": [c.projection for c in by_id],
         },
     }
-    with atomic_write(path) as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(path, doc)
 
 
 _SECTIONS = {

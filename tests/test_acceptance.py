@@ -15,7 +15,6 @@ from relarm.normalize import normalize_dataset
 from relarm.pca import fit_pca
 from relarm.pipeline import run_pipeline
 from relarm.rating import (
-    RatingScale,
     assign_ratings,
     bind_categories,
     project_center,
@@ -247,8 +246,8 @@ def test_criterion_7_ordering_invariances(country_config, country_dataset, monke
 def test_criterion_8_agreement_scoring(data_dir):
     result = read_ratings_csv(data_dir / "table8_model_categories.csv")
     reference = read_reference_csv(data_dir / "table8_reference.csv")
-    scale = RatingScale(("AAA", "AA", "A", "BBB", "BB", "B", "CCC"))
-    report_ = score_agreement(result, reference, scale=scale)
+    labels = ("AAA", "AA", "A", "BBB", "BB", "B", "CCC")
+    report_ = score_agreement(result, reference, labels=labels)
     assert report_.matched == 26
     assert report_.compared == 30
     assert report_.fraction == pytest.approx(26 / 30, abs=1e-12)

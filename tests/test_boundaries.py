@@ -10,7 +10,7 @@ from relarm.clustering import kmeans
 from relarm.dataset import Direction, IndicatorSpec, RawDataset
 from relarm.errors import ValidationError
 from relarm.pca import derive_weights, fit_pca
-from relarm.rating import RatingResult, RatingScale
+from relarm.rating import RatingResult
 
 X = (IndicatorSpec("x", Direction.POSITIVE),)
 
@@ -26,13 +26,12 @@ X = (IndicatorSpec("x", Direction.POSITIVE),)
     (lambda: fit_pca(np.array([[1.0, 2.0]])), "need an M x N matrix with M >= 2"),
     (lambda: fit_pca(np.array([[0.0, np.nan], [1.0, 0.0], [0.0, 1.0]])),
      "matrix holds a non-finite number"),
-    (lambda: RatingScale(()), "rating scale must have at least one label"),
     (lambda: RatingResult(("a", "b"), (1,), ()), "objects/clusters length mismatch"),
     (lambda: derive_weights(np.eye(2), np.zeros(2), 0.95),
      "data has zero total variance; cannot fit"),
 ], ids=["dataset-shape", "dataset-no-indicator", "kmeans-empty", "kmeans-1-d",
-        "kmeans-no-iteration", "kmeans-nan", "pca-one-row", "pca-nan", "scale-empty",
-        "result-lengths", "weights-zero-variance"])
+        "kmeans-no-iteration", "kmeans-nan", "pca-one-row", "pca-nan", "result-lengths",
+        "weights-zero-variance"])
 def test_library_misuse_is_a_validation_error(call, message):
     with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
         call()

@@ -745,11 +745,13 @@ def test_non_utf8_data_names_file_and_line(workdir, capsys):
     (lambda rows: rows[4].append("x"), "row 5 has more cells than the header"),
     (lambda rows: [row.append(row[3]) for row in rows],
      "columns repeated in the header: ['category']"),
+    (lambda rows: [row.pop(2) for row in rows],
+     "columns missing from the header: ['projection']"),
     (lambda rows: rows.append(["Switzerland"] + rows[-1][1:]),
      "row 32: object 'Switzerland' is already rated at row 2"),
 ], ids=["cluster-not-integer", "projection-not-number", "projection-nan",
         "projection-differs", "category-differs", "short-row", "long-row",
-        "repeated-column", "duplicate-object"])
+        "repeated-column", "missing-column", "duplicate-object"])
 def test_bad_ratings_file_names_file_row_and_column(workdir, data_dir, capsys, edit, message):
     rows = [
         line.split(",")
@@ -773,7 +775,9 @@ def test_bad_ratings_file_names_file_row_and_column(workdir, data_dir, capsys, e
     (lambda rows: rows[4].append("x"), "row 5 has more cells than the header"),
     (lambda rows: [row.append(row[2]) for row in rows],
      "columns repeated in the header: ['category']"),
-], ids=["short-row", "long-row", "repeated-column"])
+    (lambda rows: [row.pop(1) for row in rows], "columns missing from the header: ['agency']"),
+    (lambda rows: rows[0].append("source"), "row 2 has fewer cells than the header"),
+], ids=["short-row", "long-row", "repeated-column", "missing-column", "unfilled-column"])
 def test_bad_reference_file_names_file_and_row(workdir, data_dir, capsys, edit, message):
     ref = workdir / "reference.csv"
     rows = [line.split(",") for line in ref.read_text().splitlines()]
@@ -1036,7 +1040,8 @@ def _config_with(**changes):
     ("run", "--data", "", "empty file"),
     ("assign", "--data", "", "empty file"),
     ("score", "--ratings", _RATINGS_HEADER, "empty ratings file"),
-    ("score", "--ratings", "", "empty ratings file"),
+    ("score", "--ratings", "",
+     "columns missing from the header: ['object', 'cluster', 'projection', 'category']"),
     ("run", "--config", "[]", "config must be a JSON object"),
     ("assign", "--snapshot", "[]", "snapshot must be a JSON object"),
     ("run", "--config", _config_with(indicators=None), "config is missing the 'indicators' key"),

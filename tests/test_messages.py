@@ -24,7 +24,7 @@ from relarm.dataset import (
 from relarm.errors import LISTED_MAX, ValidationError, listed
 from relarm.io import read_ratings_csv, read_reference_csv
 from relarm.normalize import ConstantColumnWarning, normalize_dataset, range_width
-from relarm.rating import RatingScale, collapse_category
+from relarm.rating import collapse_category
 from relarm.snapshot import load_snapshot, save_snapshot
 
 HUGE = "x" * 100_000
@@ -282,12 +282,12 @@ def test_uncollapsible_category_echoes_a_huge_value_short():
     with pytest.raises(ValidationError, match=(
         rf"^reference category {SHOWN} does not collapse to any scale label \['A', 'B'\]$"
     )):
-        collapse_category(HUGE, RatingScale(("A", "B")))
+        collapse_category(HUGE, ("A", "B"))
 
 
 def test_uncollapsible_category_echoes_huge_labels_short():
     with pytest.raises(ValidationError) as info:
-        collapse_category("Q", RatingScale(tuple(LABELS)))
+        collapse_category("Q", tuple(LABELS))
     message = rf"reference category 'Q' does not collapse to any scale label {LISTED_LABELS}"
     assert re.fullmatch(message, str(info.value)), str(info.value)
     assert len(str(info.value)) < 1000

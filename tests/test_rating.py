@@ -4,7 +4,6 @@ import pytest
 from relarm.errors import ValidationError
 from relarm.io import read_ratings_csv, read_reference_csv
 from relarm.rating import (
-    RatingScale,
     assign_ratings,
     bind_categories,
     collapse_category,
@@ -12,19 +11,19 @@ from relarm.rating import (
     score_agreement,
 )
 
-SCALE7 = RatingScale(("AAA", "AA", "A", "BBB", "BB", "B", "CCC"))
+LABELS7 = ("AAA", "AA", "A", "BBB", "BB", "B", "CCC")
 
 
-def bind(centers, rating_vector, scale):
+def bind(centers, rating_vector, labels):
     """The per-cluster table of ``centers`` by projection on ``rating_vector``."""
-    return bind_categories([project_center(c, rating_vector) for c in centers], scale.labels)
+    return bind_categories([project_center(c, rating_vector) for c in centers], labels)
 
 
-def rate(objects, centers, assignments, rating_vector, scale):
+def rate(objects, centers, assignments, rating_vector, labels):
     """Rate objects that sit on their assigned (1-based) centers."""
     centers = np.asarray(centers, dtype=np.float64)
     features = centers[np.asarray(assignments) - 1]
-    result = assign_ratings(objects, features, centers, bind(centers, rating_vector, scale))
+    result = assign_ratings(objects, features, centers, bind(centers, rating_vector, labels))
     assert result.clusters == tuple(assignments)
     return result
 
@@ -55,26 +54,26 @@ class TestProjection:
 
 class TestAssign:
     def test_two_clusters(self):
-        result = rate(ids(3), [[0.9], [0.1]], [1, 2, 2], [1.0], RatingScale(("A", "B")))
+        result = rate(ids(3), [[0.9], [0.1]], [1, 2, 2], [1.0], ("A", "B"))
         cats = result.categories()
         assert cats["o0"] == "A" and cats["o1"] == "B"
 
     def test_single_cluster(self):
-        result = rate(ids(3), [[0.4]], [1, 1, 1], [1.0], RatingScale(("only",)))
+        result = rate(ids(3), [[0.4]], [1, 1, 1], [1.0], ("only",))
         assert set(result.categories().values()) == {"only"}
 
     def test_scale_size_mismatch(self):
         with pytest.raises(ValidationError):
-            rate(ids(2), [[0.9], [0.1]], [1, 2], [1.0], SCALE7)
+            rate(ids(2), [[0.9], [0.1]], [1, 2], [1.0], LABELS7)
 
     def test_ties_flagged_and_broken_by_index(self):
         # equal projections, |0.5| and |-0.5|, from two distinct centers
-        result = rate(ids(2), [[0.5], [-0.5]], [1, 2], [1.0], RatingScale(("A", "B")))
+        result = rate(ids(2), [[0.5], [-0.5]], [1, 2], [1.0], ("A", "B"))
         assert result.categories() == {"o0": "A", "o1": "B"}
         # equal centers: the table still binds by id, and an object at equal
         # distance from both goes to the lower id
         centers = np.array([[0.5], [0.5]])
-        per_cluster = bind(centers, [1.0], RatingScale(("A", "B")))
+        per_cluster = bind(centers, [1.0], ("A", "B"))
         assert [(c.cluster, c.category) for c in per_cluster] == [(1, "A"), (2, "B")]
         assert assign_ratings(ids(2), centers, centers, per_cluster).clusters == (1, 1)
 
@@ -95,7 +94,7 @@ class TestAssign:
                 country_run.ratings.objects,
                 country_run.features,
                 centers,
-                bind(centers, c * country_run.snapshot.model.Lambda, SCALE7),
+                bind(centers, c * country_run.snapshot.model.Lambda, LABELS7),
             )
             assert scaled.categories() == base
 
@@ -108,68 +107,68 @@ class TestAssign:
         )
         objects, features = country_run.ratings.objects, country_run.features
         lam = country_run.snapshot.model.Lambda
-        base = assign_ratings(objects, features, centers, bind(centers, lam, SCALE7))
-        other = assign_ratings(objects, features, permuted, bind(permuted, lam, SCALE7))
+        base = assign_ratings(objects, features, centers, bind(centers, lam, LABELS7))
+        other = assign_ratings(objects, features, permuted, bind(permuted, lam, LABELS7))
         assert other.clusters == tuple(int(perm[q - 1]) for q in base.clusters)
         assert base.categories() == other.categories()
 
     def test_monotone_consistency(self):
-        result = rate(ids(2), [[0.6, 0.5], [0.4, 0.5]], [1, 2], [0.7, 0.3], RatingScale(("hi", "lo")))
+        result = rate(ids(2), [[0.6, 0.5], [0.4, 0.5]], [1, 2], [0.7, 0.3], ("hi", "lo"))
         order = [c.cluster for c in result.per_cluster]  # best first
         assert order.index(1) < order.index(2)
 
 
 class TestCollapse:
     def test_modifier_stripping(self):
-        assert collapse_category("AA+", SCALE7) == "AA"
-        assert collapse_category("BBB-", SCALE7) == "BBB"
-        assert collapse_category("CCC", SCALE7) == "CCC"
+        assert collapse_category("AA+", LABELS7) == "AA"
+        assert collapse_category("BBB-", LABELS7) == "BBB"
+        assert collapse_category("CCC", LABELS7) == "CCC"
 
     def test_explicit_table_wins(self):
-        assert collapse_category("Aa1", SCALE7, {"Aa1": "AA"}) == "AA"
+        assert collapse_category("Aa1", LABELS7, {"Aa1": "AA"}) == "AA"
 
     def test_uncollapsible_rejected(self):
         with pytest.raises(ValidationError, match="collapse"):
-            collapse_category("ZZZ", SCALE7)
+            collapse_category("ZZZ", LABELS7)
 
 
 class TestScoreAgreement:
     def test_subcategory_match(self):
-        result = rate(("x", "y"), [[0.9], [0.1]], [1, 2], [1.0], RatingScale(("AA", "A")))
+        result = rate(("x", "y"), [[0.9], [0.1]], [1, 2], [1.0], ("AA", "A"))
         report = score_agreement(
-            result, {"x": {"Fitch": "AA+"}}, scale=SCALE7
+            result, {"x": {"Fitch": "AA+"}}, labels=LABELS7
         )
         assert report.matched == 1 and report.compared == 1
 
     def test_must_match_at_least_one_agency(self):
-        result = rate(("x", "y"), [[0.9], [0.1]], [1, 2], [1.0], RatingScale(("BBB", "B")))
+        result = rate(("x", "y"), [[0.9], [0.1]], [1, 2], [1.0], ("BBB", "B"))
         report = score_agreement(
             result,
             {"x": {"S&P": "A", "Moody's": "A", "Fitch": "A"}},
-            scale=SCALE7,
+            labels=LABELS7,
         )
         assert report.matched == 0 and report.compared == 1
 
     def test_unrated_objects_excluded_from_denominator(self):
-        result = rate(("x", "y"), [[0.9], [0.1]], [1, 2], [1.0], RatingScale(("AA", "A")))
-        report = score_agreement(result, {"x": {"Fitch": "AA"}}, scale=SCALE7)
+        result = rate(("x", "y"), [[0.9], [0.1]], [1, 2], [1.0], ("AA", "A"))
+        report = score_agreement(result, {"x": {"Fitch": "AA"}}, labels=LABELS7)
         assert report.compared == 1
 
     def test_empty_reference(self):
-        result = rate(ids(2), [[0.9], [0.1]], [1, 2], [1.0], RatingScale(("AA", "A")))
-        report = score_agreement(result, {}, scale=SCALE7)
+        result = rate(ids(2), [[0.9], [0.1]], [1, 2], [1.0], ("AA", "A"))
+        report = score_agreement(result, {}, labels=LABELS7)
         assert report.compared == 0 and report.fraction is None
 
     def test_reference_object_missing_from_results_is_skipped(self):
-        result = rate(("x", "y"), [[0.9], [0.1]], [1, 2], [1.0], RatingScale(("AA", "A")))
-        report = score_agreement(result, {"ghost": {"Fitch": "AA"}}, scale=SCALE7)
+        result = rate(("x", "y"), [[0.9], [0.1]], [1, 2], [1.0], ("AA", "A"))
+        report = score_agreement(result, {"ghost": {"Fitch": "AA"}}, labels=LABELS7)
         assert report.skipped == ("ghost",)
         assert report.compared == 0
 
     def test_published_match_grid(self, data_dir):
         result = read_ratings_csv(data_dir / "table8_model_categories.csv")
         reference = read_reference_csv(data_dir / "table8_reference.csv")
-        report = score_agreement(result, reference, scale=SCALE7)
+        report = score_agreement(result, reference, labels=LABELS7)
         assert report.matched == 26
         assert report.compared == 30
         assert report.fraction == pytest.approx(26 / 30)

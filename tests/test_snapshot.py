@@ -10,8 +10,10 @@ from relarm.cli import main
 from relarm.config import PipelineConfig
 from relarm.dataset import Direction, IndicatorSpec, RawDataset
 from relarm.errors import RelarmError, ValidationError
+from relarm.io import read_ratings_csv
 from relarm.pipeline import run_pipeline
 from relarm.snapshot import load_snapshot, save_snapshot, score_with_snapshot
+from test_golden import TOL
 
 # written by `relarm fit` on the country sample in format 1
 SNAPSHOT_V1 = Path(__file__).parent / "data" / "snapshot_country_v1.json"
@@ -176,8 +178,14 @@ def test_format_1_snapshot_assigns_like_run(tmp_path, data_dir):
                  *common, str(tmp_path / "run")]) == 0
     assert main(["assign", "--snapshot", str(SNAPSHOT_V1),
                  *common, str(tmp_path / "assigned")]) == 0
-    run = (tmp_path / "run" / "ratings.csv").read_bytes()
-    assert (tmp_path / "assigned" / "ratings.csv").read_bytes() == run
+    # the stored snapshot was fitted on one OpenBLAS kernel, so a fresh run on
+    # another may move a projection in its last digits, but no rating
+    run = read_ratings_csv(tmp_path / "run" / "ratings.csv")
+    assigned = read_ratings_csv(tmp_path / "assigned" / "ratings.csv")
+    assert assigned.objects == run.objects and assigned.clusters == run.clusters
+    assert assigned.categories() == run.categories()
+    np.testing.assert_allclose([c.projection for c in assigned.per_cluster],
+                               [c.projection for c in run.per_cluster], rtol=0, atol=TOL)
 
 
 def test_format_1_snapshot_saves_as_format_3_without_unread_keys(tmp_path):
