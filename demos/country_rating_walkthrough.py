@@ -39,13 +39,15 @@ print("variance fractions:", np.round(model.variance_fractions, 4))
 print("weight matrix W (columns sum to 1):")
 print(np.round(model.W, 4))
 
-# 3. map every object into ranking-function space
-features = map_to_feature_space(normalized, model)
-print(f"\nfeature matrix: {features.shape}")
+# 3. map every object into ranking-function space: one row per ranking
+#    function, one column per object
+coords = map_to_feature_space(normalized, model)
+print(f"\nfeature coordinates: {coords.shape}")
 
-# 4. k-means++ clustering, deterministic seeding, best of many restarts
+# 4. k-means++ clustering of the objects (one row each), deterministic
+#    seeding, best of many restarts
 clusters = kmeans(
-    features, k=config.k, seed=config.seed, restarts=config.restarts
+    coords.T, k=config.k, seed=config.seed, restarts=config.restarts
 )
 print(f"clustered into {clusters.k} groups, total SSE {clusters.sse:.4f}")
 
@@ -53,7 +55,7 @@ print(f"clustered into {clusters.k} groups, total SSE {clusters.sse:.4f}")
 #    each object takes the category of its nearest center
 projections = [project_center(c, model.Lambda) for c in clusters.centers]
 per_cluster = bind_categories(projections, config.labels)
-ratings = assign_ratings(dataset.objects, features, clusters.centers, per_cluster)
+ratings = assign_ratings(dataset.objects, coords, clusters.centers, per_cluster)
 print("\ncluster projections and categories:")
 for c in ratings.per_cluster:
     members = ratings.clusters.count(c.cluster)

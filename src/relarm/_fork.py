@@ -1,14 +1,15 @@
 """Run shares of one job in forked processes, one share per process.
 
 Used by ``clustering.kmeans`` (its restarts) and ``dataset._parse_plain``
-(its lines).  Results come back in share order, share 0's first, from the
-calling process; a caller may take each one as it arrives, while the
-children still run their shares (``fork_map``'s ``each``), as
-``relarm assign`` rates the rows of each parsed share.  A forked child has
-only the thread that forked, so a share must call no BLAS routine, whose
-thread pool the child would lack (OpenBLAS registers a ``pthread_atfork``
-handler for it); neither caller's share calls one, and ``each`` runs in
-the calling process, where BLAS may run.
+(its lines, and what ``load_dataset``'s ``each`` makes of them: ``relarm
+assign`` scales, maps, rates and formats each share's rows in the process
+that parsed them).  Results come back in share order, share 0's first,
+from the calling process; a caller may take each one as it arrives, while
+the children still run their shares (``fork_map``'s ``each``).  A forked
+child has only the thread that forked, so a share must call no BLAS
+routine, whose thread pool the child would lack (OpenBLAS registers a
+``pthread_atfork`` handler for it); no caller's share calls one: the
+scoring of ``assign`` is elementwise numpy and Python throughout.
 """
 
 from __future__ import annotations

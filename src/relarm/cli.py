@@ -162,18 +162,17 @@ def _cmd_fit(args) -> int:
 
 def _cmd_assign(args) -> int:
     snapshot = load_snapshot(args.snapshot)
-    blocks = []  # the rows of ratings.csv, share by share
 
-    def rate(ids, values):
+    def rate(ids, values):  # in the process that parsed the rows (load_dataset)
         # rows that the whole table's check then rejects are rated for
         # nothing: no numpy warning of theirs may print before its error
         with np.errstate(over="ignore", invalid="ignore"):
-            blocks.append(io.rating_rows(score_rows(snapshot, ids, values)))
+            return io.rating_rows(score_rows(snapshot, ids, values))
 
-    load_dataset(args.data, snapshot.config.indicators, rate)
+    table = load_dataset(args.data, snapshot.config.indicators, rate)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    io.write_rating_rows(out_dir / "ratings.csv", blocks)
+    io.write_rating_rows(out_dir / "ratings.csv", table.results)
     print(f"wrote {out_dir / 'ratings.csv'}")
     print(REPORT_FOOTER)
     return EXIT_OK
@@ -182,11 +181,18 @@ def _cmd_assign(args) -> int:
 def _cmd_score(args) -> int:
     result = io.read_ratings_csv(args.ratings)
     reference = io.read_reference_csv(args.reference)
-    labels = collapse = None
     if args.config:
         cfg = load_config(args.config)
-        labels, collapse = cfg.labels, cfg.collapse_table
-    report = _agreement(args, result, reference, labels, collapse)
+        report = _agreement(args, result, reference, cfg.labels, cfg.collapse_table)
+    else:
+        try:
+            report = _agreement(args, result, reference, None, None)
+        except ValidationError as exc:
+            # the scale is only the categories that the ratings file holds
+            raise ValidationError(
+                f"{exc} (the scale was read from the categories in the ratings "
+                f"file {args.ratings}; --config gives the config's whole scale)"
+            ) from None
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     io.write_agreement_json(out_dir / "agreement.json", report)

@@ -7,7 +7,7 @@ import warnings
 
 import numpy as np
 
-from .dataset import Direction, IndicatorSpec, RawDataset, _freeze
+from .dataset import Direction, IndicatorSpec, RawDataset
 from .errors import ValidationError, shown
 
 
@@ -51,14 +51,17 @@ def scale_column(col: np.ndarray, lo, hi, spec: IndicatorSpec) -> np.ndarray:
     return np.clip(out, 0.0, 1.0)
 
 
-def scale_values(raw: np.ndarray, specs, lo, hi) -> np.ndarray:
+def scale_values(raw: np.ndarray, specs, lo, hi, out: np.ndarray) -> np.ndarray:
     """Scale every column of the M x N raw values ``raw``, that of
     ``specs[j]`` for column j, with :func:`scale_column` over the
-    per-column ranges ``lo``/``hi``: the frozen M x N matrix."""
-    values = np.empty_like(raw)
+    per-column ranges ``lo``/``hi``, into the M x N array ``out``, which
+    is returned read-only.  An ``out`` held column by column (the
+    transpose of a C-contiguous array) gives the map each indicator as
+    one contiguous row."""
     for j, spec in enumerate(specs):
-        values[:, j] = scale_column(raw[:, j], lo[j], hi[j], spec)
-    return _freeze(values)
+        out[:, j] = scale_column(raw[:, j], lo[j], hi[j], spec)
+    out.setflags(write=False)
+    return out
 
 
 def normalize_dataset(raw: RawDataset) -> np.ndarray:
@@ -72,7 +75,8 @@ def normalize_dataset(raw: RawDataset) -> np.ndarray:
             f"need at least 2 rating objects to take column ranges, got {raw.n_objects}"
         )
     lo, hi = raw.values.min(axis=0), raw.values.max(axis=0)
-    out = scale_values(raw.values, raw.indicators, lo, hi)
+    # C-contiguous, the layout whose column means the fit has always summed
+    out = scale_values(raw.values, raw.indicators, lo, hi, np.empty_like(raw.values))
     for j, spec in enumerate(raw.indicators):
         if not spec.pre_normalized and lo[j] == hi[j]:
             warnings.warn(

@@ -20,7 +20,7 @@ from .snapshot import Snapshot
 class PipelineOutputs:
     normalized: np.ndarray  # M x N normalized matrix B, one row per object
     snapshot: Snapshot  # the fitted model
-    features: np.ndarray  # M x d, one row per object
+    features: np.ndarray  # M x d, one row per object (a view of the d x M map)
     clusters: ClusteringResult
     ratings: RatingResult
 
@@ -32,22 +32,20 @@ def run_pipeline(config: PipelineConfig, dataset: RawDataset) -> PipelineOutputs
     check_indicators(dataset.indicators, config.indicators, "the configuration")
     normalized = normalize_dataset(dataset)
     model = fit_pca(normalized, variance_threshold=config.variance_threshold)
-    features = map_to_feature_space(normalized, model)
+    coords = map_to_feature_space(normalized, model)
     clusters = kmeans(
-        features,
+        coords.T,
         k=config.k,
         seed=config.seed,
         restarts=config.restarts,
         max_iterations=config.max_iterations,
     )
     snapshot = build_snapshot(config, dataset, model, clusters.centers)
-    ratings = assign_ratings(
-        dataset.objects, features, snapshot.centers, snapshot.per_cluster
-    )
+    ratings = assign_ratings(dataset.objects, coords, snapshot.centers, snapshot.per_cluster)
     return PipelineOutputs(
         normalized=normalized,
         snapshot=snapshot,
-        features=features,
+        features=coords.T,
         clusters=clusters,
         ratings=ratings,
     )

@@ -43,14 +43,18 @@ class RatingResult:
 
 
 def project_center(center, rating_vector) -> float:
-    """Absolute inner product of a cluster center with the rating vector."""
+    """Absolute inner product of a cluster center with the rating vector,
+    its products summed in the rating vector's order."""
     c = np.asarray(center, dtype=np.float64)
     lam = np.asarray(rating_vector, dtype=np.float64)
     if c.shape != lam.shape:
         raise ValidationError(
             f"dimension mismatch: center {c.shape} vs rating vector {lam.shape}"
         )
-    return abs(float(c @ lam))
+    total = 0.0
+    for x, y in zip(c.tolist(), lam.tolist()):
+        total += x * y
+    return abs(total)
 
 
 def bind_categories(projections, labels) -> tuple[ClusterRating, ...]:
@@ -67,12 +71,19 @@ def bind_categories(projections, labels) -> tuple[ClusterRating, ...]:
     )
 
 
-def assign_ratings(objects, features, centers, per_cluster) -> RatingResult:
-    """Rate ``objects``, one per row of the M x d ``features``: each takes
-    the category, in ``per_cluster``, of its nearest of the k x d
-    ``centers``, equal distances going to the lower cluster id."""
-    nearest = nearest_center(np.ascontiguousarray(np.transpose(features)), centers)[0]
-    return RatingResult(tuple(objects), tuple((nearest + 1).tolist()), per_cluster)
+def assign_ratings(objects, coords, centers, per_cluster) -> RatingResult:
+    """Rate ``objects``, one per column of the d x M ``coords``
+    (``map_to_feature_space``'s layout): each takes the category, in
+    ``per_cluster``, of its nearest of the k x d ``centers``, equal
+    distances going to the lower cluster id."""
+    objects = tuple(objects)
+    if np.shape(coords) != (np.shape(centers)[1], len(objects)):
+        raise ValidationError(
+            f"coordinates of shape {np.shape(coords)} for {len(objects)} objects and "
+            f"centers of shape {np.shape(centers)}: expected d x M"
+        )
+    nearest = nearest_center(coords, centers)[0]
+    return RatingResult(objects, tuple((nearest + 1).tolist()), per_cluster)
 
 
 def collapse_category(

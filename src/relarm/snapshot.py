@@ -176,18 +176,23 @@ def _snapshot_from_doc(doc) -> Snapshot:
 
 def normalize_with_snapshot(snapshot: Snapshot, values: np.ndarray) -> np.ndarray:
     """Scale the M x N raw ``values``, columns in the snapshot's indicator
-    order, using the ranges frozen at fit time: the normalized matrix."""
+    order, using the ranges frozen at fit time: the normalized matrix, held
+    column by column, so that the map reads each indicator as one
+    contiguous row."""
+    rows = np.empty((values.shape[1], values.shape[0]))
     return scale_values(
-        values, snapshot.config.indicators, snapshot.column_min, snapshot.column_max
+        values, snapshot.config.indicators, snapshot.column_min, snapshot.column_max, rows.T
     )
 
 
 def score_rows(snapshot: Snapshot, objects, values: np.ndarray) -> RatingResult:
     """Rate ``objects``, one per row of their raw ``values`` (columns in
     the snapshot's indicator order): normalize with the stored ranges, map
-    through W, and give each the category of its nearest stored center."""
-    features = map_to_feature_space(normalize_with_snapshot(snapshot, values), snapshot.model)
-    return assign_ratings(objects, features, snapshot.centers, snapshot.per_cluster)
+    through W, and give each the category of its nearest stored center.
+    Every step is elementwise, with no BLAS routine, so a row's rating is
+    the same whichever rows are scored with it."""
+    coords = map_to_feature_space(normalize_with_snapshot(snapshot, values), snapshot.model)
+    return assign_ratings(objects, coords, snapshot.centers, snapshot.per_cluster)
 
 
 def score_with_snapshot(snapshot: Snapshot, raw: RawDataset) -> RatingResult:

@@ -107,10 +107,12 @@ def record_shares(monkeypatch):
     return calls
 
 
-def parse_plain(text, specs, each=None):
-    """``dataset._parse_plain`` of ``text`` encoded as UTF-8, the bytes
-    ``load_dataset`` reads from a file."""
-    return _parse_plain(text.encode("utf-8"), specs, each)
+def parse_plain(text, specs):
+    """The ids and values that ``dataset._parse_plain`` reads from ``text``
+    encoded as UTF-8, the bytes ``load_dataset`` reads from a file, its
+    shares joined in file order."""
+    parts = _parse_plain(text.encode("utf-8"), specs, lambda ids, values: values)
+    return [i for ids, _ in parts for i in ids], np.concatenate([v for _, v in parts])
 
 
 @pytest.fixture

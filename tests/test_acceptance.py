@@ -172,7 +172,7 @@ def test_criterion_6_ranking_function_properties():
         for _ in range(10):
             lo = rng.uniform(size=n)
             hi = np.minimum(lo + rng.uniform(size=n) * (1.0 - lo), 1.0)
-            r_lo, r_hi = map_to_feature_space(np.vstack([lo, hi]), model)
+            r_lo, r_hi = map_to_feature_space(np.vstack([lo, hi]), model).T
             for p in range(model.d):
                 assert r_hi[p] >= r_lo[p] - 1e-12
                 assert -1e-12 <= r_lo[p] <= 1.0 + 1e-12
@@ -188,10 +188,10 @@ def test_criterion_7_ordering_invariances(country_config, country_dataset, monke
     objects = country_dataset.objects
     model = out.snapshot.model
 
-    def rate(centers, rating_vector, features=out.features):
+    def rate(centers, rating_vector, coords=out.features.T):
         projections = [project_center(c, rating_vector) for c in centers]
         per_cluster = bind_categories(projections, country_config.labels)
-        return assign_ratings(objects, features, centers, per_cluster)
+        return assign_ratings(objects, coords, centers, per_cluster)
 
     base = rate(out.clusters.centers, model.Lambda)
 
@@ -230,15 +230,15 @@ def test_criterion_7_ordering_invariances(country_config, country_dataset, monke
         assert model2.d == model.d
         assert np.array_equal(model2.W, model.W)
         assert np.array_equal(model2.Lambda, model.Lambda)
-        features2 = map_to_feature_space(out.normalized, model2)
-        assert np.array_equal(features2, out.features)
+        coords2 = map_to_feature_space(out.normalized, model2)
+        assert np.array_equal(coords2.T, out.features)
         clusters2 = kmeans(
-            features2, k=country_config.k, seed=country_config.seed,
+            coords2.T, k=country_config.k, seed=country_config.seed,
             restarts=country_config.restarts,
         )
         assert clusters2.assignments == out.clusters.assignments
         assert np.array_equal(clusters2.centers, out.clusters.centers)
-        ratings2 = rate(clusters2.centers, model2.Lambda, features2)
+        ratings2 = rate(clusters2.centers, model2.Lambda, coords2)
         assert ratings2 == out.ratings
     report("7 (scale/relabel/sign invariances)")
 

@@ -16,7 +16,7 @@ def model():
 
 def rank_values(b, model):
     """Ranking-function values of one normalized row, one per component."""
-    return map_to_feature_space(np.atleast_2d(b), model)[0]
+    return map_to_feature_space(np.atleast_2d(b), model)[:, 0]
 
 
 def test_component_index_range():
@@ -24,7 +24,7 @@ def test_component_index_range():
     model = fit_pca(np.random.default_rng(42).uniform(size=(12, 5)), 0.5)
     assert 1 <= model.d < 5
     out = map_to_feature_space(np.ones((3, 5)), model)
-    assert out.shape == (3, model.d)
+    assert out.shape == (model.d, 3)
 
 
 def test_rank_value_endpoints(model):
@@ -32,16 +32,24 @@ def test_rank_value_endpoints(model):
     assert rank_values(np.zeros(5), model).tolist() == [0.0] * model.d
 
 
+def in_order(w, b) -> float:
+    """sum_k w[k] * b[k] in Python floats, added in index order."""
+    total = 0.0
+    for x, y in zip(w.tolist(), b.tolist()):
+        total += x * y
+    return total
+
+
 def test_rank_value_matches_naive_loop(model):
     # for a nonnegative row this sum is also the l1 norm of the entrywise
-    # product of the row with the signed component
+    # product of the row with the signed component; the map adds its terms
+    # in indicator order, so it equals the scalar loop bit for bit
     rng = np.random.default_rng(0)
     for _ in range(100):
         b = rng.uniform(size=5)
         r = rank_values(b, model)
         for p in range(1, model.d + 1):
-            naive = sum(model.W[k, p - 1] * b[k] for k in range(5))
-            assert r[p - 1] == pytest.approx(naive, abs=1e-12)
+            assert r[p - 1] == in_order(model.W[:, p - 1], b)
 
 
 @given(st.integers(min_value=0, max_value=2**32 - 1))
@@ -60,13 +68,13 @@ def test_monotonicity_and_range(seed):
 
 def test_map_identity_rows_select_w(model):
     out = map_to_feature_space(np.eye(5), model)
-    np.testing.assert_array_equal(out, model.W)
+    np.testing.assert_array_equal(out, model.W.T)
 
 
 def test_map_row_of_ones_gives_ones(model):
     b = np.vstack([np.ones(5), np.zeros(5)])
     out = map_to_feature_space(b, model)
-    np.testing.assert_allclose(out[0], np.ones(model.d), atol=1e-12)
+    np.testing.assert_allclose(out[:, 0], np.ones(model.d), atol=1e-12)
 
 
 def test_map_dimension_mismatch(model):
@@ -81,13 +89,12 @@ def test_map_with_synthetic_expert_column(country_run):
     )
     model = fit_pca(b10, 0.95)
     out = map_to_feature_space(b10, model)
-    assert out.shape == (30, model.d)
+    assert out.shape == (model.d, 30)
     assert out.min() >= 0.0 and out.max() <= 1.0 + 1e-12
     # cross-check every entry against the scalar ranking function
     for i in range(30):
         for p in range(1, model.d + 1):
-            naive = sum(model.W[k, p - 1] * b10[i, k] for k in range(10))
-            assert out[i, p - 1] == pytest.approx(naive, abs=1e-12)
+            assert out[p - 1, i] == in_order(model.W[:, p - 1], b10[i])
 
 
 def test_comparison_consistency(country_run):
@@ -95,7 +102,7 @@ def test_comparison_consistency(country_run):
     b = country_run.normalized
     r = map_to_feature_space(b, model)
     for p in range(1, model.d + 1):
-        sums = [float(np.abs(model.W[:, p - 1]) @ b[i]) for i in range(len(b))]
+        sums = [in_order(np.abs(model.W[:, p - 1]), b[i]) for i in range(len(b))]
         for i in range(len(b)):
             for j in range(len(b)):
-                assert (r[i, p - 1] >= r[j, p - 1]) == (sums[i] >= sums[j])
+                assert (r[p - 1, i] >= r[p - 1, j]) == (sums[i] >= sums[j])

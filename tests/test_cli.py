@@ -293,6 +293,27 @@ def test_uncollapsible_category_is_validation_error(workdir, data_dir, capsys):
     assert not (workdir / "out").exists()
 
 
+def test_score_without_config_says_where_its_scale_came_from(workdir, data_dir, capsys):
+    """Without ``--config``, ``score`` reads the scale from the categories
+    of the ratings file, so a file that holds only some of them rejects
+    valid agency ratings; the error says so and points to ``--config``,
+    with which the same files score."""
+    ratings = workdir / "ratings.csv"
+    ratings.write_text("object,cluster,projection,category\nGreece,6,0.5,B\n")
+    reference = data_dir / "table8_reference.csv"
+    argv = ["score", "--ratings", ratings, "--reference", reference,
+            "--out-dir", workdir / "out"]
+    assert run_cli(*argv) == 1
+    assert capsys.readouterr().err == (
+        f"error: {reference}: reference category 'BB+' does not collapse to any scale "
+        f"label ['B'] (the scale was read from the categories in the ratings file "
+        f"{ratings}; --config gives the config's whole scale)\n"
+    )
+    assert not (workdir / "out").exists()
+    assert run_cli(*argv, "--config", workdir / "config.json") == 0
+    assert "agreement: 1/1 = 1.0000" in capsys.readouterr().out
+
+
 def test_run_uncollapsible_category_writes_nothing(workdir, capsys):
     ref = workdir / "ref.csv"
     ref.write_text("object,agency,category\nSwitzerland,Fitch,ZZ\n")

@@ -22,8 +22,8 @@ def bind(centers, rating_vector, labels):
 def rate(objects, centers, assignments, rating_vector, labels):
     """Rate objects that sit on their assigned (1-based) centers."""
     centers = np.asarray(centers, dtype=np.float64)
-    features = centers[np.asarray(assignments) - 1]
-    result = assign_ratings(objects, features, centers, bind(centers, rating_vector, labels))
+    coords = centers[np.asarray(assignments) - 1].T
+    result = assign_ratings(objects, coords, centers, bind(centers, rating_vector, labels))
     assert result.clusters == tuple(assignments)
     return result
 
@@ -43,9 +43,12 @@ class TestProjection:
         cc = table7_centers[0]
         expected = abs(float(np.dot(cc, table6_lambda)))
         assert project_center(cc, table6_lambda) == pytest.approx(expected, abs=1e-15)
-        # oracle: explicit summation
-        naive = abs(sum(c * l for c, l in zip(cc, table6_lambda)))
-        assert project_center(cc, table6_lambda) == pytest.approx(naive, abs=1e-15)
+        # oracle: explicit summation in Lambda's order, which is the
+        # projection's own, bit for bit
+        naive = 0.0
+        for c, l in zip(cc.tolist(), table6_lambda.tolist()):
+            naive += c * l
+        assert project_center(cc, table6_lambda) == abs(naive)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValidationError):
@@ -75,7 +78,7 @@ class TestAssign:
         centers = np.array([[0.5], [0.5]])
         per_cluster = bind(centers, [1.0], ("A", "B"))
         assert [(c.cluster, c.category) for c in per_cluster] == [(1, "A"), (2, "B")]
-        assert assign_ratings(ids(2), centers, centers, per_cluster).clusters == (1, 1)
+        assert assign_ratings(ids(2), centers.T, centers, per_cluster).clusters == (1, 1)
 
     def test_objects_in_same_cluster_share_category(self, country_run):
         ratings = country_run.ratings
@@ -92,7 +95,7 @@ class TestAssign:
         for c in (0.1, 3.0, 100.0):
             scaled = assign_ratings(
                 country_run.ratings.objects,
-                country_run.features,
+                country_run.features.T,
                 centers,
                 bind(centers, c * country_run.snapshot.model.Lambda, LABELS7),
             )
@@ -105,12 +108,22 @@ class TestAssign:
         permuted = np.array(
             [centers[int(np.where(perm == q + 1)[0][0])] for q in range(k)]
         )
-        objects, features = country_run.ratings.objects, country_run.features
+        objects, coords = country_run.ratings.objects, country_run.features.T
         lam = country_run.snapshot.model.Lambda
-        base = assign_ratings(objects, features, centers, bind(centers, lam, LABELS7))
-        other = assign_ratings(objects, features, permuted, bind(permuted, lam, LABELS7))
+        base = assign_ratings(objects, coords, centers, bind(centers, lam, LABELS7))
+        other = assign_ratings(objects, coords, permuted, bind(permuted, lam, LABELS7))
         assert other.clusters == tuple(int(perm[q - 1]) for q in base.clusters)
         assert base.categories() == other.categories()
+
+    def test_rows_of_objects_are_refused(self):
+        # the coordinates are d x M, one column per object; M x d rows (the
+        # layout of ``PipelineOutputs.features``) are a ValidationError
+        centers = np.array([[0.9, 0.1], [0.1, 0.9]])
+        rows = np.array([[0.8, 0.2], [0.2, 0.8], [0.5, 0.4]])
+        per_cluster = bind(centers, [0.5, 0.5], ("A", "B"))
+        assert assign_ratings(ids(3), rows.T, centers, per_cluster).clusters == (1, 2, 1)
+        with pytest.raises(ValidationError, match=r"coordinates of shape \(3, 2\) for 3 objects"):
+            assign_ratings(ids(3), rows, centers, per_cluster)
 
     def test_monotone_consistency(self):
         result = rate(ids(2), [[0.6, 0.5], [0.4, 0.5]], [1, 2], [0.7, 0.3], ("hi", "lo"))

@@ -1,11 +1,13 @@
-"""Shares handed to the caller in file order while the forked parse runs.
+"""Shares of a forked parse, worked on where they are parsed and handed
+to the caller in file order.
 
 ``_fork.fork_map``'s ``each`` takes every result in share order as soon as
-it is in; ``dataset.load_dataset``'s ``each`` gets the rows of every share
-of the parse; ``relarm assign`` rates each share's rows as they arrive.
-Every output and every error must be what the one-share parse gives, and
-the same from every command; the one exception is an id past the csv
-field limit, which only a share parsed cell by cell reads.  The
+it is in; ``dataset.load_dataset``'s ``each`` runs on the rows of every
+share of the parse in the process that parsed them, and its results come
+back in file order; ``relarm assign`` rates and formats each share's rows
+there.  Every output and every error must be what the one-share parse
+gives, and the same from every command; the one exception is an id past
+the csv field limit, which only a share parsed cell by cell reads.  The
 ``fork_calls`` fixture of ``conftest.py`` reports four usable CPUs, and the
 autouse fixtures there fail a test that leaves a child or a changed CPU
 affinity.
@@ -20,7 +22,8 @@ import pytest
 
 from relarm import _fork
 from relarm.cli import main
-from relarm.dataset import load_dataset
+from relarm.dataset import Direction, IndicatorSpec, load_dataset
+from relarm.errors import ValidationError
 from conftest import FORK_CPUS, record_shares
 
 pytestmark = pytest.mark.skipif(
@@ -89,6 +92,38 @@ def test_each_takes_a_failed_childs_share_run_here(fork_calls):
 def big(share):
     """A result whose pickle outgrows a 64 KiB pipe buffer."""
     return bytes([share]) * (1 << 20)
+
+
+UNIT = tuple(IndicatorSpec(name, Direction.POSITIVE, True) for name in ("a", "b", "c"))
+
+
+@pytest.mark.parametrize("n", [1, 2, FORK_CPUS])
+@pytest.mark.parametrize("edits, message", [
+    ({(2, 2): "1.5", (8, 1): "-0.5", (9, 1): "2"},
+     "pre-normalized column 'a' has value -0.5 outside [0, 1] for object 'o8'"),
+    ({(2, 3): "7", (5, 3): "-1"},
+     "pre-normalized column 'c' has value 7.0 outside [0, 1] for object 'o2'"),
+    ({(2, 1): "9", (9, 0): "o1"}, "duplicate object ids: ['o1']"),
+], ids=["first-column-from-a-later-share", "first-row", "duplicates-first"])
+def test_the_table_check_across_shares_keeps_the_one_share_order(forced, tmp_path, n, edits,
+                                                                 message):
+    """With ``each``, the shares' bad pre-normalized values and repeated
+    ids are checked once all are in, as a ``RawDataset`` checks the whole
+    table: repeated ids first, then the first pre-normalized column in
+    declaration order that holds a bad value, at its first such row,
+    whichever share each lies in."""
+    cells = [[f"o{r}", "0.5", "0.5", "0.5"] for r in range(1, 11)]
+    for (row, col), value in edits.items():
+        cells[row - 1][col] = value
+    path = tmp_path / "data.csv"
+    path.write_text("\n".join(["id,a,b,c"] + [",".join(c) for c in cells]) + "\n",
+                    encoding="utf-8")
+    counts = forced(n)
+    for each in (None, lambda ids, values: len(ids)):
+        with pytest.raises(ValidationError) as raised:
+            load_dataset(path, UNIT, each)
+        assert str(raised.value) == f"{path}: {message}"
+    assert counts() == [n, n]
 
 
 @pytest.mark.parametrize("fault", [0, 1, FORK_CPUS - 1])
@@ -160,15 +195,14 @@ def tables(data_dir, n):
 
 
 def collect(path, specs):
-    """load_dataset's table and the (ids, values) ``each`` was given."""
-    calls = []
+    """load_dataset's :class:`Shares` with an ``each`` that returns, for
+    its share, the process it ran in, whether the values it got were
+    writable, the ids and a copy of the values."""
 
     def each(ids, values):
-        assert not in_child()
-        assert not values.flags.writeable
-        calls.append((list(ids), values.copy()))
+        return os.getpid(), values.flags.writeable, list(ids), values.copy()
 
-    return load_dataset(path, specs, each), calls
+    return load_dataset(path, specs, each)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
@@ -176,21 +210,30 @@ def collect(path, specs):
 @pytest.mark.parametrize("end", ["\n", "\r\n", ""], ids=["lf", "crlf", "no-final-newline"])
 def test_each_sees_every_row_once_in_file_order(forced, tmp_path, data_dir, country_config,
                                                 n, table, end):
+    """Each share's rows go to ``each`` once, read-only, in the process
+    that parsed them, share 0 in this one and every other in its child;
+    the results come back in file order and hold the table's rows, once
+    each, as the one-share parse reads them."""
     lines = tables(data_dir, n)[table]
     path = tmp_path / "data.csv"
     path.write_bytes(("\r\n" if end == "\r\n" else "\n").join(lines).encode() + end.encode())
     counts = forced(1)
-    whole, one = collect(path, country_config.indicators)
-    assert counts() == [1] and len(one) == 1
+    whole = load_dataset(path, country_config.indicators)
+    one = collect(path, country_config.indicators)
+    assert counts() == [1, 1] and len(one.results) == 1
     counts = forced(n)
-    got, calls = collect(path, country_config.indicators)
-    assert got == whole
-    assert len(counts()) == 1 and len(calls) == counts()[0]
+    got = collect(path, country_config.indicators)
+    assert len(counts()) == 1 and len(got.results) == counts()[0]
     assert counts()[0] < n if table == "long-last-line" else counts()[0] == n
-    assert [i for ids, _ in calls for i in ids] == list(whole.objects)
-    assert np.concatenate([v for _, v in calls]).tobytes() == whole.values.tobytes()
+    for shares in (one, got):
+        pids, writable, ids, values = zip(*shares.results)
+        assert pids[0] == PARENT and PARENT not in pids[1:]
+        assert not any(writable)
+        assert [i for share in ids for i in share] == list(whole.objects)
+        assert np.concatenate(values).tobytes() == whole.values.tobytes()
+        assert shares.n_objects == whole.n_objects
     if table == "last-line-alone":
-        assert calls[-1][0] == [whole.objects[-1]]
+        assert got.results[-1][2] == [whole.objects[-1]]
 
 
 def run_cli(*argv):
@@ -354,19 +397,55 @@ def test_an_over_long_id_and_a_later_bad_cell_give_every_command_one_error(
     assert counts() == [min(n, 2)] * 3  # every cut falls at the end of the id's line
 
 
-@pytest.mark.parametrize("fault", [0, 1])
+UNIT = tuple(IndicatorSpec(name, Direction.POSITIVE, True) for name in ("a", "b", "c"))
+
+
+@pytest.mark.parametrize("n", [1, 2, FORK_CPUS])
+@pytest.mark.parametrize("edits, message", [
+    ({(2, 2): "1.5", (8, 1): "-0.5", (9, 1): "2"},
+     "pre-normalized column 'a' has value -0.5 outside [0, 1] for object 'o8'"),
+    ({(2, 3): "7", (5, 3): "-1"},
+     "pre-normalized column 'c' has value 7.0 outside [0, 1] for object 'o2'"),
+    ({(2, 1): "9", (9, 0): "o1"}, "duplicate object ids: ['o1']"),
+], ids=["first-column-from-a-later-share", "first-row", "duplicates-first"])
+def test_the_table_check_across_shares_keeps_the_one_share_order(forced, tmp_path, n, edits,
+                                                                 message):
+    """With ``each``, the shares' bad pre-normalized values and repeated
+    ids are checked once all are in, as a ``RawDataset`` checks the whole
+    table: repeated ids first, then the first pre-normalized column in
+    declaration order that holds a bad value, at its first such row,
+    whichever share each lies in."""
+    cells = [[f"o{r}", "0.5", "0.5", "0.5"] for r in range(1, 11)]
+    for (row, col), value in edits.items():
+        cells[row - 1][col] = value
+    path = tmp_path / "data.csv"
+    path.write_text("\n".join(["id,a,b,c"] + [",".join(c) for c in cells]) + "\n",
+                    encoding="utf-8")
+    counts = forced(n)
+    for each in (None, lambda ids, values: len(ids)):
+        with pytest.raises(ValidationError) as raised:
+            load_dataset(path, UNIT, each)
+        assert str(raised.value) == f"{path}: {message}"
+    assert counts() == [n, n]
+
+
+@pytest.mark.parametrize("fault", [0, 1, FORK_CPUS - 1])
 def test_a_consumer_raising_midway_stops_the_load(forced, tmp_path, data_dir, country_config,
                                                   fault):
+    """``each`` raising on share ``fault``, in this process or in a child:
+    the child's share runs again here, so the load raises the consumer's
+    error, as the one-share parse would, and leaves no child behind."""
     path = tmp_path / "data.csv"
     path.write_text("\n".join(country_lines(data_dir)) + "\n", encoding="utf-8")
     forced(FORK_CPUS)
-    taken = []
+    firsts = [ids[0] for ids in load_dataset(path, country_config.indicators,
+                                             lambda ids, values: ids).results]
+    assert len(firsts) == FORK_CPUS
 
     def each(ids, values):
-        if len(taken) == fault:
+        if ids[0] == firsts[fault]:
             raise RuntimeError("consumer fault")
-        taken.append(ids)
+        return ids
 
     with pytest.raises(RuntimeError, match="consumer fault"):
         load_dataset(path, country_config.indicators, each)
-    assert len(taken) == fault

@@ -44,20 +44,6 @@ def test_scoring_original_objects_matches_fit(tmp_path, country_dataset, country
     assert rescored.clusters == country_run.ratings.clusters
 
 
-def test_each_object_scored_alone_takes_its_bulk_cluster(country_dataset, country_run):
-    """The feature map is a BLAS product, and BLAS takes another kernel for
-    a single row, so an object's features may differ in the last bit between
-    a one-row file and a larger one (19 of the 30 countries on a build with
-    OpenBLAS at 1 thread).  Only an exact distance tie could then move its
-    cluster; none of the 30 moves."""
-    ds = country_dataset
-    for i, obj in enumerate(ds.objects):
-        alone = RawDataset((obj,), ds.indicators, ds.values[i : i + 1])
-        rated = score_with_snapshot(country_run.snapshot, alone)
-        assert rated.clusters == (country_run.ratings.clusters[i],), obj
-        assert rated.categories() == {obj: country_run.ratings.categories()[obj]}, obj
-
-
 VALUE =st.one_of(st.integers(-3, 3).map(float), st.floats(-100, 100))
 
 
