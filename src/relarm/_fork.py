@@ -21,8 +21,9 @@ import threading
 _FAILED = object()  # a child's result that did not arrive
 
 # A job forks once the bytes it sweeps reach this: a parse its text, k-means
-# its restarts' float64 k x M distance blocks; both cost ~20-38 ns of serial
-# CPU a byte, against a fixed cost per child (fork, page faults, exit, reap).
+# its restarts' float64 k x M distance blocks; both cost ~20-36 ns of serial
+# CPU a byte, against a fixed cost per child (fork, page faults, exit, reap)
+# of ~3.5-5 ms (a two-share fork_map that does nothing, 2 vCPU).
 FORK_MIN_BYTES = 3_500_000
 
 

@@ -98,14 +98,29 @@ def nearest_center(
 ) -> tuple[np.ndarray, np.ndarray, bool]:
     """Index of each point's nearest center (ties to the lowest index), the
     squared distance to it, and whether some point has two nearest centers
-    (an exact tie); ``coords`` is d x M, ``centers`` k x d."""
+    (an exact tie); ``coords`` is d x M, ``centers`` k x d.
+
+    When every point has exactly one nearest center and no distance is
+    NaN, the index is the sum over q of q times the point's 0/1 hit on
+    center q, one integer ``einsum`` in numpy's own C loop (no BLAS): with
+    a single hit the sum is that hit's q, exact in the smallest unsigned
+    type that holds k - 1.  Otherwise the sweep below gives the reference
+    semantics: the lowest of the tied indices, and k - 1 for a point with
+    a NaN distance, whose minimum is then NaN and so has no hit.
+    """
     d2 = _sq_dists(coords, centers)
     best = d2.min(axis=0)
     at_best = d2 == best
-    idx = np.full(best.shape, centers.shape[0] - 1, dtype=np.intp)
-    for q in range(centers.shape[0] - 2, -1, -1):
-        idx = np.where(at_best[q], q, idx)
-    return idx, best, np.count_nonzero(at_best) > best.size
+    k = centers.shape[0]
+    hits = np.count_nonzero(at_best)
+    if hits == best.size and not np.isnan(best).any():
+        ids = np.arange(k, dtype=np.min_scalar_type(k - 1))
+        idx = np.einsum("q,qm->m", ids, at_best.view(np.uint8)).astype(np.intp)
+    else:
+        idx = np.full(best.shape, k - 1, dtype=np.intp)
+        for q in range(k - 2, -1, -1):
+            idx = np.where(at_best[q], q, idx)
+    return idx, best, hits > best.size
 
 
 def _coords(points: np.ndarray) -> np.ndarray:

@@ -14,11 +14,19 @@ One exception is set beforehand: for d = 1 numpy's ``mean(axis=0)`` of an
 M x 1 array takes its pairwise-summation path, while ``bincount`` (and the
 d >= 2 mean) adds in index order.  For d = 1 the centers are therefore
 compared to the bound of that summation difference, M * eps * max|x|.
+
+The second reference, ``_oracle_nearest_center``, is the coordinate-major
+index step before the integer ``einsum``, kept verbatim: one ``np.where``
+pass per center, lowest index first.  It sees the same distances as
+``nearest_center``, so index, distance and tie flag must be equal.
 """
 
 from __future__ import annotations
 
 import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from relarm.clustering import (
     Xorshift64Star,
@@ -27,9 +35,11 @@ from relarm.clustering import (
     _kmeanspp_init,
     _lloyd,
     _splitmix64,
+    _sq_dists,
     kmeans,
     nearest_center,
 )
+from relarm.rating import assign_ratings, bind_categories
 
 SSE_RTOL = 1e-12
 EPS = np.finfo(np.float64).eps
@@ -91,6 +101,18 @@ def _oracle_lloyd(
         for q in range(k):
             centers[q] = points[assign == q].mean(axis=0)
     return assign, centers, history[-1], history
+
+
+def _oracle_nearest_center(
+    coords: np.ndarray, centers: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, bool]:
+    d2 = _sq_dists(coords, centers)
+    best = d2.min(axis=0)
+    at_best = d2 == best
+    idx = np.full(best.shape, centers.shape[0] - 1, dtype=np.intp)
+    for q in range(centers.shape[0] - 2, -1, -1):
+        idx = np.where(at_best[q], q, idx)
+    return idx, best, np.count_nonzero(at_best) > best.size
 
 
 # --- comparison helpers ---------------------------------------------------------
@@ -189,3 +211,54 @@ def test_nearest_center_matches_einsum_argmin():
     assert not np.any(idx == 5) and tied
     assert not nearest_center(np.ascontiguousarray(points.T), centers[:5])[2]
     np.testing.assert_allclose(best, d2[np.arange(len(points)), ref], rtol=4 * EPS, atol=0)
+
+
+@st.composite
+def _nearest_cases(draw):
+    """(coords d x M, centers k x d): continuous points, centers drawn with
+    replacement (exact ties), an integer grid (ties of exact squares), and
+    columns made NaN; k crosses the uint8 -> uint16 weight switch."""
+    k = draw(st.sampled_from([1, 2, 7, 255, 256, 257]))
+    d = draw(st.integers(1, 4))
+    m = draw(st.integers(1, 80))
+    kind = draw(st.sampled_from(["continuous", "duplicated", "grid"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "grid":
+        coords = rng.integers(0, 4, size=(d, m)).astype(np.float64)
+        centers = rng.integers(0, 4, size=(k, d)).astype(np.float64)
+    else:
+        coords = rng.normal(size=(d, m))
+        centers = rng.normal(size=(k, d))
+        if kind == "duplicated":
+            centers = centers[rng.integers(0, k, size=k)]
+        coords[:, 0] = centers[-1]  # a point whose nearest is the last center
+    if draw(st.booleans()):
+        coords[rng.integers(0, d), rng.random(m) < 0.3] = np.nan
+    return coords, centers
+
+
+@settings(max_examples=300)
+@given(_nearest_cases())
+def test_nearest_center_matches_the_sweep(case):
+    coords, centers = case
+    idx, best, tied = nearest_center(coords, centers)
+    ref_idx, ref_best, ref_tied = _oracle_nearest_center(coords, centers)
+    assert idx.dtype == np.intp
+    assert np.array_equal(idx, ref_idx)
+    assert np.array_equal(best, ref_best, equal_nan=True)
+    assert tied == ref_tied
+
+
+@pytest.mark.parametrize("k", [256, 257])
+def test_assign_ratings_ids_past_255(k):
+    """A uint8 index would wrap the last cluster's id, index + 1, to 0."""
+    rng = np.random.default_rng(k)
+    centers = rng.normal(size=(k, 3))
+    coords = np.concatenate([centers.T, rng.normal(size=(3, 500))], axis=1)
+    objects = tuple(f"o{i}" for i in range(coords.shape[1]))
+    labels = tuple(f"c{q}" for q in range(k))
+    per_cluster = bind_categories([float(q) for q in range(k)], labels)
+    result = assign_ratings(objects, coords, centers, per_cluster)
+    ref = _oracle_nearest_center(coords, centers)[0]
+    assert result.clusters == tuple((ref + 1).tolist())
+    assert result.clusters[:k] == tuple(range(1, k + 1))
